@@ -48,8 +48,16 @@ def _pair_constraints(h: Hypergraph) -> dict[str, set[str]]:
     return mates
 
 
+def _degree_order(h: Hypergraph) -> list[str]:
+    """Vertices by descending degree, ties by label: most constrained first."""
+    degree = dict.fromkeys(h.vertices, 0)
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    return sorted(h.vertices, key=lambda v: (-degree[v], v))
+
+
 def _complete(
-    h: Hypergraph,
     assignment: dict[str, int],
     order: list[str],
     mates: dict[str, set[str]],
@@ -91,7 +99,7 @@ def enumerate_strong_colorings(h: Hypergraph, cap: int | None = None) -> list[Co
     """
     mates = _pair_constraints(h)
     collect: list[Coloring] = []
-    _complete(h, {}, list(h.vertices), mates, collect, cap)
+    _complete({}, list(h.vertices), mates, collect, cap)
     return collect
 
 
@@ -103,8 +111,9 @@ def extends(h: Hypergraph, partial: dict[str, int]) -> bool:
     violated vertex pair. Decision is by constrained backtracking, not by
     filtering the full enumeration.
     """
+    vertices = set(h.vertices)
     for v, color in partial.items():
-        if v not in set(h.vertices):
+        if v not in vertices:
             raise ValueError(f"unknown vertex {v!r} in partial assignment")
         if color not in COLORS:
             raise ValueError(f"color {color!r} is not one of 0, 1, 2")
@@ -115,8 +124,7 @@ def extends(h: Hypergraph, partial: dict[str, int]) -> bool:
                 f"invalid partial assignment: {{{u}, {v}}} is a subhyperedge "
                 f"but both are colored {partial[u]}"
             )
-    order = sorted(h.vertices, key=lambda v: (-h.vertex_degree(v), v))
-    return _complete(h, dict(partial), order, mates, None, None)
+    return _complete(dict(partial), _degree_order(h), mates, None, None)
 
 
 def is_2_robust(h: Hypergraph) -> RobustnessReport:
@@ -129,12 +137,13 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
     if any(len(e) != 3 for e in h.edges):
         logger.warning("2-robustness tested on a non-3-uniform hypergraph")
     mates = _pair_constraints(h)
+    order = _degree_order(h)
     for u, v in itertools.combinations(sorted(h.vertices), 2):
         adjacent = v in mates[u]
         for cu, cv in itertools.product(COLORS, COLORS):
             if adjacent and cu == cv:
                 continue
-            if not extends(h, {u: cu, v: cv}):
+            if not _complete({u: cu, v: cv}, order, mates, None, None):
                 return RobustnessReport(
                     robust=False,
                     failure=ExtensionFailure(pair=(u, v), assignment=(cu, cv)),

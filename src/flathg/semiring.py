@@ -143,8 +143,9 @@ def multiplicative_zero(s: FiniteSemiring) -> int | None:
 
 
 def is_flat(s: FiniteSemiring) -> bool:
-    """True when a multiplicative zero exists that is the additive top and
-    every sum of two distinct elements collapses to it.
+    """True when a multiplicative zero exists that is the additive top,
+    addition is idempotent, and every sum of two distinct elements collapses
+    to the zero.
 
     A one-element carrier is not flat: the defining addition needs at least
     one distinct pair to collapse.
@@ -156,7 +157,7 @@ def is_flat(s: FiniteSemiring) -> bool:
         return False
     n = s.size
     for a in range(n):
-        if s.add[a][z] != z or s.add[z][a] != z:
+        if s.add[a][z] != z or s.add[z][a] != z or s.add[a][a] != a:
             return False
         for b in range(n):
             if a != b and s.add[a][b] != z:

@@ -232,47 +232,18 @@ def builtin_identity(key: str) -> Identity:
     raise KeyError(f"unknown identity {key!r}")
 
 
-def _compile(node: Term, var_slot: dict[str, int]) -> list[tuple[str, int]]:
-    """Postfix program: ("var", slot) pushes, ("mul"/"add", k) folds k values."""
-    program: list[tuple[str, int]] = []
-
-    def emit(t: Term) -> None:
-        if isinstance(t, Variable):
-            program.append(("var", var_slot[t.name]))
-        elif isinstance(t, Product):
-            for f in t.factors:
-                emit(f)
-            if len(t.factors) > 1:
-                program.append(("mul", len(t.factors)))
-        else:
-            for s in t.terms:
-                emit(s)
-            if len(t.terms) > 1:
-                program.append(("add", len(t.terms)))
-
-    emit(node)
-    return program
-
-
-def _run(program: list[tuple[str, int]], assignment: tuple[int, ...], s: FiniteSemiring) -> int:
-    stack: list[int] = []
-    mul, add = s.mul, s.add
-    for op, arg in program:
-        if op == "var":
-            stack.append(assignment[arg])
-        elif op == "mul":
-            acc = stack[-arg]
-            for v in stack[-arg + 1 :]:
-                acc = mul[acc][v]
-            del stack[-arg:]
-            stack.append(acc)
-        else:
-            acc = stack[-arg]
-            for v in stack[-arg + 1 :]:
-                acc = add[acc][v]
-            del stack[-arg:]
-            stack.append(acc)
-    return stack[0]
+def _value(node: Term, values: dict[str, int], s: FiniteSemiring) -> int:
+    """Evaluate a term under an index-valued assignment, folding left to right."""
+    if isinstance(node, Variable):
+        return values[node.name]
+    if isinstance(node, Product):
+        table, parts = s.mul, node.factors
+    else:
+        table, parts = s.add, node.terms
+    acc = _value(parts[0], values, s)
+    for part in parts[1:]:
+        acc = table[acc][_value(part, values, s)]
+    return acc
 
 
 def eval_term(t: Term, assignment: dict[str, str], s: FiniteSemiring) -> str:
@@ -283,9 +254,60 @@ def eval_term(t: Term, assignment: dict[str, str], s: FiniteSemiring) -> str:
     missing = [v for v in names if v not in assignment]
     if missing:
         raise ValueError(f"unbound variable {missing[0]!r}")
-    slots = {v: i for i, v in enumerate(names)}
-    packed = tuple(s.index(assignment[v]) for v in names)
-    return s.elements[_run(_compile(t, slots), packed, s)]
+    values = {v: s.index(assignment[v]) for v in names}
+    return s.elements[_value(t, values, s)]
+
+
+# Bracket depth at which a generated expression is spilled to a temporary;
+# far below the parser's nesting limit, so any term size compiles.
+_NEST_LIMIT = 50
+
+
+def _emit(node: Term, slots: dict[str, int], lines: list[str]) -> tuple[str, int]:
+    """Source for one term as (expression, bracket depth), spilling deep
+    subexpressions into `lines` as temporaries `t0`, `t1`, ..."""
+    if isinstance(node, Variable):
+        return f"a[{slots[node.name]}]", 1
+    if isinstance(node, Product):
+        table, parts = "M", node.factors
+    else:
+        table, parts = "A", node.terms
+    acc, depth = _emit(parts[0], slots, lines)
+    for part in parts[1:]:
+        operand, inner = _emit(part, slots, lines)
+        acc, depth = f"{table}[{acc}][{operand}]", max(depth, inner) + 1
+        if depth >= _NEST_LIMIT:
+            lines.append(f"t{len(lines)} = {acc}")
+            acc, depth = f"t{len(lines) - 1}", 0
+    return acc, depth
+
+
+def _side_source(node: Term, slots: dict[str, int]) -> str:
+    """Python source of `side(a, A, M)`, the value of one identity side.
+
+    The source names only the slot tuple `a`, the tables `A` and `M`, and
+    numbered temporaries; variable names never reach it.
+    """
+    lines: list[str] = []
+    result, _ = _emit(node, slots, lines)
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def side(a, A, M):\n{body}    return {result}\n"
+
+
+def _compile_side(node: Term, slots: dict[str, int]):
+    namespace: dict[str, object] = {}
+    exec(_side_source(node, slots), {"__builtins__": {}}, namespace)
+    return namespace["side"]
+
+
+def _failure(
+    ident: Identity, values: dict[str, int], s: FiniteSemiring, explored: int
+) -> CheckResult:
+    """Re-evaluate both sides at a counterexample before reporting it."""
+    witness = {v: s.elements[values[v]] for v in ident.variables}
+    if _value(ident.lhs, values, s) == _value(ident.rhs, values, s):
+        raise RuntimeError(f"internal error: both sides agree at the counterexample {witness}")
+    return CheckResult("fails", witness, explored)
 
 
 def check_identity_bruteforce(
@@ -294,7 +316,8 @@ def check_identity_bruteforce(
     """Exhaust every assignment; first counterexample in lexicographic order.
 
     Refuses outright when |S|^variables exceeds the budget, naming the flat
-    checker as the alternative.
+    checker as the alternative. Each side is compiled to a Python function
+    once per call, which the |S|^variables evaluations amortize.
     """
     ident = make_identity(ident.lhs, ident.rhs)
     nvars = len(ident.variables)
@@ -305,14 +328,14 @@ def check_identity_bruteforce(
             "use the flat checker"
         )
     slots = {v: i for i, v in enumerate(ident.variables)}
-    left = _compile(ident.lhs, slots)
-    right = _compile(ident.rhs, slots)
+    left = _compile_side(ident.lhs, slots)
+    right = _compile_side(ident.rhs, slots)
+    add, mul = s.add, s.mul
     explored = 0
     for assignment in itertools.product(range(s.size), repeat=nvars):
         explored += 1
-        if _run(left, assignment, s) != _run(right, assignment, s):
-            witness = {v: s.elements[assignment[i]] for i, v in enumerate(ident.variables)}
-            return CheckResult("fails", witness, explored)
+        if left(assignment, add, mul) != right(assignment, add, mul):
+            return _failure(ident, dict(zip(ident.variables, assignment)), s, explored)
     return CheckResult("holds", None, explored)
 
 
@@ -338,8 +361,10 @@ class _SideSearch:
     Every monomial of the side must evaluate to the target; remaining
     variables of the identity range free. On commutative carriers (all the
     builtin ones) a running partial product per monomial prunes any branch
-    that already hit zero; otherwise completed monomials are re-evaluated in
-    their written order, which is slower but order-faithful.
+    that already hit zero, and a variable joining a monomial with partial
+    product p only tries the values v with p·v non-zero; otherwise completed
+    monomials are re-evaluated in their written order, which is slower but
+    order-faithful.
     """
 
     def __init__(self, s: FiniteSemiring, side_monomials, all_variables):
@@ -365,7 +390,8 @@ class _SideSearch:
             for v in counts
         }
         self.mono_size = [len(m) for m in side_monomials]
-        self.all_variables = all_variables
+        self.nonzero = [v for v in range(s.size) if v != self.zero]
+        self.followers: dict[int, list[int]] = {}
         self.explored = 0
 
     def search(self, target: int):
@@ -381,19 +407,37 @@ class _SideSearch:
             acc = value if acc is None else self.s.mul[acc][value]
         return acc
 
+    def _candidates(self, touches, partial) -> list[int]:
+        """Ascending non-zero values that no touched partial product sends to zero."""
+        best = self.nonzero
+        if not self.commutative:
+            return best
+        for m, _ in touches:
+            p = partial[m]
+            if p is None:
+                continue
+            row = self.followers.get(p)
+            if row is None:
+                mul_p, zero = self.s.mul[p], self.zero
+                row = self.followers[p] = [v for v in self.nonzero if mul_p[v] != zero]
+            if len(row) < len(best):
+                best = row
+        return best
+
     def _assign(self, depth, target, assignment, partial, filled):
         if depth == len(self.order):
             yield tuple(assignment)
             return
         slot = depth
-        constrained = slot < self.n_side
-        touches = self.var_monos.get(slot, ())
+        if slot < self.n_side:
+            touches = self.var_monos[slot]
+            values = self._candidates(touches, partial)
+        else:
+            touches, values = (), range(self.s.size)
         mul = self.s.mul
-        for value in range(self.s.size):
-            if constrained and value == self.zero:
-                continue
+        saved = [(m, partial[m], filled[m]) for m, _ in touches]
+        for value in values:
             assignment[slot] = value
-            saved = [(m, partial[m], filled[m]) for m, _ in touches]
             ok = True
             for m, mult in touches:
                 filled[m] += mult
@@ -421,10 +465,9 @@ class _SideSearch:
                 filled[m] = f
         return
 
-    def full_assignment(self, packed: tuple[int, ...]) -> tuple[int, ...]:
-        """Reorder from search order back to identity variable order."""
-        by_name = {v: packed[self.slot[v]] for v in self.order}
-        return tuple(by_name[v] for v in self.all_variables)
+    def full_assignment(self, packed: tuple[int, ...]) -> dict[str, int]:
+        """Map a hit from search order back to variable names."""
+        return dict(zip(self.order, packed))
 
 
 def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
@@ -438,11 +481,7 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     if not is_flat(s):
         raise ValueError("flat checker requires a flat semiring; use brute force")
     ident = make_identity(ident.lhs, ident.rhs)
-    slots = {v: i for i, v in enumerate(ident.variables)}
-    programs = {
-        "lhs": _compile(ident.lhs, slots),
-        "rhs": _compile(ident.rhs, slots),
-    }
+    sides = {"lhs": ident.lhs, "rhs": ident.rhs}
     monomials = {"lhs": _monomials(ident.lhs), "rhs": _monomials(ident.rhs)}
     zero = multiplicative_zero(s)
     explored = 0
@@ -452,11 +491,8 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
             if target == zero:
                 continue
             for packed in search.search(target):
-                full = search.full_assignment(packed)
-                if _run(programs[other], full, s) != target:
-                    witness = {
-                        v: s.elements[full[i]] for i, v in enumerate(ident.variables)
-                    }
-                    return CheckResult("fails", witness, explored + search.explored)
+                values = search.full_assignment(packed)
+                if _value(sides[other], values, s) != target:
+                    return _failure(ident, values, s, explored + search.explored)
         explored += search.explored
     return CheckResult("holds", None, explored)

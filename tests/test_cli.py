@@ -101,6 +101,19 @@ class TestCheck:
         assert record["method"] == "flat"
         assert record["counterexample"] is None
 
+    def test_non_idempotent_table_goes_to_brute_force(self, capsys, tmp_path):
+        path = tmp_path / "doubling.json"
+        path.write_text(
+            json.dumps(
+                {"elements": ["0", "x"], "add": [0, 0, 0, 0], "mul": [0, 0, 0, 0], "zero": 0}
+            )
+        )
+        code, out, _ = run(capsys, ["--format", "structured", "check", str(path), "x+x = y+y"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["verdict"] == "holds"
+        assert record["method"] == "brute-force"
+
     def test_flags_work_after_the_subcommand_too(self, capsys):
         _, before, _ = run(
             capsys, ["--format", "structured", "check", "builtin:sc_abc", "eq3.1"]

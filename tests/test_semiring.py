@@ -73,6 +73,13 @@ class TestFlatness:
     def test_bool_lattice_not_flat(self):
         assert not is_flat(BOOL_LATTICE)
 
+    def test_non_idempotent_addition_not_flat(self):
+        """x + x = 0 with all products 0: the zero is absorbing and the additive
+        top, yet the table is no semiring of this library."""
+        s = FiniteSemiring(("0", "x"), ((0, 0), (0, 0)), ((0, 0), (0, 0)), zero=0)
+        assert verify_axioms(s).failing() == ["add-idempotent"]
+        assert not is_flat(s)
+
     def test_trivial_semiring_not_flat(self):
         one = FiniteSemiring(("z",), ((0,),), ((0,),), zero=0)
         assert not is_flat(one)

@@ -1,7 +1,17 @@
+import io
+import itertools
+import random
+import re
+import tokenize
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flathg import terms
+from flathg.hg_semiring import build_semiring
+from flathg.semiring import FiniteSemiring, is_flat, verify_axioms
+from flathg.suite import random_hyperforest
 from flathg.terms import (
     IdentitySyntaxError,
     Product,
@@ -16,7 +26,11 @@ from flathg.terms import (
     parse_identity,
     parse_identity_file,
 )
-from flathg.words import build_sc
+from flathg.words import build_sc, builtin_s7
+
+# x + x = 0 and every product 0: absorbing zero, additive top, but no
+# idempotent addition, so not a semiring the flat checker may decide.
+DOUBLING = FiniteSemiring(("0", "x"), ((0, 0), (0, 0)), ((0, 0), (0, 0)), zero=0)
 
 
 class TestParsing:
@@ -154,15 +168,113 @@ class TestFlatChecker:
     def test_holds_on_single_monomials(self, sc_abc):
         assert check_identity_flat(sc_abc, parse_identity("x1*x2 = x2*x1")).holds
 
+    def test_non_idempotent_addition_is_refused(self):
+        ident = parse_identity("x+x = y+y")
+        assert not is_flat(DOUBLING)
+        with pytest.raises(ValueError, match="flat checker requires"):
+            check_identity_flat(DOUBLING, ident)
+        assert check_identity_bruteforce(DOUBLING, ident).holds
+
+
+def test_a_counterexample_where_both_sides_agree_is_an_internal_error(s7):
+    ident = parse_identity("x1 = x1*x1")
+    values = {"x1": s7.index("1")}
+    with pytest.raises(RuntimeError, match="both sides agree"):
+        terms._failure(ident, values, s7, explored=1)
+
+
+def _reference_bruteforce(s, ident):
+    """The brute-force checker written with the tree walker only."""
+    explored = 0
+    for values in itertools.product(range(s.size), repeat=len(ident.variables)):
+        explored += 1
+        env = dict(zip(ident.variables, values))
+        if terms._value(ident.lhs, env, s) != terms._value(ident.rhs, env, s):
+            witness = {v: s.elements[env[v]] for v in ident.variables}
+            return "fails", witness, explored
+    return "holds", None, explored
+
+
+def term_trees(names):
+    """Unflattened terms over the given variable names."""
+    return st.recursive(
+        st.sampled_from(names).map(Variable),
+        lambda kids: st.one_of(
+            st.lists(kids, min_size=2, max_size=3).map(lambda ts: Product(tuple(ts))),
+            st.lists(kids, min_size=2, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        ),
+        max_leaves=8,
+    )
+
+
+word_sets = st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=2)
+carriers = st.one_of(word_sets.map(build_sc), st.just(builtin_s7()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(carriers, term_trees(["x1", "x2", "x3"]), term_trees(["x1", "x2", "x3"]))
+def test_compiled_bruteforce_agrees_with_the_tree_walker(s, lhs, rhs):
+    ident = make_identity(lhs, rhs)
+    result = check_identity_bruteforce(s, ident)
+    assert (result.verdict, result.counterexample, result.explored) == _reference_bruteforce(
+        s, ident
+    )
+
+
+@pytest.mark.parametrize("kind", [Sum, Product])
+def test_300_operand_side_compiles_and_agrees(s7, kind):
+    big = make_identity(kind(tuple(Variable(f"x{k % 4 + 1}") for k in range(300))), Variable("x1"))
+    slots = {v: i for i, v in enumerate(big.variables)}
+    side = terms._compile_side(big.lhs, slots)
+    for values in itertools.product(range(s7.size), repeat=len(big.variables)):
+        env = dict(zip(big.variables, values))
+        assert side(values, s7.add, s7.mul) == terms._value(big.lhs, env, s7)
+    assert check_identity_bruteforce(s7, make_identity(big.lhs, big.lhs)).holds
+
+
+_SOURCE_NAMES = {"def", "side", "a", "A", "M", "return"}
+_SOURCE_LAYOUT = {
+    tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
+}
+
 
 @st.composite
-def small_identities(draw):
+def hostile_terms(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=4))
+    names += ["__import__('os')", "a", "A", "M", "t0", "return 1"]
+    return draw(term_trees(names))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hostile_terms())
+def test_generated_source_names_only_slots_tables_and_temporaries(term):
+    names: list[str] = []
+    terms._walk_variables(term, names)
+    slots = {v: i for i, v in enumerate(names)}
+    source = terms._side_source(term, slots)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in _SOURCE_NAMES or re.fullmatch(r"t\d+", tok.string)
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit()
+        elif tok.type == tokenize.OP:
+            assert tok.string in {"(", ")", "[", "]", ",", ":", "="}
+        else:
+            assert tok.type in _SOURCE_LAYOUT
+    s = builtin_s7()
+    side = terms._compile_side(term, slots)
+    values = tuple(i % s.size for i in range(len(names)))
+    assert side(values, s.add, s.mul) == terms._value(term, dict(zip(names, values)), s)
+
+
+@st.composite
+def small_identities(draw, nvars=4):
     def side():
         monomials = []
         for _ in range(draw(st.integers(1, 3))):
             size = draw(st.integers(1, 3))
             monomials.append(
-                "*".join(f"x{draw(st.integers(1, 4))}" for _ in range(size))
+                "*".join(f"x{draw(st.integers(1, nvars))}" for _ in range(size))
             )
         return " + ".join(monomials)
 
@@ -181,3 +293,21 @@ def test_flat_checker_agrees_with_brute_force(ident, word):
             lhs = eval_term(ident.lhs, result.counterexample, s)
             rhs = eval_term(ident.rhs, result.counterexample, s)
             assert lhs != rhs
+
+
+def _hyperforest_semiring(seed):
+    return build_semiring(random_hyperforest(random.Random(seed), max_edges=3)).exported
+
+
+flat_semirings = st.one_of(
+    word_sets.map(build_sc), st.integers(0, 2**16).map(_hyperforest_semiring)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_identities(nvars=3), flat_semirings)
+def test_flat_checker_agrees_with_brute_force_on_generated_flat_semirings(ident, s):
+    assert verify_axioms(s).all_pass and is_flat(s)
+    fast = check_identity_flat(s, ident)
+    slow = check_identity_bruteforce(s, ident)
+    assert fast.holds == slow.holds
