@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
-from .hypergraph import Hypergraph, family, validate
+from .hypergraph import Hypergraph, family, leaf_edges, validate
 from .semiring import FiniteSemiring, is_flat, multiplicative_zero
 from .terms import check_identity_flat, nested_identity
 from .words import build_sc
@@ -22,137 +22,126 @@ from .words import build_sc
 CLOSURE_CAP_DEFAULT = 100_000
 COLORINGS_CAP_DEFAULT = 10_000
 
-WITNESS_KINDS = (
-    "uniform_reduction",
-    "strongcolor_equiv",
-    "triangle_in_abcd",
-    "leaf_removal",
-    "beam_step",
-    "nested_chain",
-)
+# Each witness kind with the verify_witness parameters it requires, in the
+# order the command line takes them.
+WITNESS_KINDS: dict[str, tuple[str, ...]] = {
+    "uniform_reduction": ("hypergraph",),
+    "strongcolor_equiv": ("hypergraph",),
+    "triangle_in_abcd": (),
+    "leaf_removal": ("hypergraph", "leaf_case"),
+    "beam_step": ("index",),
+    "nested_chain": ("index",),
+}
+_PARAMETER_NOUNS = {"hypergraph": "a hypergraph", "index": "an index", "leaf_case": "a leaf_case"}
 
 
-@dataclass(frozen=True)
-class DirectPower:
-    """Componentwise k-th power of a finite semiring, never materialized.
-
-    Elements are k-tuples of base element indices; only the closures below
-    ever instantiate any of them.
-    """
-
-    base: FiniteSemiring
-    arity: int
-
-    @property
-    def size(self) -> int:
-        return self.base.size**self.arity
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        z = self.base.zero
-        if z is None:
-            z = multiplicative_zero(self.base)
-        if z is None:
-            raise ValueError("base semiring has no zero element")
-        return (z,) * self.arity
-
-    def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.base.add[a][b] for a, b in zip(x, y))
-
-    def mul(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.base.mul[a][b] for a, b in zip(x, y))
-
-    def label(self, x: tuple[int, ...]) -> str:
-        if self.arity == 1:
-            return self.base.elements[x[0]]
-        return "(" + ",".join(self.base.elements[i] for i in x) + ")"
-
-    def element_from_labels(self, labels) -> tuple[int, ...]:
-        entries = tuple(labels)
-        if len(entries) != self.arity:
-            raise ValueError(f"expected {self.arity} coordinates, got {len(entries)}")
-        return tuple(self.base.index(lbl) for lbl in entries)
+def _zero_of(s: FiniteSemiring) -> int | None:
+    """The designated zero, else the multiplicative zero, else None."""
+    return s.zero if s.zero is not None else multiplicative_zero(s)
 
 
-def direct_power(s: FiniteSemiring, k: int) -> DirectPower:
-    """Lazy k-fold power with componentwise operations."""
-    if k < 1:
-        raise ValueError("power arity must be at least 1")
-    return DirectPower(s, k)
+def _power_label(base: FiniteSemiring, x: tuple[int, ...]) -> str:
+    if len(x) == 1:
+        return base.elements[x[0]]
+    return "(" + ",".join(base.elements[i] for i in x) + ")"
+
+
+def _componentwise(table, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([table[a][b] for a, b in zip(x, y)])
+
+
+def _power_element(base: FiniteSemiring, entries) -> tuple[int, ...]:
+    """A power element given as a tuple of base labels or of base indices."""
+    entries = tuple(entries)
+    if any(isinstance(e, str) for e in entries):
+        return tuple(base.index(lbl) for lbl in entries)
+    return tuple(int(e) for e in entries)
 
 
 @dataclass(frozen=True)
 class GeneratedSubsemiring:
-    """The least subset containing the generators and closed under both
-    operations of the ambient power, in discovery order."""
+    """The least subset of a direct power of `base` that contains the
+    generators and is closed under both componentwise operations.
 
-    ambient: DirectPower
+    `elements` lists the tuples in discovery order; `semiring` holds the
+    operation tables over their indices, labelled like `(a,bc)`.
+    """
+
+    base: FiniteSemiring
     generators: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[int, ...], ...]
+    semiring: FiniteSemiring
+
+    @property
+    def arity(self) -> int:
+        return len(self.generators[0])
 
     def label(self, x: tuple[int, ...]) -> str:
-        return self.ambient.label(x)
-
-    def as_semiring(self) -> FiniteSemiring:
-        """Materialize the closure as explicit tables."""
-        pos = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
-        add = [[0] * n for _ in range(n)]
-        mul = [[0] * n for _ in range(n)]
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                add[i][j] = pos[self.ambient.add(x, y)]
-                mul[i][j] = pos[self.ambient.mul(x, y)]
-        zero = pos.get(self.ambient.zero)
-        return FiniteSemiring(
-            tuple(self.label(x) for x in self.elements),
-            tuple(tuple(row) for row in add),
-            tuple(tuple(row) for row in mul),
-            zero,
-        )
+        return _power_label(self.base, x)
 
 
 def generated_subsemiring(
-    ambient: DirectPower, generators, cap: int = CLOSURE_CAP_DEFAULT
+    base: FiniteSemiring, generators, cap: int = CLOSURE_CAP_DEFAULT
 ) -> GeneratedSubsemiring:
-    """Close the generators under add and mul by worklist fixpoint.
+    """Close the generators under componentwise add and mul by worklist
+    fixpoint, filling the closure's tables as the products are found.
 
-    Generators may be tuples of base labels or of base indices. The closure
-    refuses to grow past the cap, since a runaway closure means the
-    construction is being fed something it was never meant for.
+    Generators may be tuples of base labels or of base indices, all of one
+    length, which is the power arity. The closure refuses to grow past the
+    cap, since a runaway closure means the construction is being fed
+    something it was never meant for.
     """
-    gens: list[tuple[int, ...]] = []
-    for g in generators:
-        entries = tuple(g)
-        if any(isinstance(e, str) for e in entries):
-            gens.append(ambient.element_from_labels(entries))
-        else:
-            gens.append(tuple(int(e) for e in entries))
+    gens = [_power_element(base, g) for g in generators]
     if not gens:
         raise ValueError("at least one generator is required")
+    arity = len(gens[0])
+    if arity < 1:
+        raise ValueError("power arity must be at least 1")
+    if any(len(g) != arity for g in gens):
+        raise ValueError(f"generators must all have {arity} coordinates")
+    base_add, base_mul = base.add, base.mul
     elements: list[tuple[int, ...]] = []
     position: dict[tuple[int, ...], int] = {}
+    # add[i] and mul[i] gain column j when the worklist reaches max(i, j).
+    add: list[list[int]] = []
+    mul: list[list[int]] = []
 
-    def intern(x: tuple[int, ...]) -> None:
-        if x not in position:
+    def intern(z: tuple[int, ...]) -> int:
+        k = position.get(z)
+        if k is None:
             if len(elements) >= cap:
                 raise ValueError(f"closure exceeded {cap} elements; refusing to continue")
-            position[x] = len(elements)
-            elements.append(x)
+            k = position[z] = len(elements)
+            elements.append(z)
+        return k
 
     for g in gens:
         intern(g)
     cursor = 0
     while cursor < len(elements):
         x = elements[cursor]
+        add_row: list[int] = []
+        mul_row: list[int] = []
         for i in range(cursor + 1):
             y = elements[i]
-            intern(ambient.add(y, x))
-            intern(ambient.add(x, y))
-            intern(ambient.mul(y, x))
-            intern(ambient.mul(x, y))
+            yx_add = intern(_componentwise(base_add, y, x))
+            add_row.append(intern(_componentwise(base_add, x, y)))
+            yx_mul = intern(_componentwise(base_mul, y, x))
+            mul_row.append(intern(_componentwise(base_mul, x, y)))
+            if i < cursor:
+                add[i].append(yx_add)
+                mul[i].append(yx_mul)
+        add.append(add_row)
+        mul.append(mul_row)
         cursor += 1
-    return GeneratedSubsemiring(ambient, tuple(gens), tuple(elements))
+    z = _zero_of(base)
+    semiring = FiniteSemiring(
+        tuple(_power_label(base, x) for x in elements),
+        tuple(map(tuple, add)),
+        tuple(map(tuple, mul)),
+        None if z is None else position.get((z,) * arity),
+    )
+    return GeneratedSubsemiring(base, tuple(gens), tuple(elements), semiring)
 
 
 @dataclass(frozen=True)
@@ -168,53 +157,48 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     The collapse relation (J x J plus the identity) must be a congruence of
     both operations: combining any element with the members of J must land
     either always inside J or always on one single element. A violation is
-    reported with the operation and the offending pair.
+    reported with the operation and the offending pair. Only the closure's
+    tables are read.
     """
-    j_list = []
-    for x in ideal:
-        entries = tuple(x)
-        if any(isinstance(e, str) for e in entries):
-            entries = a.ambient.element_from_labels(entries)
-        j_list.append(entries)
-    j_set = set(j_list)
-    member = set(a.elements)
-    for x in j_set:
-        if x not in member:
+    j_list = [_power_element(a.base, x) for x in ideal]
+    position = {x: i for i, x in enumerate(a.elements)}
+    for x in j_list:
+        if x not in position:
             raise ValueError(f"ideal member {a.label(x)} is not in the closure")
-    zero = a.ambient.zero
+    if _zero_of(a.base) is None:
+        raise ValueError("base semiring has no zero element")
+    zero = a.semiring.zero
+    j_idx = [position[x] for x in j_list]
+    j_set = set(j_idx)
     if zero not in j_set:
         raise ValueError("the ideal must contain the zero tuple")
-    for op_name, op in (("add", a.ambient.add), ("mul", a.ambient.mul)):
-        for x in a.elements:
-            for flip in (False, True):
-                results = {}
-                for j in j_list:
-                    r = op(j, x) if flip else op(x, j)
-                    results.setdefault(r, j)
-                if len(results) > 1 and any(r not in j_set for r in results):
-                    distinct = sorted(results, key=a.elements.index)
-                    r1, r2 = distinct[0], distinct[1]
+    labels = a.semiring.elements
+    k = len(a.elements)
+    for op_name, table in (("add", a.semiring.add), ("mul", a.semiring.mul)):
+        for x, column in enumerate(zip(*table)):
+            # x with every member of J, on the left and then on the right;
+            # each result keeps the first member that produced it.
+            for line in (table[x], column):
+                results = {line[j]: j for j in reversed(j_idx)}
+                if len(results) > 1 and not j_set.issuperset(results):
+                    r1, r2 = sorted(results)[:2]
                     raise ValueError(
                         "ideal does not induce a congruence: "
-                        f"{op_name}({a.label(x)}, .) sends {a.label(results[r1])} "
-                        f"to {a.label(r1)} but {a.label(results[r2])} to {a.label(r2)}"
+                        f"{op_name}({labels[x]}, .) sends {labels[results[r1]]} "
+                        f"to {labels[r1]} but {labels[results[r2]]} to {labels[r2]}"
                     )
-    reps = [zero] + [x for x in a.elements if x not in j_set]
-    labels = ["J"] + [a.label(x) for x in reps[1:]]
-    class_of = {x: 0 for x in j_set}
+    reps = [zero] + [x for x in range(k) if x not in j_set]
+    class_of = [0] * k
     for i, x in enumerate(reps[1:], start=1):
         class_of[x] = i
-    n = len(reps)
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            add[i][j] = class_of[a.ambient.add(x, y)]
-            mul[i][j] = class_of[a.ambient.mul(x, y)]
+
+    def quotient_table(table):
+        return tuple(tuple(class_of[table[x][y]] for y in reps) for x in reps)
+
     quotient = FiniteSemiring(
-        tuple(labels),
-        tuple(tuple(row) for row in add),
-        tuple(tuple(row) for row in mul),
+        ("J",) + tuple(labels[x] for x in reps[1:]),
+        quotient_table(a.semiring.add),
+        quotient_table(a.semiring.mul),
         zero=0,
     )
     return IdealQuotient(a, tuple(j_list), quotient)
@@ -362,16 +346,14 @@ def _run_quotient_pipeline(
     claim: str,
     kind: str,
     base: FiniteSemiring,
-    arity: int,
     generator_labels,
     ideal_predicate,
     target: FiniteSemiring,
     closure_cap: int,
     notes: tuple[str, ...] = (),
 ) -> WitnessReport:
-    power = direct_power(base, arity)
-    closure = generated_subsemiring(power, generator_labels, cap=closure_cap)
-    gen_strings = tuple(power.label(g) for g in closure.generators)
+    closure = generated_subsemiring(base, generator_labels, cap=closure_cap)
+    gen_strings = tuple(closure.label(g) for g in closure.generators)
     stages = [WitnessStage("closure", True, f"{len(closure.elements)} elements")]
     ideal = tuple(x for x in closure.elements if ideal_predicate(x))
     stages.append(WitnessStage("ideal", True, f"{len(ideal)} elements"))
@@ -384,7 +366,7 @@ def _run_quotient_pipeline(
             ok=False,
             stages=tuple(done_stages),
             generators=gen_strings,
-            power_arity=arity,
+            power_arity=closure.arity,
             closure_size=len(closure.elements),
             ideal_size=len(ideal),
             quotient_size=0,
@@ -416,7 +398,7 @@ def _run_quotient_pipeline(
         ok=True,
         stages=tuple(stages),
         generators=gen_strings,
-        power_arity=arity,
+        power_arity=closure.arity,
         closure_size=len(closure.elements),
         ideal_size=len(ideal),
         quotient_size=quot.quotient.size,
@@ -427,7 +409,7 @@ def _run_quotient_pipeline(
 
 
 def _zero_coordinate_predicate(base: FiniteSemiring):
-    z = base.zero if base.zero is not None else multiplicative_zero(base)
+    z = _zero_of(base)
 
     def pred(x: tuple[int, ...]) -> bool:
         return any(c == z for c in x)
@@ -459,7 +441,6 @@ def _witness_triangle_in_abcd(closure_cap: int) -> WitnessReport:
         "collapses onto the triangle semiring (14 elements)",
         kind="triangle_in_abcd",
         base=base,
-        arity=2,
         generator_labels=gens,
         ideal_predicate=pred,
         target=target,
@@ -499,23 +480,12 @@ def _witness_uniform_reduction(h: Hypergraph, closure_cap: int) -> WitnessReport
         f"non-uniform hypergraph arises from the {base.size}-element uniform one",
         kind="uniform_reduction",
         base=base,
-        arity=2,
         generator_labels=gens,
         ideal_predicate=_zero_coordinate_predicate(base),
         target=target,
         closure_cap=closure_cap,
         notes=notes,
     )
-
-
-def _leaf_edges(h: Hypergraph) -> list[tuple]:
-    out = []
-    for e in h.edges:
-        rest = set().union(*(f for f in h.edges if f != e), frozenset())
-        shared = e & rest
-        if len(shared) <= 1:
-            out.append((e, shared))
-    return sorted(out, key=lambda pair: tuple(sorted(pair[0])))
 
 
 def _witness_leaf_removal(h: Hypergraph, leaf_case: str, closure_cap: int) -> WitnessReport:
@@ -527,7 +497,7 @@ def _witness_leaf_removal(h: Hypergraph, leaf_case: str, closure_cap: int) -> Wi
     if any(len(e) != 3 for e in h.edges):
         raise ValueError("leaf_removal requires a 3-uniform hypergraph")
     wanted = 0 if leaf_case == "disjoint" else 1
-    matching = [(e, shared) for e, shared in _leaf_edges(h) if len(shared) == wanted]
+    matching = [(e, shared) for e, shared in leaf_edges(h.edges) if len(shared) == wanted]
     if not matching:
         raise ValueError(f"no {leaf_case} leaf edge found")
     leaf, shared = matching[0]
@@ -569,7 +539,6 @@ def _witness_leaf_removal(h: Hypergraph, leaf_case: str, closure_cap: int) -> Wi
         f"with the leaf arises from the {base.size}-element one without it",
         kind="leaf_removal",
         base=base,
-        arity=3,
         generator_labels=gens,
         ideal_predicate=_zero_coordinate_predicate(base),
         target=target,
@@ -599,7 +568,6 @@ def _witness_strongcolor_equiv(
         f"the {target.size}-element hypergraph semiring",
         kind="strongcolor_equiv",
         base=base,
-        arity=len(colorings),
         generator_labels=gens,
         ideal_predicate=_zero_coordinate_predicate(base),
         target=target,
@@ -650,7 +618,6 @@ def _witness_beam_step(i: int, closure_cap: int) -> WitnessReport:
         f"collapses onto the beam({i + 1}) semiring ({target.size} elements)",
         kind="beam_step",
         base=base,
-        arity=3,
         generator_labels=gens,
         ideal_predicate=_zero_coordinate_predicate(base),
         target=target,
@@ -711,35 +678,28 @@ def verify_witness(
 ) -> WitnessReport:
     """Run one witness pipeline by name.
 
-    uniform_reduction and strongcolor_equiv take a hypergraph; leaf_removal
-    takes a hypergraph and leaf_case ("disjoint" or "shared"); beam_step and
-    nested_chain take an index. triangle_in_abcd takes nothing. Parameter
-    errors and exceeded caps raise; a claim that fails to verify comes back
-    as a report with ok False.
+    WITNESS_KINDS names the parameters each kind requires; leaf_case is
+    "disjoint" or "shared". Parameter errors and exceeded caps raise; a
+    claim that fails to verify comes back as a report with ok False.
     """
+    if kind not in WITNESS_KINDS:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    given = {"hypergraph": hypergraph, "index": index, "leaf_case": leaf_case}
+    required = WITNESS_KINDS[kind]
+    if any(given[name] is None for name in required):
+        nouns = " and ".join(_PARAMETER_NOUNS[name] for name in required)
+        raise ValueError(f"{kind} requires {nouns}")
     if kind == "triangle_in_abcd":
         return _witness_triangle_in_abcd(closure_cap)
     if kind == "uniform_reduction":
-        if hypergraph is None:
-            raise ValueError("uniform_reduction requires a hypergraph")
         return _witness_uniform_reduction(hypergraph, closure_cap)
     if kind == "leaf_removal":
-        if hypergraph is None or leaf_case is None:
-            raise ValueError("leaf_removal requires a hypergraph and a leaf_case")
         return _witness_leaf_removal(hypergraph, leaf_case, closure_cap)
     if kind == "strongcolor_equiv":
-        if hypergraph is None:
-            raise ValueError("strongcolor_equiv requires a hypergraph")
         return _witness_strongcolor_equiv(hypergraph, colorings_cap, closure_cap)
     if kind == "beam_step":
-        if index is None:
-            raise ValueError("beam_step requires an index")
         return _witness_beam_step(index, closure_cap)
-    if kind == "nested_chain":
-        if index is None:
-            raise ValueError("nested_chain requires an index")
-        return _witness_nested_chain(index)
-    raise ValueError(f"unknown witness kind {kind!r}")
+    return _witness_nested_chain(index)
 
 
 def find_subword_embedding(target: FiniteSemiring) -> dict[str, str] | None:
@@ -751,7 +711,7 @@ def find_subword_embedding(target: FiniteSemiring) -> dict[str, str] | None:
     injectively. Returns the first verified embedding.
     """
     sc = build_sc(["abc"])
-    z_t = target.zero if target.zero is not None else multiplicative_zero(target)
+    z_t = _zero_of(target)
     gen_indices = [
         i
         for i, lbl in enumerate(target.elements)

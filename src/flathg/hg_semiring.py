@@ -52,9 +52,6 @@ class HypergraphSemiring:
     exported: FiniteSemiring
     degenerate_no_top_triple: bool
 
-    def element_index(self, e: HgElement) -> int:
-        return self.elements.index(e)
-
 
 def _require_valid(h: Hypergraph) -> None:
     report = validate(h)

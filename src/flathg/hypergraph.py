@@ -219,13 +219,19 @@ def uniform_core(h: Hypergraph) -> Hypergraph:
     return Hypergraph(vertices, kept)
 
 
-def _leaves(edges: frozenset[Edge]) -> list[Edge]:
+def leaf_edges(edges: frozenset[Edge]) -> list[tuple[Edge, frozenset[str]]]:
+    """Each leaf edge with the vertices it shares with the other edges.
+
+    A leaf meets the union of the other edges in at most one vertex. Pairs
+    come sorted by the edge's sorted vertices.
+    """
     out = []
     for e in edges:
         rest = set().union(*(f for f in edges if f != e), frozenset())
-        if len(e & rest) <= 1:
-            out.append(e)
-    return out
+        shared = e & rest
+        if len(shared) <= 1:
+            out.append((e, shared))
+    return sorted(out, key=lambda pair: tuple(sorted(pair[0])))
 
 
 def leaf_core(h: Hypergraph) -> Hypergraph:
@@ -242,10 +248,10 @@ def leaf_core(h: Hypergraph) -> Hypergraph:
         raise ValueError("leaf core undefined: hypergraph is a hyperforest")
     edges = h.edges
     while True:
-        dropped = _leaves(edges)
+        dropped = {e for e, _ in leaf_edges(edges)}
         if not dropped:
             break
-        edges = frozenset(e for e in edges if e not in set(dropped))
+        edges = edges - dropped
     covered = set().union(*edges)
     return Hypergraph(tuple(v for v in h.vertices if v in covered), edges)
 

@@ -84,6 +84,15 @@ def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
                 raise ValueError(f"{name} table entry {v!r} is not an element index")
 
 
+def _assoc_failure(elements, table) -> tuple[str, str, str] | None:
+    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None."""
+    n = len(elements)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (elements[a], elements[b], elements[c])
+    return None
+
+
 def verify_axioms(s: FiniteSemiring) -> AxiomReport:
     """Exhaustively test the additively idempotent semiring axioms.
 
@@ -97,20 +106,13 @@ def verify_axioms(s: FiniteSemiring) -> AxiomReport:
     rng = range(n)
     add, mul, lab = s.add, s.mul, s.elements
     verdicts: list[tuple[str, bool, tuple[str, ...] | None]] = []
-
-    def first_assoc(table) -> tuple[str, ...] | None:
-        for a, b, c in itertools.product(rng, rng, rng):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                return (lab[a], lab[b], lab[c])
-        return None
-
-    bad = first_assoc(add)
+    bad = _assoc_failure(lab, add)
     verdicts.append(("add-associative", bad is None, bad))
     bad = next(((lab[a], lab[b]) for a in rng for b in rng if add[a][b] != add[b][a]), None)
     verdicts.append(("add-commutative", bad is None, bad))
     bad = next(((lab[a],) for a in rng if add[a][a] != a), None)
     verdicts.append(("add-idempotent", bad is None, bad))
-    bad = first_assoc(mul)
+    bad = _assoc_failure(lab, mul)
     verdicts.append(("mul-associative", bad is None, bad))
     bad = next(
         (
@@ -200,14 +202,6 @@ def is_zero_cancellative(s: FiniteSemiring) -> bool | tuple[str, str, str]:
     return True if bad is None else bad
 
 
-def _mul_assoc_failure(sg: MulTable) -> tuple[str, str, str] | None:
-    n = len(sg.elements)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if sg.mul[sg.mul[a][b]][c] != sg.mul[a][sg.mul[b][c]]:
-            return (sg.elements[a], sg.elements[b], sg.elements[c])
-    return None
-
-
 def flat_completion(sg: MulTable) -> FiniteSemiring:
     """Extend a semigroup-with-zero to a flat semiring.
 
@@ -220,7 +214,7 @@ def flat_completion(sg: MulTable) -> FiniteSemiring:
     n = len(sg.elements)
     if not 0 <= sg.zero < n:
         raise ValueError(f"zero index {sg.zero} out of range")
-    bad = _mul_assoc_failure(sg)
+    bad = _assoc_failure(sg.elements, sg.mul)
     if bad is not None:
         raise ValueError(f"not associative: counterexample {bad}")
     z = sg.zero

@@ -477,6 +477,11 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     making every monomial of that side equal the target (the side then sums
     to the target), and evaluate the opposite side at each hit. The identity
     fails precisely when some hit disagrees.
+
+    Only is_flat is checked here. The search also relies on the semiring
+    axioms (associative multiplication, both distributive laws), so a caller
+    holding a table of unknown origin must confirm them with verify_axioms
+    first; on a table that breaks them a verdict can be wrong.
     """
     if not is_flat(s):
         raise ValueError("flat checker requires a flat semiring; use brute force")

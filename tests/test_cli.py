@@ -42,6 +42,11 @@ class TestExitCodes:
             main(["nonsense"])
         assert exc.value.code == 2
 
+    def test_unknown_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "2", "suite"])
+        assert exc.value.code == 2
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["validate", "/no/such/file.json"])
         assert code == 2
@@ -114,6 +119,29 @@ class TestCheck:
         assert record["verdict"] == "holds"
         assert record["method"] == "brute-force"
 
+    def test_non_associative_flat_table_goes_to_brute_force(self, capsys, tmp_path):
+        # Flat addition, but a·a = 0 while a·b = b·a = b·b = b: multiplication
+        # is not associative and neither distributive law holds.
+        path = tmp_path / "non_associative.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "elements": ["0", "a", "b"],
+                    "add": [[0, 0, 0], [0, 1, 0], [0, 0, 2]],
+                    "mul": [[0, 0, 0], [0, 0, 2], [0, 2, 2]],
+                    "zero": 0,
+                }
+            )
+        )
+        code, out, _ = run(
+            capsys, ["--format", "structured", "check", str(path), "x*x*y = y*x*x"]
+        )
+        assert code == 1
+        record = json.loads(out)
+        assert record["verdict"] == "fails"
+        assert record["method"] == "brute-force"
+        assert record["counterexample"] == {"x": "a", "y": "b"}
+
     def test_flags_work_after_the_subcommand_too(self, capsys):
         _, before, _ = run(
             capsys, ["--format", "structured", "check", "builtin:sc_abc", "eq3.1"]
@@ -179,6 +207,15 @@ class TestWitness:
         code, _, err = run(capsys, ["witness", "beam_step", "two"])
         assert code == 2
         assert "index must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (["triangle_in_abcd", "extra"], ["leaf_removal", "family:beam:2"], ["beam_step"]),
+    )
+    def test_argument_count_follows_the_kind(self, capsys, argv):
+        code, _, err = run(capsys, ["witness", *argv])
+        assert code == 2
+        assert f"{argv[0]} takes" in err
 
 
 class TestFamily:

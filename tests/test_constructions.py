@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flathg.constructions import (
     WITNESS_KINDS,
-    direct_power,
     find_semiring_isomorphism,
     find_subword_embedding,
     format_witness_report,
@@ -12,85 +13,200 @@ from flathg.constructions import (
 )
 from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import build_hypergraph, family
-from flathg.semiring import is_flat, verify_axioms
-
-
-class TestDirectPower:
-    def test_size_and_zero(self, sc_abc):
-        p = direct_power(sc_abc, 3)
-        assert p.size == sc_abc.size**3
-        assert p.zero == (sc_abc.zero,) * 3
-
-    def test_componentwise_product(self, sc_abc):
-        p = direct_power(sc_abc, 2)
-        a = p.element_from_labels(("a", "b"))
-        b = p.element_from_labels(("b", "c"))
-        assert p.label(p.mul(a, b)) == "(ab,bc)"
-
-    def test_arity_one_uses_bare_labels(self, sc_abc):
-        p = direct_power(sc_abc, 1)
-        assert p.label((sc_abc.index("ab"),)) == "ab"
-
-    def test_arity_must_be_positive(self, sc_abc):
-        with pytest.raises(ValueError, match="at least 1"):
-            direct_power(sc_abc, 0)
+from flathg.semiring import MulTable, flat_completion, verify_axioms
+from flathg.words import build_sc
 
 
 class TestClosure:
+    def test_element_count_and_zero_index(self, sc_abc):
+        sub = generated_subsemiring(sc_abc, [("a", "b", "c"), ("b", "c", "a")])
+        assert sub.arity == 3
+        assert sub.semiring.size == len(sub.elements) == 4
+        z = sc_abc.zero
+        assert sub.semiring.zero == sub.elements.index((z, z, z)) == 2
+
+    def test_zero_is_none_when_the_zero_tuple_is_absent(self, s7):
+        sub = generated_subsemiring(s7, [("1", "1")])
+        assert sub.semiring.elements == ("(1,1)",)
+        assert sub.semiring.zero is None
+
+    def test_componentwise_product_label(self, sc_abc):
+        sub = generated_subsemiring(sc_abc, [("a", "b"), ("b", "c")])
+        assert sub.semiring.mul_label("(a,b)", "(b,c)") == "(ab,bc)"
+
+    def test_arity_one_uses_bare_labels(self, sc_abc):
+        sub = generated_subsemiring(sc_abc, [("ab",)])
+        assert sub.label((sc_abc.index("ab"),)) == "ab"
+        assert sub.semiring.elements[0] == "ab"
+
+    def test_generators_must_share_a_positive_arity(self, sc_abc):
+        with pytest.raises(ValueError, match="must all have 2 coordinates"):
+            generated_subsemiring(sc_abc, [("a", "b"), ("c",)])
+        with pytest.raises(ValueError, match="at least 1"):
+            generated_subsemiring(sc_abc, [()])
+
     def test_diagonal_generators_recover_the_base(self, sc_abc):
-        p = direct_power(sc_abc, 2)
         gens = [("a", "a"), ("b", "b"), ("c", "c")]
-        sub = generated_subsemiring(p, gens)
+        sub = generated_subsemiring(sc_abc, gens)
         assert len(sub.elements) == sc_abc.size
 
     def test_closed_subsemiring_satisfies_axioms(self, sc_abc):
-        p = direct_power(sc_abc, 2)
-        sub = generated_subsemiring(p, [("a", "b"), ("b", "c")])
-        s = sub.as_semiring()
-        assert verify_axioms(s).all_pass
+        sub = generated_subsemiring(sc_abc, [("a", "b"), ("b", "c")])
+        assert verify_axioms(sub.semiring).all_pass
 
     def test_cap_is_enforced(self, sc_abcd):
-        p = direct_power(sc_abcd, 2)
         gens = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
         with pytest.raises(ValueError, match="closure exceeded 5 elements"):
-            generated_subsemiring(p, gens, cap=5)
+            generated_subsemiring(sc_abcd, gens, cap=5)
 
     def test_requires_a_generator(self, sc_abc):
         with pytest.raises(ValueError, match="at least one generator"):
-            generated_subsemiring(direct_power(sc_abc, 2), [])
+            generated_subsemiring(sc_abc, [])
 
 
 class TestQuotient:
     def test_zero_ideal_reproduces_the_closure(self, sc_abc):
-        p = direct_power(sc_abc, 1)
-        sub = generated_subsemiring(p, [("a",), ("b",), ("c",)])
+        sub = generated_subsemiring(sc_abc, [("a",), ("b",), ("c",)])
         q = quotient_by_ideal(sub, [("0",)])
         assert q.quotient.size == len(sub.elements)
         assert find_semiring_isomorphism(q.quotient, sc_abc) is not None
 
     def test_full_ideal_collapses_to_a_point(self, sc_abc):
-        p = direct_power(sc_abc, 1)
-        sub = generated_subsemiring(p, [("a",), ("b",)])
+        sub = generated_subsemiring(sc_abc, [("a",), ("b",)])
         q = quotient_by_ideal(sub, list(sub.elements))
         assert q.quotient.size == 1
 
     def test_ideal_must_contain_zero(self, sc_abc):
-        p = direct_power(sc_abc, 1)
-        sub = generated_subsemiring(p, [("a",), ("b",)])
+        sub = generated_subsemiring(sc_abc, [("a",), ("b",)])
         with pytest.raises(ValueError, match="must contain the zero"):
             quotient_by_ideal(sub, [("a",)])
 
     def test_ideal_members_must_lie_in_the_closure(self, sc_abc):
-        p = direct_power(sc_abc, 2)
-        sub = generated_subsemiring(p, [("a", "a")])
+        sub = generated_subsemiring(sc_abc, [("a", "a")])
         with pytest.raises(ValueError, match="not in the closure"):
             quotient_by_ideal(sub, [("0", "0"), ("b", "c")])
 
     def test_non_congruence_is_reported(self, sc_abc):
-        p = direct_power(sc_abc, 1)
-        sub = generated_subsemiring(p, [("a",), ("b",), ("c",)])
+        sub = generated_subsemiring(sc_abc, [("a",), ("b",), ("c",)])
         with pytest.raises(ValueError, match="does not induce a congruence"):
             quotient_by_ideal(sub, [("0",), ("a",)])
+
+
+def _componentwise(table, x, y):
+    return tuple(table[a][b] for a, b in zip(x, y))
+
+
+def _reference_closure(base, gens):
+    """The worklist fixpoint over tuples, with no tables."""
+    elements = []
+    for x in gens:
+        if x not in elements:
+            elements.append(x)
+    cursor = 0
+    while cursor < len(elements):
+        x = elements[cursor]
+        for y in elements[: cursor + 1]:
+            for z in (
+                _componentwise(base.add, y, x),
+                _componentwise(base.add, x, y),
+                _componentwise(base.mul, y, x),
+                _componentwise(base.mul, x, y),
+            ):
+                if z not in elements:
+                    elements.append(z)
+        cursor += 1
+    return elements
+
+
+def _label(base, x):
+    if len(x) == 1:
+        return base.elements[x[0]]
+    return "(" + ",".join(base.elements[i] for i in x) + ")"
+
+
+def _reference_quotient(base, elements, ideal):
+    """Collapse the ideal by tuple arithmetic: (labels, add, mul) or the
+    congruence violation message."""
+    j_set = set(ideal)
+    for name, table in (("add", base.add), ("mul", base.mul)):
+        for x in elements:
+            for flip in (False, True):
+                results = {}
+                for j in ideal:
+                    r = _componentwise(table, j, x) if flip else _componentwise(table, x, j)
+                    results.setdefault(r, j)
+                if len(results) > 1 and any(r not in j_set for r in results):
+                    r1, r2 = sorted(results, key=elements.index)[:2]
+                    return (
+                        "ideal does not induce a congruence: "
+                        f"{name}({_label(base, x)}, .) sends {_label(base, results[r1])} "
+                        f"to {_label(base, r1)} but {_label(base, results[r2])} "
+                        f"to {_label(base, r2)}"
+                    )
+    zero = (base.zero,) * len(elements[0])
+    reps = [zero] + [x for x in elements if x not in j_set]
+    cls = {x: 0 for x in j_set}
+    cls.update((x, i) for i, x in enumerate(reps[1:], start=1))
+    labels = ("J",) + tuple(_label(base, x) for x in reps[1:])
+    return tuple(
+        [labels]
+        + [
+            tuple(tuple(cls[_componentwise(t, x, y)] for y in reps) for x in reps)
+            for t in (base.add, base.mul)
+        ]
+    )
+
+
+def _brandt():
+    """flat_completion of the 2x2 matrix units: a non-commutative base."""
+    units = [(i, j) for i in (1, 2) for j in (1, 2)]
+    mul = [[0] * 5] + [
+        [0] + [units.index((i, l)) + 1 if j == k else 0 for k, l in units] for i, j in units
+    ]
+    labels = ("0",) + tuple(f"e{i}{j}" for i, j in units)
+    return flat_completion(MulTable(labels, tuple(map(tuple, mul)), 0))
+
+
+@st.composite
+def closure_inputs(draw):
+    base = draw(st.sampled_from([build_sc(["abc"]), build_sc(["abcd"]), _brandt()]))
+    arity = draw(st.integers(1, 4))
+    letters = ("a", "b", "c", "d", "e12", "e21")
+    generating = [i for i, lbl in enumerate(base.elements) if lbl in letters]
+    coordinate = st.one_of(st.sampled_from(generating), st.integers(0, base.size - 1))
+    gens = draw(st.lists(st.tuples(*[coordinate] * arity), min_size=1, max_size=4))
+    return base, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_inputs(), st.data())
+def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
+    base, gens = inputs
+    want = _reference_closure(base, gens)
+    sub = generated_subsemiring(base, gens)
+    assert list(sub.elements) == want
+    s = sub.semiring
+    assert s.elements == tuple(_label(base, x) for x in want)
+    for i, x in enumerate(want):
+        for j, y in enumerate(want):
+            assert want[s.add[i][j]] == _componentwise(base.add, x, y)
+            assert want[s.mul[i][j]] == _componentwise(base.mul, x, y)
+    zero = (base.zero,) * len(gens[0])
+    if zero not in want:
+        assert s.zero is None
+        return
+    assert s.zero == want.index(zero)
+    zero_coordinate = [x for x in want if base.zero in x]
+    drawn = [zero] + data.draw(st.lists(st.sampled_from(want), max_size=4))
+    for ideal in (zero_coordinate, drawn):
+        expected = _reference_quotient(base, want, ideal)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                quotient_by_ideal(sub, ideal)
+            assert str(exc.value) == expected
+        else:
+            q = quotient_by_ideal(sub, ideal).quotient
+            assert (q.elements, q.add, q.mul) == expected
 
 
 class TestIsomorphism:
@@ -180,6 +296,11 @@ class TestWitnesses:
     def test_leaf_removal_requires_arguments(self):
         with pytest.raises(ValueError, match="requires a hypergraph and a leaf_case"):
             verify_witness("leaf_removal")
+
+    @pytest.mark.parametrize("kind", [k for k, params in WITNESS_KINDS.items() if params])
+    def test_required_parameters_come_from_the_kind_table(self, kind):
+        with pytest.raises(ValueError, match=f"^{kind} requires "):
+            verify_witness(kind)
 
     def test_leaf_removal_missing_case(self):
         with pytest.raises(ValueError, match="no disjoint leaf edge found"):
