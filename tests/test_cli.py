@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,10 @@ BOOL_LATTICE = json.dumps(
         "zero": 0,
     }
 )
+
+# sha256 of `flathg suite --format structured`; a change to any verdict,
+# detail or field order of the battery shows up here.
+SUITE_DIGEST = "6563ca5fa89a9d982ca48432d12e84fef2bb345fb262b18822b4e5baa8d7439e"
 
 
 def run(capsys, argv):
@@ -244,6 +249,7 @@ class TestSuite:
         code2, out2, _ = run(capsys, ["suite", "--format", "structured"])
         assert code1 == code2 == 0
         assert out1 == out2
+        assert hashlib.sha256(out1.encode()).hexdigest() == SUITE_DIGEST
 
     def test_text_output_ends_with_the_tally(self, capsys):
         code, out, _ = run(capsys, ["suite"])
