@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .coloring import enumerate_strong_colorings, extends, is_2_robust
 from .constructions import (
@@ -57,34 +56,23 @@ class CliInputError(Exception):
     """Anything that should stop the run with exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    budget_evals: int
-    closure_cap: int
-    colorings_cap: int
-    format: str
-    export: str | None
-
-
 class Reporter:
     def __init__(self, fmt: str):
         self.structured = fmt == "structured"
-        self.exported: list[str] = []
+        self.printed: list[str] = []
+        # What --export writes when it is not the printed output.
+        self.artifact: str | None = None
 
     def record(self, fields: dict, text: str) -> None:
-        if self.structured:
-            line = json.dumps(fields)
-            print(line)
-            self.exported.append(line)
-        else:
-            print(text)
-            self.exported.append(text)
+        line = json.dumps(fields) if self.structured else text
+        print(line)
+        self.printed.append(line + "\n")
 
     def document(self, text: str) -> None:
         """A preformatted block that is its own output in both formats."""
-        print(text, end="" if text.endswith("\n") else "\n")
-        self.exported.append(text)
+        end = "" if text.endswith("\n") else "\n"
+        print(text, end=end)
+        self.printed.append(text + end)
 
 
 def _positive(text: str) -> int:
@@ -264,7 +252,7 @@ def _fmt_offender(item) -> str:
     return " and ".join(parts)
 
 
-def _cmd_validate(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_validate(args, out: Reporter) -> int:
     h = _load_hypergraph(args.source)
     report = validate(h)
     fields = {
@@ -287,7 +275,7 @@ def _cmd_validate(args, config: RunConfig, out: Reporter) -> int:
     return 1
 
 
-def _cmd_semiring(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_semiring(args, out: Reporter) -> int:
     h = _load_hypergraph(args.source)
     try:
         s = build_semiring(h)
@@ -316,13 +304,11 @@ def _cmd_semiring(args, config: RunConfig, out: Reporter) -> int:
     if s.degenerate_no_top_triple:
         text += "\nnote: no 3-edge, top is never a product"
     out.record(fields, text)
-    if config.export:
-        with open(config.export, "w", encoding="utf-8") as fh:
-            fh.write(format_semiring(exported))
+    out.artifact = format_semiring(exported)
     return 0
 
 
-def _cmd_check(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_check(args, out: Reporter) -> int:
     name, s, axioms_hold = _load_subject(args.subject)
     idents = _load_identities(args.identity)
     # The flat checker relies on the semiring axioms as well as flatness.
@@ -333,7 +319,7 @@ def _cmd_check(args, config: RunConfig, out: Reporter) -> int:
             result = check_identity_flat(s, ident)
         else:
             try:
-                result = check_identity_bruteforce(s, ident, budget=config.budget_evals)
+                result = check_identity_bruteforce(s, ident, budget=args.budget_evals)
             except ValueError as exc:
                 raise CliInputError(str(exc))
         fields = {
@@ -374,7 +360,7 @@ def _parse_partial(text: str) -> dict[str, int]:
     return partial
 
 
-def _cmd_color(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_color(args, out: Reporter) -> int:
     h = _load_hypergraph(args.source)
     if args.robust:
         report = is_2_robust(h)
@@ -409,7 +395,7 @@ def _cmd_color(args, config: RunConfig, out: Reporter) -> int:
         out.record(fields, "extends" if okay else "does not extend")
         return 0 if okay else 1
     try:
-        colorings = enumerate_strong_colorings(h, cap=config.colorings_cap)
+        colorings = enumerate_strong_colorings(h, cap=args.colorings_cap)
     except ValueError as exc:
         raise CliInputError(str(exc))
     if args.enumerate:
@@ -441,7 +427,7 @@ def _cmd_color(args, config: RunConfig, out: Reporter) -> int:
     return 0 if colorings else 1
 
 
-def _cmd_witness(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_witness(args, out: Reporter) -> int:
     kind = args.kind
     if kind not in WITNESS_KINDS:
         raise CliInputError(f"unknown witness kind: {kind}")
@@ -449,7 +435,7 @@ def _cmd_witness(args, config: RunConfig, out: Reporter) -> int:
     if len(args.params) != len(names):
         wanted = " ".join(names) if names else "no arguments"
         raise CliInputError(f"{kind} takes {len(names)} argument(s): {wanted}")
-    kwargs = {"colorings_cap": config.colorings_cap, "closure_cap": config.closure_cap}
+    kwargs = {"colorings_cap": args.colorings_cap, "closure_cap": args.closure_cap}
     for name, param in zip(names, args.params):
         if name == "index":
             try:
@@ -488,13 +474,11 @@ def _cmd_witness(args, config: RunConfig, out: Reporter) -> int:
         out.record(fields, rendered)
     else:
         out.document(rendered)
-    if config.export:
-        with open(config.export, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+    out.artifact = rendered
     return 0 if report.ok else 1
 
 
-def _cmd_family(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_family(args, out: Reporter) -> int:
     try:
         h = family(args.kind, args.index)
     except ValueError as exc:
@@ -513,13 +497,11 @@ def _cmd_family(args, config: RunConfig, out: Reporter) -> int:
         )
     else:
         out.document(rendered)
-    if config.export:
-        with open(config.export, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+    out.artifact = rendered
     return 0
 
 
-def _cmd_suite(args, config: RunConfig, out: Reporter) -> int:
+def _cmd_suite(args, out: Reporter) -> int:
     from .suite import run_suite
 
     records = run_suite()
@@ -540,9 +522,6 @@ def _cmd_suite(args, config: RunConfig, out: Reporter) -> int:
         summary,
         f"{len(records) - failures} passed, {failures} failed",
     )
-    if config.export:
-        with open(config.export, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out.exported) + "\n")
     return 0 if failures == 0 else 1
 
 
@@ -564,17 +543,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print("flathg: error: a subcommand is required", file=sys.stderr)
         return 2
-    config = RunConfig(
-        command=args.command,
-        budget_evals=args.budget_evals,
-        closure_cap=args.closure_cap,
-        colorings_cap=args.colorings_cap,
-        format=args.format,
-        export=args.export,
-    )
-    out = Reporter(config.format)
+    out = Reporter(args.format)
     try:
-        return _HANDLERS[args.command](args, config, out)
+        code = _HANDLERS[args.command](args, out)
+        if args.export:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                fh.write("".join(out.printed) if out.artifact is None else out.artifact)
+        return code
     except CliInputError as exc:
         print(f"flathg: error: {exc}", file=sys.stderr)
         return 2

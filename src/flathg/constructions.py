@@ -10,6 +10,7 @@ report rather than an exception, so the report always tells the full story.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import enumerate_strong_colorings
@@ -21,18 +22,6 @@ from .words import build_sc
 
 CLOSURE_CAP_DEFAULT = 100_000
 COLORINGS_CAP_DEFAULT = 10_000
-
-# Each witness kind with the verify_witness parameters it requires, in the
-# order the command line takes them.
-WITNESS_KINDS: dict[str, tuple[str, ...]] = {
-    "uniform_reduction": ("hypergraph",),
-    "strongcolor_equiv": ("hypergraph",),
-    "triangle_in_abcd": (),
-    "leaf_removal": ("hypergraph", "leaf_case"),
-    "beam_step": ("index",),
-    "nested_chain": ("index",),
-}
-_PARAMETER_NOUNS = {"hypergraph": "a hypergraph", "index": "an index", "leaf_case": "a leaf_case"}
 
 
 def _zero_of(s: FiniteSemiring) -> int | None:
@@ -301,20 +290,27 @@ class WitnessStage:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Every stage of one executed containment proof, plus the verdict."""
+    """Every stage of one executed containment proof; the verdict is read
+    off the stages."""
 
     claim: str
     kind: str
-    ok: bool
     stages: tuple[WitnessStage, ...]
-    generators: tuple[str, ...]
-    power_arity: int
-    closure_size: int
-    ideal_size: int
-    quotient_size: int
-    isomorphism: tuple[tuple[str, str], ...] | None
-    failure_stage: str | None
     notes: tuple[str, ...] = ()
+    generators: tuple[str, ...] = ()
+    power_arity: int = 0
+    closure_size: int = 0
+    ideal_size: int = 0
+    quotient_size: int = 0
+    isomorphism: tuple[tuple[str, str], ...] | None = None
+
+    @property
+    def failure_stage(self) -> str | None:
+        return next((st.name for st in self.stages if not st.ok), None)
+
+    @property
+    def ok(self) -> bool:
+        return self.failure_stage is None
 
 
 def format_witness_report(r: WitnessReport) -> str:
@@ -342,236 +338,167 @@ def format_witness_report(r: WitnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_quotient_pipeline(
-    claim: str,
-    kind: str,
-    base: FiniteSemiring,
-    generator_labels,
-    ideal_predicate,
-    target: FiniteSemiring,
-    closure_cap: int,
-    notes: tuple[str, ...] = (),
-) -> WitnessReport:
-    closure = generated_subsemiring(base, generator_labels, cap=closure_cap)
-    gen_strings = tuple(closure.label(g) for g in closure.generators)
-    stages = [WitnessStage("closure", True, f"{len(closure.elements)} elements")]
-    ideal = tuple(x for x in closure.elements if ideal_predicate(x))
-    stages.append(WitnessStage("ideal", True, f"{len(ideal)} elements"))
+@dataclass(frozen=True)
+class _QuotientPlan:
+    """One quotient-of-a-subpower argument: the base semiring, generator
+    tuples of base labels, and the target the quotient must match."""
 
-    def failed(stage_name: str, detail: str, done_stages) -> WitnessReport:
-        done_stages.append(WitnessStage(stage_name, False, detail))
-        return WitnessReport(
-            claim=claim,
-            kind=kind,
-            ok=False,
-            stages=tuple(done_stages),
-            generators=gen_strings,
-            power_arity=closure.arity,
-            closure_size=len(closure.elements),
-            ideal_size=len(ideal),
-            quotient_size=0,
-            isomorphism=None,
-            failure_stage=stage_name,
-            notes=notes,
-        )
+    claim: str
+    base: FiniteSemiring
+    generators: list[tuple[str, ...]]
+    target: FiniteSemiring
+    notes: tuple[str, ...] = ()
+    # Which closure elements form the ideal; None means those with a zero
+    # coordinate.
+    in_ideal: Callable[[tuple[int, ...]], bool] | None = None
 
+
+def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> WitnessReport:
+    """Closure, ideal, quotient, flatness, isomorphism; stop at the first
+    stage that fails."""
+    closure = generated_subsemiring(plan.base, plan.generators, cap=closure_cap)
+    zero = _zero_of(plan.base)
+    in_ideal = plan.in_ideal or (lambda x: zero in x)
+    ideal = tuple(x for x in closure.elements if in_ideal(x))
+    stages = [
+        WitnessStage("closure", True, f"{len(closure.elements)} elements"),
+        WitnessStage("ideal", True, f"{len(ideal)} elements"),
+    ]
+    quotient_size, pairs = 0, None
+    target = plan.target
     try:
-        quot = quotient_by_ideal(closure, ideal)
+        quotient = quotient_by_ideal(closure, ideal).quotient
     except ValueError as exc:
-        return failed("quotient", str(exc), stages)
-    stages.append(WitnessStage("quotient", True, f"{quot.quotient.size} classes"))
-    if not is_flat(quot.quotient):
-        return failed("flatness", "quotient is not flat", stages)
-    stages.append(WitnessStage("flatness", True, "quotient is flat"))
-    iso = find_semiring_isomorphism(quot.quotient, target)
-    if iso is None:
-        return failed(
-            "isomorphism",
-            f"no isomorphism onto the {target.size}-element target",
-            stages,
-        )
-    stages.append(WitnessStage("isomorphism", True, f"matched all {target.size} elements"))
-    pairs = tuple((src, iso[src]) for src in quot.quotient.elements)
+        stages.append(WitnessStage("quotient", False, str(exc)))
+    else:
+        stages.append(WitnessStage("quotient", True, f"{quotient.size} classes"))
+        if not is_flat(quotient):
+            stages.append(WitnessStage("flatness", False, "quotient is not flat"))
+        else:
+            stages.append(WitnessStage("flatness", True, "quotient is flat"))
+            iso = find_semiring_isomorphism(quotient, target)
+            if iso is None:
+                detail = f"no isomorphism onto the {target.size}-element target"
+                stages.append(WitnessStage("isomorphism", False, detail))
+            else:
+                detail = f"matched all {target.size} elements"
+                stages.append(WitnessStage("isomorphism", True, detail))
+                quotient_size = quotient.size
+                pairs = tuple((src, iso[src]) for src in quotient.elements)
     return WitnessReport(
-        claim=claim,
+        claim=plan.claim,
         kind=kind,
-        ok=True,
         stages=tuple(stages),
-        generators=gen_strings,
+        notes=plan.notes,
+        generators=tuple(closure.label(g) for g in closure.generators),
         power_arity=closure.arity,
         closure_size=len(closure.elements),
         ideal_size=len(ideal),
-        quotient_size=quot.quotient.size,
+        quotient_size=quotient_size,
         isomorphism=pairs,
-        failure_stage=None,
-        notes=notes,
     )
 
 
-def _zero_coordinate_predicate(base: FiniteSemiring):
-    z = _zero_of(base)
-
-    def pred(x: tuple[int, ...]) -> bool:
-        return any(c == z for c in x)
-
-    return pred
+# verify_witness calls each builder below with hypergraph, index, leaf_case
+# (checked; None where the kind takes no such parameter) and colorings_cap,
+# all by keyword; `**_` takes the ones a builder does not use.
 
 
-def _witness_triangle_in_abcd(closure_cap: int) -> WitnessReport:
+def _triangle_in_abcd(**_) -> _QuotientPlan:
     base = build_sc(["abcd"])
-    target = build_semiring(family("beam", 1)).exported
-    gens = [
-        ("a", "bc"),
-        ("bc", "d"),
-        ("d", "a"),
-        ("ab", "bc"),
-        ("c", "d"),
-        ("bd", "a"),
-    ]
-    z = base.zero
-    full = base.index("abcd")
-
-    def pred(x: tuple[int, ...]) -> bool:
-        if any(c == z for c in x):
-            return True
-        return (full in x) and x[0] != x[1]
-
-    return _run_quotient_pipeline(
+    zero, full = base.zero, base.index("abcd")
+    return _QuotientPlan(
         claim="triangle_in_abcd: pair closure over the abcd subword semiring "
         "collapses onto the triangle semiring (14 elements)",
-        kind="triangle_in_abcd",
         base=base,
-        generator_labels=gens,
-        ideal_predicate=pred,
-        target=target,
-        closure_cap=closure_cap,
+        generators=[("a", "bc"), ("bc", "d"), ("d", "a"), ("ab", "bc"), ("c", "d"), ("bd", "a")],
+        target=build_semiring(family("beam", 1)).exported,
+        in_ideal=lambda x: zero in x or (full in x and x[0] != x[1]),
     )
 
 
-def _witness_uniform_reduction(h: Hypergraph, closure_cap: int) -> WitnessReport:
-    report = validate(h)
-    if not report.valid:
-        raise ValueError("uniform_reduction requires an admissible hypergraph")
-    two_edges = sorted((e for e in h.edges if len(e) == 2), key=lambda e: tuple(sorted(e)))
+def _delete_edge(h: Hypergraph, edge: frozenset[str], what: str) -> Hypergraph:
+    """h without one edge and without the vertices only that edge covers."""
+    remaining = frozenset(e for e in h.edges if e != edge)
+    if not remaining:
+        raise ValueError(f"removing the {what} leaves an empty hypergraph")
+    covered = set().union(*remaining)
+    return Hypergraph(tuple(v for v in h.vertices if v in covered), remaining)
+
+
+def _uniform_reduction(hypergraph: Hypergraph, **_) -> _QuotientPlan:
+    two_edges = [e for e in hypergraph.edge_list() if len(e) == 2]
     if not two_edges:
         raise ValueError("uniform_reduction requires a hypergraph with a 2-vertex edge")
-    removed = two_edges[0]
-    kept_vertices = [v for v in h.vertices if v not in removed]
-    kept_edges = frozenset(e for e in h.edges if e != removed)
-    if not kept_edges:
-        raise ValueError("removing the 2-vertex edge leaves an empty hypergraph")
-    h1 = Hypergraph(tuple(kept_vertices), kept_edges)
-    triples = sorted((e for e in h1.edges if len(e) == 3), key=lambda e: tuple(sorted(e)))
+    v1, v2 = two_edges[0]
+    h1 = _delete_edge(hypergraph, frozenset((v1, v2)), "2-vertex edge")
+    triples = [e for e in h1.edge_list() if len(e) == 3]
     if not triples:
         raise ValueError("uniform_reduction needs a 3-vertex edge to anchor the new pair")
     base = build_semiring(h1).exported
-    target = build_semiring(h).exported
-    u1, u2, u3 = sorted(triples[0])
+    target = build_semiring(hypergraph).exported
+    u1, u2, u3 = triples[0]
     pair_label = base.mul_label(f"a·{u1}", f"a·{u2}")
     gens = [(f"a·{v}", f"a·{v}") for v in h1.vertices]
-    gens.append((pair_label, f"a·{u3}"))
-    gens.append((f"a·{u3}", pair_label))
-    v1, v2 = sorted(removed)
-    notes = (
-        f"removed 2-vertex edge {{{v1},{v2}}}; anchor edge {{{u1},{u2},{u3}}}",
-    )
-    return _run_quotient_pipeline(
+    gens += [(pair_label, f"a·{u3}"), (f"a·{u3}", pair_label)]
+    return _QuotientPlan(
         claim=f"uniform_reduction: the {target.size}-element semiring of the "
         f"non-uniform hypergraph arises from the {base.size}-element uniform one",
-        kind="uniform_reduction",
         base=base,
-        generator_labels=gens,
-        ideal_predicate=_zero_coordinate_predicate(base),
+        generators=gens,
         target=target,
-        closure_cap=closure_cap,
-        notes=notes,
+        notes=(f"removed 2-vertex edge {{{v1},{v2}}}; anchor edge {{{u1},{u2},{u3}}}",),
     )
 
 
-def _witness_leaf_removal(h: Hypergraph, leaf_case: str, closure_cap: int) -> WitnessReport:
-    if leaf_case not in ("disjoint", "shared"):
-        raise ValueError("leaf_case must be 'disjoint' or 'shared'")
-    report = validate(h)
-    if not report.valid:
-        raise ValueError("leaf_removal requires an admissible hypergraph")
-    if any(len(e) != 3 for e in h.edges):
+def _leaf_removal(hypergraph: Hypergraph, leaf_case: str, **_) -> _QuotientPlan:
+    if any(len(e) != 3 for e in hypergraph.edges):
         raise ValueError("leaf_removal requires a 3-uniform hypergraph")
     wanted = 0 if leaf_case == "disjoint" else 1
-    matching = [(e, shared) for e, shared in leaf_edges(h.edges) if len(shared) == wanted]
+    matching = [(e, shared) for e, shared in leaf_edges(hypergraph.edges) if len(shared) == wanted]
     if not matching:
         raise ValueError(f"no {leaf_case} leaf edge found")
     leaf, shared = matching[0]
-    remaining = frozenset(e for e in h.edges if e != leaf)
-    if not remaining:
-        raise ValueError("removing the leaf leaves an empty hypergraph")
-    covered = set().union(*remaining)
-    h1 = Hypergraph(tuple(v for v in h.vertices if v in covered), remaining)
+    h1 = _delete_edge(hypergraph, leaf, "leaf")
     base = build_semiring(h1).exported
-    target = build_semiring(h).exported
+    target = build_semiring(hypergraph).exported
     gens = [(f"a·{v}", f"a·{v}", f"a·{v}") for v in h1.vertices]
+    leaf_label = ",".join(sorted(leaf))
     if leaf_case == "disjoint":
-        anchor = sorted(min(remaining, key=lambda e: tuple(sorted(e))))
-        u1, u2, u3 = anchor
-        leaf_vertices = sorted(leaf)
+        u1, u2, u3 = h1.edge_list()[0]
         gens.append((f"a·{u1}", f"a·{u2}", f"a·{u3}"))
         gens.append((f"a·{u2}", f"a·{u3}", f"a·{u1}"))
         gens.append((f"a·{u3}", f"a·{u1}", f"a·{u2}"))
-        note = (
-            f"leaf {{{','.join(leaf_vertices)}}} disjoint; "
-            f"anchor edge {{{u1},{u2},{u3}}}"
-        )
+        note = f"leaf {{{leaf_label}}} disjoint; anchor edge {{{u1},{u2},{u3}}}"
     else:
         (w,) = shared
-        through = sorted(
-            (e for e in remaining if w in e), key=lambda e: tuple(sorted(e))
-        )
-        anchor = through[0]
-        u2, u3 = sorted(anchor - {w})
-        leaf_vertices = sorted(leaf - {w})
+        anchor = next(e for e in h1.edge_list() if w in e)
+        u2, u3 = (v for v in anchor if v != w)
         gens.append((f"a·{u2}", f"a·{u3}", f"a·{u2}"))
         gens.append((f"a·{u3}", f"a·{u2}", f"a·{u3}"))
-        note = (
-            f"leaf {{{','.join(sorted(leaf))}}} shares {w}; "
-            f"anchor edge {{{','.join(sorted(anchor))}}}"
-        )
-    return _run_quotient_pipeline(
+        note = f"leaf {{{leaf_label}}} shares {w}; anchor edge {{{','.join(anchor)}}}"
+    return _QuotientPlan(
         claim=f"leaf_removal({leaf_case}): the {target.size}-element semiring "
         f"with the leaf arises from the {base.size}-element one without it",
-        kind="leaf_removal",
         base=base,
-        generator_labels=gens,
-        ideal_predicate=_zero_coordinate_predicate(base),
+        generators=gens,
         target=target,
-        closure_cap=closure_cap,
         notes=(note,),
     )
 
 
-def _witness_strongcolor_equiv(
-    h: Hypergraph, colorings_cap: int, closure_cap: int
-) -> WitnessReport:
-    report = validate(h)
-    if not report.valid:
-        raise ValueError("strongcolor_equiv requires an admissible hypergraph")
-    colorings = enumerate_strong_colorings(h, cap=colorings_cap)
+def _strongcolor_equiv(hypergraph: Hypergraph, colorings_cap: int, **_) -> _QuotientPlan:
+    colorings = enumerate_strong_colorings(hypergraph, cap=colorings_cap)
     if not colorings:
         raise ValueError("hypergraph has no strong 3-coloring; nothing to build on")
-    base = build_sc(["abc"])
-    target = build_semiring(h).exported
+    target = build_semiring(hypergraph).exported
     letter = {0: "a", 1: "b", 2: "c"}
-    gens = [
-        tuple(letter[phi[v]] for phi in colorings)
-        for v in h.vertices
-    ]
-    return _run_quotient_pipeline(
+    return _QuotientPlan(
         claim=f"strongcolor_equiv: the coloring-power closure collapses onto "
         f"the {target.size}-element hypergraph semiring",
-        kind="strongcolor_equiv",
-        base=base,
-        generator_labels=gens,
-        ideal_predicate=_zero_coordinate_predicate(base),
+        base=build_sc(["abc"]),
+        generators=[tuple(letter[phi[v]] for phi in colorings) for v in hypergraph.vertices],
         target=target,
-        closure_cap=closure_cap,
         notes=(f"{len(colorings)} strong 3-colorings",),
     )
 
@@ -583,9 +510,8 @@ _BEAM_MATRIX = (
 )
 
 
-def _witness_beam_step(i: int, closure_cap: int) -> WitnessReport:
-    if i < 1:
-        raise ValueError("beam_step index must be at least 1")
+def _beam_step(index: int, **_) -> _QuotientPlan:
+    i = index
     base = build_semiring(family("beam", i)).exported
     target = build_semiring(family("beam", i + 1)).exported
 
@@ -613,22 +539,20 @@ def _witness_beam_step(i: int, closure_cap: int) -> WitnessReport:
         gens.append((g(3 * j + 1), g(3 * j + 1), f"a·{_BEAM_MATRIX[0][col]}"))
         gens.append((g(3 * j + 2), g(3 * j + 2), f"a·{_BEAM_MATRIX[1][col]}"))
         gens.append((g(3 * j + 3), g(3 * j + 3), f"a·{_BEAM_MATRIX[2][col]}"))
-    return _run_quotient_pipeline(
+    return _QuotientPlan(
         claim=f"beam_step({i}): cubed-power closure over the beam({i}) semiring "
         f"collapses onto the beam({i + 1}) semiring ({target.size} elements)",
-        kind="beam_step",
         base=base,
-        generator_labels=gens,
-        ideal_predicate=_zero_coordinate_predicate(base),
+        generators=gens,
         target=target,
-        closure_cap=closure_cap,
         notes=tuple(notes),
     )
 
 
-def _witness_nested_chain(i: int) -> WitnessReport:
-    if i < 1:
-        raise ValueError("nested_chain index must be at least 1")
+def _nested_chain(index: int, **_) -> WitnessReport:
+    """An identity separation, not a quotient: identity i+1 holds in the
+    nested(i) semiring and fails in the nested(i+1) one."""
+    i = index
     lower = build_semiring(family("nested", i)).exported
     upper = build_semiring(family("nested", i + 1)).exported
     ident = nested_identity(i + 1)
@@ -650,22 +574,28 @@ def _witness_nested_chain(i: int) -> WitnessReport:
     if high.counterexample is not None:
         pins = ", ".join(f"{k}={v}" for k, v in sorted(high.counterexample.items()))
         notes.append(f"separating assignment: {pins}")
-    ok = low.holds and not high.holds
     return WitnessReport(
         claim=f"nested_chain({i}): identity {i + 1} separates the nested({i}) "
         f"semiring from the nested({i + 1}) one",
         kind="nested_chain",
-        ok=ok,
         stages=stages,
-        generators=(),
-        power_arity=0,
-        closure_size=0,
-        ideal_size=0,
-        quotient_size=0,
-        isomorphism=None,
-        failure_stage=None if ok else next(st.name for st in stages if not st.ok),
         notes=tuple(notes),
     )
+
+
+# Each witness kind: the verify_witness parameters it requires, in the order
+# the command line takes them, and its builder.
+_KINDS = {
+    "uniform_reduction": (("hypergraph",), _uniform_reduction),
+    "strongcolor_equiv": (("hypergraph",), _strongcolor_equiv),
+    "triangle_in_abcd": ((), _triangle_in_abcd),
+    "leaf_removal": (("hypergraph", "leaf_case"), _leaf_removal),
+    "beam_step": (("index",), _beam_step),
+    "nested_chain": (("index",), _nested_chain),
+}
+WITNESS_KINDS: dict[str, tuple[str, ...]] = {kind: params for kind, (params, _) in _KINDS.items()}
+
+_PARAMETER_NOUNS = {"hypergraph": "a hypergraph", "index": "an index", "leaf_case": "a leaf_case"}
 
 
 def verify_witness(
@@ -678,28 +608,31 @@ def verify_witness(
 ) -> WitnessReport:
     """Run one witness pipeline by name.
 
-    WITNESS_KINDS names the parameters each kind requires; leaf_case is
-    "disjoint" or "shared". Parameter errors and exceeded caps raise; a
-    claim that fails to verify comes back as a report with ok False.
+    WITNESS_KINDS names the parameters each kind takes; each is required and
+    no other may be given. leaf_case is "disjoint" or "shared". Parameter
+    errors and exceeded caps raise; a claim that fails to verify comes back
+    as a report with ok False.
     """
-    if kind not in WITNESS_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
+    params, build = _KINDS[kind]
     given = {"hypergraph": hypergraph, "index": index, "leaf_case": leaf_case}
-    required = WITNESS_KINDS[kind]
-    if any(given[name] is None for name in required):
-        nouns = " and ".join(_PARAMETER_NOUNS[name] for name in required)
+    for name, value in given.items():
+        if value is not None and name not in params:
+            raise ValueError(f"{kind} does not take the parameter {name}")
+    if any(given[name] is None for name in params):
+        nouns = " and ".join(_PARAMETER_NOUNS[name] for name in params)
         raise ValueError(f"{kind} requires {nouns}")
-    if kind == "triangle_in_abcd":
-        return _witness_triangle_in_abcd(closure_cap)
-    if kind == "uniform_reduction":
-        return _witness_uniform_reduction(hypergraph, closure_cap)
-    if kind == "leaf_removal":
-        return _witness_leaf_removal(hypergraph, leaf_case, closure_cap)
-    if kind == "strongcolor_equiv":
-        return _witness_strongcolor_equiv(hypergraph, colorings_cap, closure_cap)
-    if kind == "beam_step":
-        return _witness_beam_step(index, closure_cap)
-    return _witness_nested_chain(index)
+    if "leaf_case" in params and leaf_case not in ("disjoint", "shared"):
+        raise ValueError("leaf_case must be 'disjoint' or 'shared'")
+    if "hypergraph" in params and not validate(hypergraph).valid:
+        raise ValueError(f"{kind} requires an admissible hypergraph")
+    if "index" in params and index < 1:
+        raise ValueError(f"{kind} index must be at least 1")
+    built = build(**given, colorings_cap=colorings_cap)
+    if isinstance(built, WitnessReport):
+        return built
+    return _run_quotient_plan(kind, built, closure_cap)
 
 
 def find_subword_embedding(target: FiniteSemiring) -> dict[str, str] | None:

@@ -88,6 +88,18 @@ class TestValidate:
         assert code == 1
         assert "linear" in out
 
+    def test_export_writes_the_printed_report(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [["a", "b", "c"], ["a", "b", "d"]],
+        }))
+        target = tmp_path / "report.txt"
+        code, out, _ = run(capsys, ["validate", str(path), "--export", str(target)])
+        assert code == 1
+        assert out.startswith("invalid:\n")
+        assert target.read_text() == out
+
 
 class TestCheck:
     def test_identity_literal(self, capsys):
@@ -146,6 +158,15 @@ class TestCheck:
         assert record["verdict"] == "fails"
         assert record["method"] == "brute-force"
         assert record["counterexample"] == {"x": "a", "y": "b"}
+
+    @pytest.mark.parametrize("fmt", ("text", "structured"))
+    def test_export_writes_the_printed_verdicts(self, capsys, tmp_path, fmt):
+        target = tmp_path / "verdicts.txt"
+        code, out, _ = run(
+            capsys, ["--format", fmt, "check", "builtin:s7", "eq4.4", "--export", str(target)]
+        )
+        assert code == 1
+        assert target.read_text() == out != ""
 
     def test_flags_work_after_the_subcommand_too(self, capsys):
         _, before, _ = run(

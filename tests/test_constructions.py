@@ -302,6 +302,14 @@ class TestWitnesses:
         with pytest.raises(ValueError, match=f"^{kind} requires "):
             verify_witness(kind)
 
+    @pytest.mark.parametrize("kind", list(WITNESS_KINDS))
+    def test_a_parameter_the_kind_does_not_take_is_refused(self, kind):
+        values = {"hypergraph": family("beam", 1), "index": 1, "leaf_case": "shared"}
+        extra = next(name for name in values if name not in WITNESS_KINDS[kind])
+        kwargs = {name: values[name] for name in (*WITNESS_KINDS[kind], extra)}
+        with pytest.raises(ValueError, match=f"^{kind} does not take the parameter {extra}$"):
+            verify_witness(kind, **kwargs)
+
     def test_leaf_removal_missing_case(self):
         with pytest.raises(ValueError, match="no disjoint leaf edge found"):
             verify_witness("leaf_removal", hypergraph=family("beam", 2),

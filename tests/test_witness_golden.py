@@ -35,7 +35,10 @@ CORPUS = [
             ("nonlinear", _nonlinear()),
         ]
     ],
-    ("uniform_reduction nonuniform", dict(kind="uniform_reduction", hypergraph=sample_nonuniform())),
+    (
+        "uniform_reduction nonuniform",
+        dict(kind="uniform_reduction", hypergraph=sample_nonuniform()),
+    ),
     ("uniform_reduction beam(1)", dict(kind="uniform_reduction", hypergraph=family("beam", 1))),
     (
         "leaf_removal shared",
