@@ -78,14 +78,15 @@ def _complete(
         v = order[i]
         if v in assignment:
             return assign(i + 1)
-        taken = {assignment[m] for m in mates[v] if m in assignment}
         for color in COLORS:
-            if color in taken:
-                continue
-            assignment[v] = color
-            if assign(i + 1):
-                return True
-            del assignment[v]
+            for m in mates[v]:
+                if assignment.get(m) == color:
+                    break
+            else:
+                assignment[v] = color
+                if assign(i + 1):
+                    return True
+                del assignment[v]
         return False
 
     return assign(0)

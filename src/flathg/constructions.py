@@ -609,9 +609,9 @@ def verify_witness(
     """Run one witness pipeline by name.
 
     WITNESS_KINDS names the parameters each kind takes; each is required and
-    no other may be given. leaf_case is "disjoint" or "shared". Parameter
-    errors and exceeded caps raise; a claim that fails to verify comes back
-    as a report with ok False.
+    no other may be given. index is an int (not a bool) of at least 1, and
+    leaf_case is "disjoint" or "shared". Parameter errors and exceeded caps
+    raise; a claim that fails to verify comes back as a report with ok False.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -627,8 +627,11 @@ def verify_witness(
         raise ValueError("leaf_case must be 'disjoint' or 'shared'")
     if "hypergraph" in params and not validate(hypergraph).valid:
         raise ValueError(f"{kind} requires an admissible hypergraph")
-    if "index" in params and index < 1:
-        raise ValueError(f"{kind} index must be at least 1")
+    if "index" in params:
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValueError(f"{kind} index must be an integer, not {index!r}")
+        if index < 1:
+            raise ValueError(f"{kind} index must be at least 1")
     built = build(**given, colorings_cap=colorings_cap)
     if isinstance(built, WitnessReport):
         return built

@@ -4,13 +4,20 @@ The FiniteSemiring value is the exchange format every other module builds or
 consumes: an ordered tuple of element labels plus index-valued addition and
 multiplication tables. Checks are exhaustive table scans, which is the point,
 since every carrier in this library is small.
+
+A three-variable law is scanned one pair (a, b) at a time: both sides, for
+every c at once, are rows built by gathering one table row through another
+with `operator.itemgetter`, so the inner loop over c runs in C and Python only
+compares whole rows. Where two rows differ, the first differing position is
+the c of the counterexample, so the reported triple is still the first in
+lexicographic order (a, b, c).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class SemiringParseError(ValueError):
@@ -84,12 +91,51 @@ def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
                 raise ValueError(f"{name} table entry {v!r} is not an element index")
 
 
+def _gathers(table) -> list:
+    """One gather per row r of the table: g(seq) == tuple(seq[i] for i in r)."""
+    if len(table) == 1:
+        # itemgetter with one index returns a bare item, not a 1-tuple.
+        (i,), = table
+        return [lambda seq: (seq[i],)]
+    return [itemgetter(*row) for row in table]
+
+
+def _first_difference(left, right) -> int:
+    return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
+
+
 def _assoc_failure(elements, table) -> tuple[str, str, str] | None:
-    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None."""
-    n = len(elements)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            return (elements[a], elements[b], elements[c])
+    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None.
+
+    For each pair (a, b), row ab of the table holds (ab)c for every c, and
+    row a gathered through row b holds a(bc).
+    """
+    gather = _gathers(table)
+    for a, row_a in enumerate(table):
+        for b, ab in enumerate(row_a):
+            left, right = table[ab], gather[b](row_a)
+            if left != right:
+                c = _first_difference(left, right)
+                return (elements[a], elements[b], elements[c])
+    return None
+
+
+def _distributive_failure(elements, add, rows) -> tuple[str, str, str] | None:
+    """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None.
+
+    rows[a][x] is a·x for the left law (the mul rows), or x·a for the right
+    law (the mul columns), which checks (b+c)a = ba + ca with the same
+    triple order. For each pair (a, b), row a gathered through sum row b
+    holds a(b+c) for every c, and sum row ab gathered through row a holds
+    ab + ac.
+    """
+    add_gather, gather = _gathers(add), _gathers(rows)
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            left, right = add_gather[b](row_a), gather[a](add[ab])
+            if left != right:
+                c = _first_difference(left, right)
+                return (elements[a], elements[b], elements[c])
     return None
 
 
@@ -100,35 +146,27 @@ def verify_axioms(s: FiniteSemiring) -> AxiomReport:
     of addition, and two-sided distributivity. The first counterexample per
     axiom is reported as element labels.
     """
-    n = s.size
-    rng = range(n)
     add, mul, lab = s.add, s.mul, s.elements
+    add_cols = tuple(zip(*add))
     verdicts: list[tuple[str, bool, tuple[str, ...] | None]] = []
     bad = _assoc_failure(lab, add)
     verdicts.append(("add-associative", bad is None, bad))
-    bad = next(((lab[a], lab[b]) for a in rng for b in rng if add[a][b] != add[b][a]), None)
+    bad = next(
+        (
+            (lab[a], lab[_first_difference(row, col)])
+            for a, (row, col) in enumerate(zip(add, add_cols))
+            if row != col
+        ),
+        None,
+    )
     verdicts.append(("add-commutative", bad is None, bad))
-    bad = next(((lab[a],) for a in rng if add[a][a] != a), None)
+    bad = next(((lab[a],) for a, row in enumerate(add) if row[a] != a), None)
     verdicts.append(("add-idempotent", bad is None, bad))
     bad = _assoc_failure(lab, mul)
     verdicts.append(("mul-associative", bad is None, bad))
-    bad = next(
-        (
-            (lab[a], lab[b], lab[c])
-            for a, b, c in itertools.product(rng, rng, rng)
-            if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
-        ),
-        None,
-    )
+    bad = _distributive_failure(lab, add, mul)
     verdicts.append(("left-distributive", bad is None, bad))
-    bad = next(
-        (
-            (lab[a], lab[b], lab[c])
-            for a, b, c in itertools.product(rng, rng, rng)
-            if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]
-        ),
-        None,
-    )
+    bad = _distributive_failure(lab, add, tuple(zip(*mul)))
     verdicts.append(("right-distributive", bad is None, bad))
     return AxiomReport(tuple(verdicts))
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,6 +311,11 @@ class TestWitnesses:
         kwargs = {name: values[name] for name in (*WITNESS_KINDS[kind], extra)}
         with pytest.raises(ValueError, match=f"^{kind} does not take the parameter {extra}$"):
             verify_witness(kind, **kwargs)
+
+    @pytest.mark.parametrize("index", ["2", 2.0, True])
+    def test_a_non_integer_index_is_refused(self, index):
+        with pytest.raises(ValueError, match=f"^beam_step index must be an integer, not {re.escape(repr(index))}$"):
+            verify_witness("beam_step", index=index)
 
     def test_leaf_removal_missing_case(self):
         with pytest.raises(ValueError, match="no disjoint leaf edge found"):

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flathg.hg_semiring import build_semiring
@@ -129,7 +131,7 @@ class TestFlatCompletion:
 
     def test_rejects_non_associative(self):
         mul = ((0, 0, 0), (0, 2, 0), (0, 1, 0))
-        with pytest.raises(ValueError, match="associative"):
+        with pytest.raises(ValueError, match=r"^not associative: counterexample \('x', 'x', 'x'\)$"):
             flat_completion(MulTable(("z", "x", "y"), mul, 0))
 
     def test_rejects_non_cancellative(self):
@@ -159,6 +161,115 @@ def test_flat_sum_law(member, data):
     for x in xs[1:]:
         total = s.add[total][x]
     assert total == (xs[0] if len(set(xs)) == 1 else s.zero)
+
+
+
+def dense_assoc_failure(elements, table):
+    n = len(elements)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (elements[a], elements[b], elements[c])
+    return None
+
+
+def dense_verdicts(s):
+    """The per-triple scans verify_axioms replaced, kept as the reference."""
+    n = s.size
+    rng = range(n)
+    add, mul, lab = s.add, s.mul, s.elements
+    verdicts = []
+    bad = dense_assoc_failure(lab, add)
+    verdicts.append(("add-associative", bad is None, bad))
+    bad = next(((lab[a], lab[b]) for a in rng for b in rng if add[a][b] != add[b][a]), None)
+    verdicts.append(("add-commutative", bad is None, bad))
+    bad = next(((lab[a],) for a in rng if add[a][a] != a), None)
+    verdicts.append(("add-idempotent", bad is None, bad))
+    bad = dense_assoc_failure(lab, mul)
+    verdicts.append(("mul-associative", bad is None, bad))
+    bad = next(
+        (
+            (lab[a], lab[b], lab[c])
+            for a, b, c in itertools.product(rng, rng, rng)
+            if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
+        ),
+        None,
+    )
+    verdicts.append(("left-distributive", bad is None, bad))
+    bad = next(
+        (
+            (lab[a], lab[b], lab[c])
+            for a, b, c in itertools.product(rng, rng, rng)
+            if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]
+        ),
+        None,
+    )
+    verdicts.append(("right-distributive", bad is None, bad))
+    return tuple(verdicts)
+
+
+def dense_completion_refusal(sg):
+    """flat_completion's refusal message by the dense scans, or None."""
+    lab, mul, z = sg.elements, sg.mul, sg.zero
+    n = len(lab)
+    bad = dense_assoc_failure(lab, mul)
+    if bad is not None:
+        return f"not associative: counterexample {bad}"
+    for x in range(n):
+        if mul[z][x] != z or mul[x][z] != z:
+            return f"zero is not absorbing: fails at {lab[x]!r}"
+    for prod in (lambda a, b: mul[a][b], lambda a, b: mul[b][a]):
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if b < c and prod(a, b) != z and prod(a, b) == prod(a, c):
+                return f"not 0-cancellative: counterexample {(lab[a], lab[b], lab[c])}"
+    return None
+
+
+def assert_scans_agree(s):
+    assert verify_axioms(s).verdicts == dense_verdicts(s)
+    if s.size == 0:
+        return
+    sg = MulTable(s.elements, s.mul, s.zero if s.zero is not None else 0)
+    want = dense_completion_refusal(sg)
+    if want is None:
+        assert flat_completion(sg).mul == s.mul
+    else:
+        with pytest.raises(ValueError) as err:
+            flat_completion(sg)
+        assert str(err.value) == want
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(0, 6))
+    entry = st.integers(0, max(n - 1, 0))
+    rows = st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n).map(tuple)
+    zero = draw(st.none() | st.integers(0, n - 1)) if n else None
+    return FiniteSemiring(tuple(f"e{i}" for i in range(n)), draw(rows), draw(rows), zero)
+
+
+MUTATION_BASES = {m: build_semiring(family(*m)).exported for m in [("beam", 1), ("nested", 2), ("n_cycle", 4)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_tables())
+@example(FiniteSemiring((), (), ()))
+@example(FiniteSemiring(("e0",), ((0,),), ((0,),), 0))
+def test_row_scans_match_dense_scans_on_random_tables(s):
+    """n = 1 takes the single-index gather; most random tables fail early."""
+    assert_scans_agree(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(MUTATION_BASES)), st.booleans(), st.data())
+def test_row_scans_match_dense_scans_on_mutated_families(member, in_add, data):
+    """One changed entry of a family semiring, so a failure can come late."""
+    s = MUTATION_BASES[member]
+    i, j, v = (data.draw(st.integers(0, s.size - 1)) for _ in range(3))
+    if in_add:
+        s = FiniteSemiring(s.elements, mutate(s.add, i, j, v), s.mul, s.zero)
+    else:
+        s = FiniteSemiring(s.elements, s.add, mutate(s.mul, i, j, v), s.zero)
+    assert_scans_agree(s)
 
 
 class TestCertificates:
