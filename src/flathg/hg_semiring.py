@@ -130,10 +130,18 @@ def _carrier(h: Hypergraph) -> tuple[tuple[HgElement, ...], MulTable]:
     elements.append(TOP)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
+    top = index[TOP]
     mul = [[0] * n for _ in range(n)]
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            mul[i][j] = index[_product(nf, x, y)]
+    # Only products inside one edge are non-zero: two of its generators, or
+    # the class of two of its vertices with the third generator, either way.
+    for edge in h.edges:
+        for u in edge:
+            gen_u = index[HgElement("gen", vertex=u)]
+            for v in edge - {u}:
+                mul[gen_u][index[HgElement("gen", vertex=v)]] = index[nf.gen_product(u, v)]
+            if len(edge) == 3:
+                pair = index[HgElement("pair", pair=nf.rep_of[edge - {u}])]
+                mul[pair][gen_u] = mul[gen_u][pair] = top
     labels = tuple(e.label for e in elements)
     return tuple(elements), MulTable(labels, tuple(tuple(row) for row in mul), zero=0)
 
@@ -142,8 +150,9 @@ def build_semigroup(h: Hypergraph) -> MulTable:
     """Multiplication table of the hypergraph semiring's carrier.
 
     Elements are ordered zero first, then generators in vertex order, then
-    pair classes by representative, then top. The table is derived from the
-    normal forms; callers downstream re-check associativity exhaustively.
+    pair classes by representative, then top. Only the products inside an
+    edge are filled from the normal forms; every other entry is the zero,
+    and callers downstream re-check associativity exhaustively.
     """
     return _carrier(h)[1]
 

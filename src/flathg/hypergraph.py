@@ -41,12 +41,6 @@ class Hypergraph:
         """Edges as sorted tuples, in a single deterministic order."""
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def vertex_degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def incident_edges(self, v: str) -> list[Edge]:
-        return [e for e in self.edges if v in e]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -318,7 +312,9 @@ def family(kind: str, index: int) -> Hypergraph:
 
 
 def _vertex_signature(h: Hypergraph, v: str) -> tuple:
-    return (h.vertex_degree(v), tuple(sorted(len(e) for e in h.incident_edges(v))))
+    """(degree, sorted sizes of the incident edges)."""
+    sizes = sorted(len(e) for e in h.edges if v in e)
+    return (len(sizes), tuple(sizes))
 
 
 def find_hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> dict[str, str] | None:

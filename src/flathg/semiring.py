@@ -2,21 +2,35 @@
 
 The FiniteSemiring value is the exchange format every other module builds or
 consumes: an ordered tuple of element labels plus index-valued addition and
-multiplication tables. Checks are exhaustive table scans, which is the point,
-since every carrier in this library is small.
-
-A three-variable law is scanned one pair (a, b) at a time: both sides, for
-every c at once, are rows built by gathering one table row through another
-with `operator.itemgetter`, so the inner loop over c runs in C and Python only
-compares whole rows. Where two rows differ, the first differing position is
-the c of the counterexample, so the reported triple is still the first in
+multiplication tables. The constructors check every table entry, a whole row
+at a time. Law checks are exhaustive: a law is decided on every triple of
+elements, and a failure is reported with its first counterexample in
 lexicographic order (a, b, c).
+
+The semirings of this library are flat: the zero absorbs under · and is the
+top for +, so almost every product is the zero. The three-variable scans use
+that, after first checking it. Each looks for an absorbing element z of the
+table it reads, an element whose row and column are all z (for the add table
+of a flat semiring, that is its top). With one, a pair (a, b) with ab = z can
+only fail through the non-zero entries: (ab)c = z, so associativity fails
+only where bc = x for an x with a·x != z. Those (b, c) come from an inverse
+index from each non-zero value to the pairs that produce it, and the two
+distributive laws do the same through the add table, whose absorbing
+element must be the same z. A pair with ab != z compares two whole rows
+instead, gathered in C: row ab against row a read through row b. Per a, the
+smaller (b, c) of the two cases is the reported one. A table without an
+absorbing element falls back to that row comparison for every pair. On the
+tables built here a law so costs one pass over the table plus O(n) per
+non-zero product, not O(n) per pair.
+The cancellation check keeps, per row and per column, the first index of
+each non-zero value, so it reads each entry once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 
@@ -86,9 +100,34 @@ def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
     if len(table) != n or any(len(row) != n for row in table):
         raise ValueError(f"ragged {name} table: expected {n}x{n}")
     for row in table:
+        if all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n:
+            continue
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"{name} table entry {v!r} is not an element index")
+
+
+def _absorbing(table) -> int | None:
+    """The element z whose row and column in the table are all z, if any."""
+    n = len(table)
+    for z, row in enumerate(table):
+        if row.count(z) == n and all(r[z] == z for r in table):
+            return z
+    return None
+
+
+def _nonzero(table, z) -> list[list[tuple[int, int]]]:
+    """Per row, its (column, value) entries whose value is not z, in column order."""
+    return [[(c, v) for c, v in enumerate(row) if v != z] for row in table]
+
+
+def _producers(nonzero) -> dict[int, list[tuple[int, int]]]:
+    """Each non-zero value x -> the pairs (b, c) whose entry is x, in (b, c) order."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for b, entries in enumerate(nonzero):
+        for c, x in entries:
+            out.setdefault(x, []).append((b, c))
+    return out
 
 
 def _gathers(table) -> list:
@@ -104,20 +143,52 @@ def _first_difference(left, right) -> int:
     return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
+def _law_failure(elements, rows, inner, sides) -> tuple[str, str, str] | None:
+    """The first failing triple (a, b, c) of a three-variable law, or None.
+
+    The law reads b from rows[a] and then c through inner, whose entry bc
+    (or b + c) is x; sides(a, b, ab) gives both sides of the law for every
+    c, as two rows compared whole. If one z absorbs both tables, only the
+    pairs with ab != z compare rows. For ab = z, one side is z and the other
+    is a·x, so for each non-zero entry x of row a only the (b, c) that
+    produce x are visited. Per a, the least (b, c) of the two cases is the
+    first triple. Without such a z every pair compares rows.
+    """
+    z = _absorbing(rows)
+    sparse = z is not None and (inner is rows or _absorbing(inner) == z)
+    if sparse:
+        nonzero = _nonzero(rows, z)
+        producers = _producers(nonzero if inner is rows else _nonzero(inner, z))
+    for a, row_a in enumerate(rows):
+        found = []
+        pairs = enumerate(row_a)
+        if sparse:
+            pairs = nonzero[a]
+            for x, _ in pairs:
+                pair = next(((b, c) for b, c in producers.get(x, ()) if row_a[b] == z), None)
+                if pair is not None:
+                    found.append(pair)
+        for b, ab in pairs:
+            left, right = sides(a, b, ab)
+            if left != right:
+                found.append((b, _first_difference(left, right)))
+                break
+        if found:
+            b, c = min(found)
+            return (elements[a], elements[b], elements[c])
+    return None
+
+
 def _assoc_failure(elements, table) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None.
 
-    For each pair (a, b), row ab of the table holds (ab)c for every c, and
-    row a gathered through row b holds a(bc).
+    For a pair (a, b), row ab of the table holds (ab)c for every c, and row a
+    gathered through row b holds a(bc).
     """
     gather = _gathers(table)
-    for a, row_a in enumerate(table):
-        for b, ab in enumerate(row_a):
-            left, right = table[ab], gather[b](row_a)
-            if left != right:
-                c = _first_difference(left, right)
-                return (elements[a], elements[b], elements[c])
-    return None
+    return _law_failure(
+        elements, table, table, lambda a, b, ab: (table[ab], gather[b](table[a]))
+    )
 
 
 def _distributive_failure(elements, add, rows) -> tuple[str, str, str] | None:
@@ -125,18 +196,13 @@ def _distributive_failure(elements, add, rows) -> tuple[str, str, str] | None:
 
     rows[a][x] is a·x for the left law (the mul rows), or x·a for the right
     law (the mul columns), which checks (b+c)a = ba + ca with the same
-    triple order. For each pair (a, b), row a gathered through sum row b
-    holds a(b+c) for every c, and sum row ab gathered through row a holds
-    ab + ac.
+    triple order. For a pair (a, b), row a gathered through sum row b holds
+    a(b+c) for every c, and sum row ab gathered through row a holds ab + ac.
     """
     add_gather, gather = _gathers(add), _gathers(rows)
-    for a, row_a in enumerate(rows):
-        for b, ab in enumerate(row_a):
-            left, right = add_gather[b](row_a), gather[a](add[ab])
-            if left != right:
-                c = _first_difference(left, right)
-                return (elements[a], elements[b], elements[c])
-    return None
+    return _law_failure(
+        elements, rows, add, lambda a, b, ab: (add_gather[b](rows[a]), gather[a](add[ab]))
+    )
 
 
 def verify_axioms(s: FiniteSemiring) -> AxiomReport:
@@ -173,11 +239,21 @@ def verify_axioms(s: FiniteSemiring) -> AxiomReport:
 
 def multiplicative_zero(s: FiniteSemiring) -> int | None:
     """Index of the two-sided multiplicative zero, if one exists."""
-    n = s.size
-    for z in range(n):
-        if all(s.mul[z][x] == z and s.mul[x][z] == z for x in range(n)):
-            return z
-    return None
+    return _absorbing(s.mul)
+
+
+def _flat_row(n: int, z: int, x: int) -> tuple[int, ...]:
+    """Row x of the flat addition: x + x = x and x + y = z for y != x."""
+    row = [z] * n
+    row[x] = x
+    return tuple(row)
+
+
+def _is_flat_over(s: FiniteSemiring, z: int | None) -> bool:
+    """is_flat, given s's multiplicative zero z (None when it has none)."""
+    if s.size < 2 or z is None:
+        return False
+    return all(row == _flat_row(s.size, z, a) for a, row in enumerate(s.add))
 
 
 def is_flat(s: FiniteSemiring) -> bool:
@@ -188,40 +264,39 @@ def is_flat(s: FiniteSemiring) -> bool:
     A one-element carrier is not flat: the defining addition needs at least
     one distinct pair to collapse.
     """
-    if s.size < 2:
-        return False
-    z = multiplicative_zero(s)
-    if z is None:
-        return False
-    n = s.size
-    for a in range(n):
-        if s.add[a][z] != z or s.add[z][a] != z or s.add[a][a] != a:
-            return False
-        for b in range(n):
-            if a != b and s.add[a][b] != z:
-                return False
-    return True
+    return _is_flat_over(s, multiplicative_zero(s))
+
+
+def _first_repeat(entries) -> tuple[int, int] | None:
+    """The least (b, c), b < c, whose values agree, from (index, value) pairs
+    in index order, or None."""
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for c, v in entries:
+        if v in first:
+            second.setdefault(v, c)
+        else:
+            first[v] = c
+    if not second:
+        return None
+    v = min(second, key=first.__getitem__)
+    return first[v], second[v]
 
 
 def _cancellation_failure(elements, mul, z) -> tuple[str, str, str] | None:
-    n = len(elements)
-    for a in range(n):
-        row = mul[a]
-        for b in range(n):
-            ab = row[b]
-            if ab == z:
-                continue
-            for c in range(b + 1, n):
-                if row[c] == ab:
-                    return (elements[a], elements[b], elements[c])
-    for a in range(n):
-        for b in range(n):
-            ba = mul[b][a]
-            if ba == z:
-                continue
-            for c in range(b + 1, n):
-                if mul[c][a] == ba:
-                    return (elements[a], elements[b], elements[c])
+    """The first (a, b, c), b < c, with a·b = a·c != z, else the first with
+    b·a = c·a != z, as labels, or None."""
+    rows = _nonzero(mul, z)
+    cols: list[list[tuple[int, int]]] = [[] for _ in mul]
+    for b, entries in enumerate(rows):
+        for a, v in entries:
+            cols[a].append((b, v))
+    for lines in (rows, cols):
+        for a, entries in enumerate(lines):
+            pair = _first_repeat(entries)
+            if pair is not None:
+                b, c = pair
+                return (elements[a], elements[b], elements[c])
     return None
 
 
@@ -257,7 +332,7 @@ def flat_completion(sg: MulTable) -> FiniteSemiring:
     cancel = _cancellation_failure(sg.elements, sg.mul, z)
     if cancel is not None:
         raise ValueError(f"not 0-cancellative: counterexample {cancel}")
-    add = tuple(tuple(i if i == j else z for j in range(n)) for i in range(n))
+    add = tuple(_flat_row(n, z, x) for x in range(n))
     return FiniteSemiring(sg.elements, add, sg.mul, z)
 
 
@@ -282,16 +357,17 @@ def subdirect_irreducibility_certificate(s: FiniteSemiring) -> IrreducibilityCer
     whose product with anything, on either side, is zero. Without a
     multiplicative zero both predicates are vacuously false.
     """
-    flat = is_flat(s)
     z = multiplicative_zero(s)
+    flat = _is_flat_over(s, z)
     if z is None:
         return IrreducibilityCertificate(flat=flat, two_nil=False, annihilators=())
     n = s.size
+    zeros = (z,) * n
     two_nil = all(s.mul[x][x] == z for x in range(n))
     ann = tuple(
         s.elements[a]
-        for a in range(n)
-        if a != z and all(s.mul[a][x] == z and s.mul[x][a] == z for x in range(n))
+        for a, row in enumerate(s.mul)
+        if a != z and row == zeros and all(r[a] == z for r in s.mul)
     )
     return IrreducibilityCertificate(flat=flat, two_nil=two_nil, annihilators=ann)
 

@@ -10,7 +10,8 @@ from flathg.hg_semiring import (
     normal_form_product,
 )
 from flathg.hypergraph import build_hypergraph, family, linked_classes
-from flathg.semiring import is_flat, verify_axioms
+from flathg.semiring import is_flat, subdirect_irreducibility_certificate, verify_axioms
+from flathg.suite import sample_nonuniform, sample_pendant, single_edge
 
 
 def pendant_triangle():
@@ -123,6 +124,34 @@ class TestBuildSemiring:
         h = build_hypergraph(["a", "b", "c", "d"], [("a", "b", "c"), ("a", "b", "d")])
         with pytest.raises(ValueError, match="not admissible"):
             build_semiring(h)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["n_cycle:3"]
+        + [f"{kind}:{i}" for kind in ("beam", "fan", "nested") for i in (1, 2, 3)]
+        + ["nonuniform", "pendant", "single-edge"],
+    )
+    def test_semigroup_is_the_normal_form_product_table(self, name):
+        """The table filled from the edges equals all n^2 normal-form products."""
+        samples = {"nonuniform": sample_nonuniform, "pendant": sample_pendant, "single-edge": single_edge}
+        if name in samples:
+            h = samples[name]()
+        else:
+            kind, i = name.split(":")
+            h = family(kind, int(i))
+        elements = build_semiring(h).elements
+        index = {e: i for i, e in enumerate(elements)}
+        want = tuple(
+            tuple(index[normal_form_product(h, x, y)] for y in elements) for x in elements
+        )
+        assert build_semigroup(h).mul == want
+
+    def test_beam_100_builds_and_certifies(self):
+        """A 608-element carrier: the table scans read only its non-zero products."""
+        s = build_semiring(family("beam", 100)).exported
+        assert s.size == 608
+        assert verify_axioms(s).all_pass
+        assert subdirect_irreducibility_certificate(s).granted
 
     def test_semigroup_matches_semiring_mul(self):
         h = family("nested", 1)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,6 +63,15 @@ class TestAxioms:
         with pytest.raises(ValueError, match="ragged"):
             FiniteSemiring(("a", "b"), ((0, 1), (1,)), ((0, 0), (0, 0)), zero=None)
 
+    @pytest.mark.parametrize(
+        "row, bad",
+        [((0, 2), "2"), ((0, -1), "-1"), ((1.0, 0), "1.0"), (("0", 5), "'0'"), ((5, "x"), "5")],
+    )
+    def test_first_bad_entry_named(self, row, bad):
+        """A row that fails the whole-row check is walked for its first bad entry."""
+        with pytest.raises(ValueError, match=rf"^mul table entry {re.escape(bad)} is not an element index$"):
+            FiniteSemiring(("a", "b"), ((0, 1), (1, 1)), ((0, 1), row), zero=None)
+
 
 class TestFlatness:
     def test_subword_semirings_flat(self, sc_abc, sc_abcd):
@@ -121,6 +131,17 @@ class TestCancellation:
         s = FiniteSemiring(("a",), ((0,),), ((0,),), zero=None)
         with pytest.raises(ValueError, match="no zero"):
             is_zero_cancellative(s)
+
+    def test_first_triple_has_the_least_b_not_the_first_repeat(self):
+        """Row e1 repeats e3 at c = 3 before it repeats e2 at c = 4, yet
+        (e1, e1, e4) comes first in (a, b, c) order."""
+        n = 6
+        mul = [[0] * n for _ in range(n)]
+        mul[1][1:5] = [2, 3, 3, 2]
+        add = tuple(tuple(i if i == j else 0 for j in range(n)) for i in range(n))
+        s = FiniteSemiring(tuple(f"e{i}" for i in range(n)), add, tuple(map(tuple, mul)), 0)
+        assert is_zero_cancellative(s) == ("e1", "e1", "e4")
+        assert dense_cancellation_failure(s.elements, s.mul, 0) == ("e1", "e1", "e4")
 
 
 class TestFlatCompletion:
@@ -217,10 +238,18 @@ def dense_completion_refusal(sg):
     for x in range(n):
         if mul[z][x] != z or mul[x][z] != z:
             return f"zero is not absorbing: fails at {lab[x]!r}"
+    bad = dense_cancellation_failure(lab, mul, z)
+    if bad is not None:
+        return f"not 0-cancellative: counterexample {bad}"
+    return None
+
+
+def dense_cancellation_failure(lab, mul, z):
+    n = len(lab)
     for prod in (lambda a, b: mul[a][b], lambda a, b: mul[b][a]):
         for a, b, c in itertools.product(range(n), repeat=3):
             if b < c and prod(a, b) != z and prod(a, b) == prod(a, c):
-                return f"not 0-cancellative: counterexample {(lab[a], lab[b], lab[c])}"
+                return (lab[a], lab[b], lab[c])
     return None
 
 
@@ -272,6 +301,86 @@ def test_row_scans_match_dense_scans_on_mutated_families(member, in_add, data):
     assert_scans_agree(s)
 
 
+SPARSE_BASES = {
+    m: build_semiring(family(*m)).exported
+    for m in [("beam", 1), ("beam", 2), ("beam", 3), ("fan", 1), ("fan", 2)]
+}
+
+
+def assert_sparse_scans_agree(s):
+    assert_scans_agree(s)
+    if s.zero is not None:
+        bad = dense_cancellation_failure(s.elements, s.mul, s.zero)
+        assert is_zero_cancellative(s) == (True if bad is None else bad)
+
+
+def absorbing_mutation(data, table, z):
+    """Up to three changed entries off row z and column z, so z still absorbs."""
+    rows = [list(r) for r in table]
+    n = len(rows)
+    off_z = st.integers(0, n - 1).filter(lambda i: i != z)
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows[data.draw(off_z)][data.draw(off_z)] = data.draw(st.integers(0, n - 1))
+    return tuple(tuple(r) for r in rows)
+
+
+def relabel(s, new_index, zero):
+    """s with element x moved to index new_index[x], and zero designated."""
+    n = s.size
+
+    def table(t):
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rows[new_index[a]][new_index[b]] = new_index[t[a][b]]
+        return tuple(tuple(r) for r in rows)
+
+    elements = [""] * n
+    for x, label in enumerate(s.elements):
+        elements[new_index[x]] = label
+    return FiniteSemiring(tuple(elements), table(s.add), table(s.mul), zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SPARSE_BASES)), st.booleans(), st.data())
+def test_sparse_scans_match_dense_scans_when_the_zero_still_absorbs(member, in_add, data):
+    """The zero absorbs in both tables, so every law takes its sparse branch,
+    and a wrong product off the zero's row and column fails late, if at all."""
+    s = SPARSE_BASES[member]
+    if in_add:
+        s = FiniteSemiring(s.elements, absorbing_mutation(data, s.add, s.zero), s.mul, s.zero)
+    else:
+        s = FiniteSemiring(s.elements, s.add, absorbing_mutation(data, s.mul, s.zero), s.zero)
+    assert_sparse_scans_agree(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SPARSE_BASES)), st.data())
+def test_sparse_scans_find_an_absorbing_element_away_from_index_zero(member, data):
+    """The absorbing element moves off index 0, and the designated zero is
+    another element or none: the scans find the absorbing element themselves."""
+    s = SPARSE_BASES[member]
+    s = FiniteSemiring(s.elements, s.add, absorbing_mutation(data, s.mul, s.zero), s.zero)
+    new_index = data.draw(st.permutations(range(s.size)).filter(lambda p: p[s.zero] != 0))
+    others = st.integers(0, s.size - 1).filter(lambda i: i != new_index[s.zero])
+    s = relabel(s, new_index, data.draw(st.none() | others))
+    assert multiplicative_zero(s) == new_index[SPARSE_BASES[member].zero]
+    assert_sparse_scans_agree(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SPARSE_BASES)), st.data())
+def test_add_top_away_from_the_mul_zero_takes_the_fallback(member, data):
+    """Flat addition whose top is not the mul zero: the distributive laws
+    have no common absorbing element and scan every pair."""
+    s = SPARSE_BASES[member]
+    top = data.draw(st.integers(0, s.size - 1).filter(lambda t: t != s.zero))
+    add = tuple(tuple(a if a == b else top for b in range(s.size)) for a in range(s.size))
+    s = FiniteSemiring(s.elements, add, absorbing_mutation(data, s.mul, s.zero), s.zero)
+    assert multiplicative_zero(s) == s.zero != top
+    assert_sparse_scans_agree(s)
+
+
 class TestCertificates:
     def test_triangle_certificate(self, triangle_semiring):
         cert = subdirect_irreducibility_certificate(triangle_semiring)
@@ -294,6 +403,14 @@ class TestCertificates:
     def test_bool_lattice_not_certified(self):
         cert = subdirect_irreducibility_certificate(BOOL_LATTICE)
         assert not cert.granted
+
+    def test_annihilator_needs_a_zero_column_too(self):
+        """a·x = 0 for every x, but b·a = a, so a annihilates only from the left."""
+        mul = ((0, 0, 0), (0, 0, 0), (0, 1, 0))
+        add = ((0, 0, 0), (0, 1, 0), (0, 0, 2))
+        cert = subdirect_irreducibility_certificate(FiniteSemiring(("0", "a", "b"), add, mul, 0))
+        assert cert.flat
+        assert cert.annihilators == ()
 
 
 class TestSerialization:
