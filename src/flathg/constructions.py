@@ -35,10 +35,6 @@ def _power_label(base: FiniteSemiring, x: tuple[int, ...]) -> str:
     return "(" + ",".join(base.elements[i] for i in x) + ")"
 
 
-def _componentwise(table, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([table[a][b] for a, b in zip(x, y)])
-
-
 def _power_element(base: FiniteSemiring, entries) -> tuple[int, ...]:
     """A power element given as a tuple of base labels or of base indices."""
     entries = tuple(entries)
@@ -79,6 +75,17 @@ def generated_subsemiring(
     length, which is the power arity. The closure refuses to grow past the
     cap, since a runaway closure means the construction is being fed
     something it was never meant for.
+
+    The fixpoint works column-wise. Each element is held as a str with one
+    character chr(v) per coordinate v; str has no limit on the base size.
+    Each base element x has one translation table per operation and side,
+    sending b to x+b, b+x, x·b and b·x. At cursor x, with n elements known,
+    coordinate column c of those n elements is one strided slice of their
+    concatenation, and one str.translate by x's entry in column c gives
+    that coordinate of x∘y, or of y∘x (∘ being + or ·), for all n elements
+    y at once. The k translated columns, joined, hold the n products as
+    strided slices. Products are interned per y in the order y+x, x+y, y·x,
+    x·y.
     """
     gens = [_power_element(base, g) for g in generators]
     if not gens:
@@ -88,14 +95,19 @@ def generated_subsemiring(
         raise ValueError("power arity must be at least 1")
     if any(len(g) != arity for g in gens):
         raise ValueError(f"generators must all have {arity} coordinates")
-    base_add, base_mul = base.add, base.mul
-    elements: list[tuple[int, ...]] = []
-    position: dict[tuple[int, ...], int] = {}
+    # Translation tables per base element, in interning order: y+x, x+y,
+    # y·x, x·y, each indexed by x's coordinate.
+    translations = []
+    for table in (base.add, base.mul):
+        translations.append([str.maketrans(dict(enumerate(col))) for col in zip(*table)])
+        translations.append([str.maketrans(dict(enumerate(row))) for row in table])
+    elements: list[str] = []
+    position: dict[str, int] = {}
     # add[i] and mul[i] gain column j when the worklist reaches max(i, j).
     add: list[list[int]] = []
     mul: list[list[int]] = []
 
-    def intern(z: tuple[int, ...]) -> int:
+    def intern(z: str) -> int:
         k = position.get(z)
         if k is None:
             if len(elements) >= cap:
@@ -105,32 +117,39 @@ def generated_subsemiring(
         return k
 
     for g in gens:
-        intern(g)
+        intern("".join(map(chr, g)))
     cursor = 0
     while cursor < len(elements):
         x = elements[cursor]
+        n = cursor + 1
+        known = "".join(elements[:n])
+        columns = [known[c::arity] for c in range(arity)]
+        yx_add, xy_add, yx_mul, xy_mul = (
+            "".join([col.translate(by_x[ord(xc)]) for col, xc in zip(columns, x)])
+            for by_x in translations
+        )
         add_row: list[int] = []
         mul_row: list[int] = []
-        for i in range(cursor + 1):
-            y = elements[i]
-            yx_add = intern(_componentwise(base_add, y, x))
-            add_row.append(intern(_componentwise(base_add, x, y)))
-            yx_mul = intern(_componentwise(base_mul, y, x))
-            mul_row.append(intern(_componentwise(base_mul, x, y)))
+        for i in range(n):
+            yx_add_i = intern(yx_add[i::n])
+            add_row.append(intern(xy_add[i::n]))
+            yx_mul_i = intern(yx_mul[i::n])
+            mul_row.append(intern(xy_mul[i::n]))
             if i < cursor:
-                add[i].append(yx_add)
-                mul[i].append(yx_mul)
+                add[i].append(yx_add_i)
+                mul[i].append(yx_mul_i)
         add.append(add_row)
         mul.append(mul_row)
         cursor += 1
+    tuples = tuple(tuple(map(ord, x)) for x in elements)
     z = _zero_of(base)
     semiring = FiniteSemiring(
-        tuple(_power_label(base, x) for x in elements),
+        tuple(_power_label(base, x) for x in tuples),
         tuple(map(tuple, add)),
         tuple(map(tuple, mul)),
-        None if z is None else position.get((z,) * arity),
+        None if z is None else position.get(chr(z) * arity),
     )
-    return GeneratedSubsemiring(base, tuple(gens), tuple(elements), semiring)
+    return GeneratedSubsemiring(base, tuple(gens), tuples, semiring)
 
 
 @dataclass(frozen=True)
@@ -250,16 +269,15 @@ def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[st
         for a in range(n):
             if mapping[a] < 0:
                 continue
-            for b in (x,):
-                for ta, tb in ((a, b), (b, a)):
-                    for table1, table2 in ((s1.add, s2.add), (s1.mul, s2.mul)):
-                        r1 = table1[ta][tb]
-                        r2 = table2[mapping[ta]][mapping[tb]]
-                        if mapping[r1] >= 0:
-                            if mapping[r1] != r2:
-                                return False
-                        elif used[r2]:
+            for ta, tb in ((a, x), (x, a)):
+                for table1, table2 in ((s1.add, s2.add), (s1.mul, s2.mul)):
+                    r1 = table1[ta][tb]
+                    r2 = table2[mapping[ta]][mapping[tb]]
+                    if mapping[r1] >= 0:
+                        if mapping[r1] != r2:
                             return False
+                    elif used[r2]:
+                        return False
         return True
 
     def assign(x: int) -> bool:

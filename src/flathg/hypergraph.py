@@ -164,22 +164,21 @@ def linked_classes(h: Hypergraph) -> dict[Pair, frozenset[Pair]]:
     enlargement is logged, since direct linkage alone is expected to already
     be transitive on admissible inputs.
     """
-    pairs = {
-        frozenset(p)
-        for e in h.edges
-        if len(e) == 3
-        for p in itertools.combinations(e, 2)
+    # Each 3-edge {u, v, w} completes {u, v} with w; the pairs a vertex
+    # completes are all directly linked to one another.
+    completers: dict[Pair, set[str]] = {}
+    completed_by: dict[str, set[Pair]] = {}
+    for e in h.edges:
+        if len(e) == 3:
+            for w in e:
+                p = e - {w}
+                completers.setdefault(p, set()).add(w)
+                completed_by.setdefault(w, set()).add(p)
+    neighbours: dict[Pair, set[Pair]] = {
+        p: set().union(*(completed_by[w] for w in ws)) - {p} for p, ws in completers.items()
     }
-    completers: dict[Pair, set[str]] = {
-        p: {w for e in h.edges if len(e) == 3 and p < e for w in e - p} for p in pairs
-    }
-    neighbours: dict[Pair, set[Pair]] = {p: set() for p in pairs}
-    for p, q in itertools.combinations(pairs, 2):
-        if completers[p] & completers[q]:
-            neighbours[p].add(q)
-            neighbours[q].add(p)
     classes: list[frozenset[Pair]] = []
-    unvisited = set(pairs)
+    unvisited = set(completers)
     while unvisited:
         seed = next(iter(unvisited))
         component = {seed}

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -139,11 +140,37 @@ def _gathers(table) -> list:
     return [itemgetter(*row) for row in table]
 
 
+class _Table:
+    """A square table with what the law scans read from it, each computed
+    once on first use, so the laws that share a table share these too."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @cached_property
+    def zero(self) -> int | None:
+        """The absorbing element."""
+        return _absorbing(self.rows)
+
+    @cached_property
+    def nonzero(self) -> list[list[tuple[int, int]]]:
+        """Per row, the entries that are not the absorbing element."""
+        return _nonzero(self.rows, self.zero)
+
+    @cached_property
+    def producers(self) -> dict[int, list[tuple[int, int]]]:
+        return _producers(self.nonzero)
+
+    @cached_property
+    def gathers(self) -> list:
+        return _gathers(self.rows)
+
+
 def _first_difference(left, right) -> int:
     return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
-def _law_failure(elements, rows, inner, sides) -> tuple[str, str, str] | None:
+def _law_failure(elements, rows: _Table, inner: _Table, sides) -> tuple[str, str, str] | None:
     """The first failing triple (a, b, c) of a three-variable law, or None.
 
     The law reads b from rows[a] and then c through inner, whose entry bc
@@ -154,12 +181,11 @@ def _law_failure(elements, rows, inner, sides) -> tuple[str, str, str] | None:
     produce x are visited. Per a, the least (b, c) of the two cases is the
     first triple. Without such a z every pair compares rows.
     """
-    z = _absorbing(rows)
-    sparse = z is not None and (inner is rows or _absorbing(inner) == z)
+    z = rows.zero
+    sparse = z is not None and inner.zero == z
     if sparse:
-        nonzero = _nonzero(rows, z)
-        producers = _producers(nonzero if inner is rows else _nonzero(inner, z))
-    for a, row_a in enumerate(rows):
+        nonzero, producers = rows.nonzero, inner.producers
+    for a, row_a in enumerate(rows.rows):
         found = []
         pairs = enumerate(row_a)
         if sparse:
@@ -179,19 +205,19 @@ def _law_failure(elements, rows, inner, sides) -> tuple[str, str, str] | None:
     return None
 
 
-def _assoc_failure(elements, table) -> tuple[str, str, str] | None:
+def _assoc_failure(elements, table: _Table) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None.
 
     For a pair (a, b), row ab of the table holds (ab)c for every c, and row a
     gathered through row b holds a(bc).
     """
-    gather = _gathers(table)
+    rows, gather = table.rows, table.gathers
     return _law_failure(
-        elements, table, table, lambda a, b, ab: (table[ab], gather[b](table[a]))
+        elements, table, table, lambda a, b, ab: (rows[ab], gather[b](rows[a]))
     )
 
 
-def _distributive_failure(elements, add, rows) -> tuple[str, str, str] | None:
+def _distributive_failure(elements, add: _Table, rows: _Table) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None.
 
     rows[a][x] is a·x for the left law (the mul rows), or x·a for the right
@@ -199,9 +225,12 @@ def _distributive_failure(elements, add, rows) -> tuple[str, str, str] | None:
     triple order. For a pair (a, b), row a gathered through sum row b holds
     a(b+c) for every c, and sum row ab gathered through row a holds ab + ac.
     """
-    add_gather, gather = _gathers(add), _gathers(rows)
+    add_rows, add_gather, mul_rows, gather = add.rows, add.gathers, rows.rows, rows.gathers
     return _law_failure(
-        elements, rows, add, lambda a, b, ab: (add_gather[b](rows[a]), gather[a](add[ab]))
+        elements,
+        rows,
+        add,
+        lambda a, b, ab: (add_gather[b](mul_rows[a]), gather[a](add_rows[ab])),
     )
 
 
@@ -210,12 +239,14 @@ def verify_axioms(s: FiniteSemiring) -> AxiomReport:
 
     Checks associativity of both operations, commutativity and idempotency
     of addition, and two-sided distributivity. The first counterexample per
-    axiom is reported as element labels.
+    axiom is reported as element labels. The laws that read the same table
+    share its absorbing element and non-zero entries, found once per call.
     """
     add, mul, lab = s.add, s.mul, s.elements
+    add_table, mul_table = _Table(add), _Table(mul)
     add_cols = tuple(zip(*add))
     verdicts: list[tuple[str, bool, tuple[str, ...] | None]] = []
-    bad = _assoc_failure(lab, add)
+    bad = _assoc_failure(lab, add_table)
     verdicts.append(("add-associative", bad is None, bad))
     bad = next(
         (
@@ -228,11 +259,11 @@ def verify_axioms(s: FiniteSemiring) -> AxiomReport:
     verdicts.append(("add-commutative", bad is None, bad))
     bad = next(((lab[a],) for a, row in enumerate(add) if row[a] != a), None)
     verdicts.append(("add-idempotent", bad is None, bad))
-    bad = _assoc_failure(lab, mul)
+    bad = _assoc_failure(lab, mul_table)
     verdicts.append(("mul-associative", bad is None, bad))
-    bad = _distributive_failure(lab, add, mul)
+    bad = _distributive_failure(lab, add_table, mul_table)
     verdicts.append(("left-distributive", bad is None, bad))
-    bad = _distributive_failure(lab, add, tuple(zip(*mul)))
+    bad = _distributive_failure(lab, add_table, _Table(tuple(zip(*mul))))
     verdicts.append(("right-distributive", bad is None, bad))
     return AxiomReport(tuple(verdicts))
 
@@ -283,11 +314,11 @@ def _first_repeat(entries) -> tuple[int, int] | None:
     return first[v], second[v]
 
 
-def _cancellation_failure(elements, mul, z) -> tuple[str, str, str] | None:
+def _cancellation_failure(elements, rows) -> tuple[str, str, str] | None:
     """The first (a, b, c), b < c, with a·b = a·c != z, else the first with
-    b·a = c·a != z, as labels, or None."""
-    rows = _nonzero(mul, z)
-    cols: list[list[tuple[int, int]]] = [[] for _ in mul]
+    b·a = c·a != z, as labels, or None; rows holds, per row of the mul
+    table, its entries other than z."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in rows]
     for b, entries in enumerate(rows):
         for a, v in entries:
             cols[a].append((b, v))
@@ -309,7 +340,7 @@ def is_zero_cancellative(s: FiniteSemiring) -> bool | tuple[str, str, str]:
     """
     if s.zero is None:
         raise ValueError("no zero designated")
-    bad = _cancellation_failure(s.elements, s.mul, s.zero)
+    bad = _cancellation_failure(s.elements, _nonzero(s.mul, s.zero))
     return True if bad is None else bad
 
 
@@ -322,14 +353,16 @@ def flat_completion(sg: MulTable) -> FiniteSemiring:
     violation is refused by name.
     """
     n = len(sg.elements)
-    bad = _assoc_failure(sg.elements, sg.mul)
+    mul = _Table(sg.mul)
+    bad = _assoc_failure(sg.elements, mul)
     if bad is not None:
         raise ValueError(f"not associative: counterexample {bad}")
     z = sg.zero
     for x in range(n):
         if sg.mul[z][x] != z or sg.mul[x][z] != z:
             raise ValueError(f"zero is not absorbing: fails at {sg.elements[x]!r}")
-    cancel = _cancellation_failure(sg.elements, sg.mul, z)
+    # z absorbs, so it is the table's one absorbing element.
+    cancel = _cancellation_failure(sg.elements, mul.nonzero)
     if cancel is not None:
         raise ValueError(f"not 0-cancellative: counterexample {cancel}")
     add = tuple(_flat_row(n, z, x) for x in range(n))

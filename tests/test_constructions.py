@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -15,7 +16,7 @@ from flathg.constructions import (
 )
 from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import build_hypergraph, family
-from flathg.semiring import MulTable, flat_completion, verify_axioms
+from flathg.semiring import FiniteSemiring, MulTable, flat_completion, verify_axioms
 from flathg.words import build_sc
 
 
@@ -172,7 +173,7 @@ def _brandt():
 @st.composite
 def closure_inputs(draw):
     base = draw(st.sampled_from([build_sc(["abc"]), build_sc(["abcd"]), _brandt()]))
-    arity = draw(st.integers(1, 4))
+    arity = draw(st.integers(1, 40))
     letters = ("a", "b", "c", "d", "e12", "e21")
     generating = [i for i, lbl in enumerate(base.elements) if lbl in letters]
     coordinate = st.one_of(st.sampled_from(generating), st.integers(0, base.size - 1))
@@ -180,10 +181,9 @@ def closure_inputs(draw):
     return base, gens
 
 
-@settings(max_examples=40, deadline=None)
-@given(closure_inputs(), st.data())
-def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
-    base, gens = inputs
+def assert_closure_matches_reference(base, gens):
+    """The closure's elements, labels, tables and zero against tuple
+    arithmetic; returns the closure and the reference element list."""
     want = _reference_closure(base, gens)
     sub = generated_subsemiring(base, gens)
     assert list(sub.elements) == want
@@ -194,10 +194,18 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
             assert want[s.add[i][j]] == _componentwise(base.add, x, y)
             assert want[s.mul[i][j]] == _componentwise(base.mul, x, y)
     zero = (base.zero,) * len(gens[0])
+    assert s.zero == (want.index(zero) if zero in want else None)
+    return sub, want
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_inputs(), st.data())
+def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
+    base, gens = inputs
+    sub, want = assert_closure_matches_reference(base, gens)
+    zero = (base.zero,) * len(gens[0])
     if zero not in want:
-        assert s.zero is None
         return
-    assert s.zero == want.index(zero)
     zero_coordinate = [x for x in want if base.zero in x]
     drawn = [zero] + data.draw(st.lists(st.sampled_from(want), max_size=4))
     for ideal in (zero_coordinate, drawn):
@@ -209,6 +217,97 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
         else:
             q = quotient_by_ideal(sub, ideal).quotient
             assert (q.elements, q.add, q.mul) == expected
+
+
+@pytest.mark.parametrize(
+    "index, floor",
+    # beam(21) has 134 elements and beam(42) 260: coordinates past 127 and
+    # past 255 take the closure's strings out of ASCII and out of Latin-1.
+    [(21, 128), (42, 256)],
+)
+def test_closure_over_a_large_base_agrees_with_tuple_arithmetic(index, floor):
+    base = build_semiring(family("beam", index)).exported
+    last = family("beam", index).edge_list()[-2:]
+    (u, v, w), (p, q, r) = [[base.index(f"a·{x}") for x in e] for e in last]
+    gens = [(u, v, w), (v, w, u), (w, u, v), (p, q, r), (r, r, p)]
+    _, want = assert_closure_matches_reference(base, gens)
+    assert max(map(max, want)) >= floor
+
+
+class TestClosureCap:
+    GENS = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+
+    def test_a_cap_equal_to_the_closure_size_is_enough(self, sc_abcd):
+        size = len(generated_subsemiring(sc_abcd, self.GENS).elements)
+        assert len(generated_subsemiring(sc_abcd, self.GENS, cap=size).elements) == size
+
+    def test_one_element_less_is_refused(self, sc_abcd):
+        size = len(generated_subsemiring(sc_abcd, self.GENS).elements)
+        message = f"closure exceeded {size - 1} elements; refusing to continue"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generated_subsemiring(sc_abcd, self.GENS, cap=size - 1)
+
+
+def _brute_force_isomorphic(s1, s2):
+    n = s1.size
+    return any(
+        all(
+            p[t1[a][b]] == t2[p[a]][p[b]]
+            for t1, t2 in ((s1.add, s2.add), (s1.mul, s2.mul))
+            for a in range(n)
+            for b in range(n)
+        )
+        for p in itertools.permutations(range(n))
+    )
+
+
+@st.composite
+def flat_table_pairs(draw):
+    """A random flat table (flat addition, absorbing zero, random products)
+    and a random relabelling of it, as drawn, with one entry changed, or
+    with two products swapped, which keeps every element's factorization
+    count."""
+    n = draw(st.integers(2, 7))
+    z = draw(st.integers(0, n - 1))
+    entry = st.one_of(st.just(z), st.integers(0, n - 1))
+    add = [[x if x == y else z for y in range(n)] for x in range(n)]
+    mul = [[z if z in (x, y) else draw(entry) for y in range(n)] for x in range(n)]
+    s1 = FiniteSemiring(
+        tuple(f"x{i}" for i in range(n)), tuple(map(tuple, add)), tuple(map(tuple, mul)), z
+    )
+    p = draw(st.permutations(range(n)))
+    tables = []
+    for t in (add, mul):
+        moved = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                moved[p[a]][p[b]] = p[t[a][b]]
+        tables.append(moved)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "entry", "swap"]))
+    if change == "entry":
+        t = draw(st.sampled_from(tables))
+        a, b = draw(cell)
+        t[a][b] = draw(st.integers(0, n - 1).filter(lambda v: v != t[a][b]))
+    elif change == "swap":
+        t = tables[1]
+        (a, b), (c, d) = draw(st.lists(cell, min_size=2, max_size=2, unique=True))
+        t[a][b], t[c][d] = t[c][d], t[a][b]
+    add2, mul2 = (tuple(map(tuple, t)) for t in tables)
+    return s1, FiniteSemiring(tuple(f"y{i}" for i in range(n)), add2, mul2, p[z])
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_table_pairs())
+def test_isomorphism_search_agrees_with_brute_force(pair):
+    s1, s2 = pair
+    iso = find_semiring_isomorphism(s1, s2)
+    assert (iso is not None) == _brute_force_isomorphic(s1, s2)
+    if iso is not None:
+        m = [s2.index(iso[label]) for label in s1.elements]
+        assert sorted(m) == list(range(s1.size))
+        for t1, t2 in ((s1.add, s2.add), (s1.mul, s2.mul)):
+            assert all(m[t1[a][b]] == t2[m[a]][m[b]] for a in range(s1.size) for b in range(s1.size))
 
 
 class TestIsomorphism:
@@ -256,6 +355,12 @@ class TestWitnesses:
         assert [s.name for s in rep.stages] == [
             "closure", "ideal", "quotient", "flatness", "isomorphism",
         ]
+
+    def test_strongcolor_equivalence_on_the_six_cycle(self):
+        rep = verify_witness("strongcolor_equiv", hypergraph=family("n_cycle", 6))
+        assert rep.ok
+        sizes = (rep.power_arity, rep.closure_size, rep.ideal_size, rep.quotient_size)
+        assert sizes == (66, 655, 630, 26)
 
     def test_strongcolor_equivalence(self):
         rep = verify_witness("strongcolor_equiv", hypergraph=family("n_cycle", 4))
