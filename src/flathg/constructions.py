@@ -251,7 +251,8 @@ def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[st
 
     Elements are first profiled (additive orbit length, annihilation counts,
     factorization counts); only profile-equal images are tried, in element
-    order, so the result is deterministic. Absence of an isomorphism is a
+    order, so the result is deterministic. A complete map is checked on
+    both tables before it is returned. Absence of an isomorphism is a
     normal answer, not an error.
     """
     if s1.size != s2.size:
@@ -264,13 +265,14 @@ def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[st
     candidates = [[y for y in range(n) if sig2[y] == sig1[x]] for x in range(n)]
     mapping = [-1] * n
     used = [False] * n
+    tables = ((s1.add, s2.add), (s1.mul, s2.mul))
 
     def consistent(x: int) -> bool:
         for a in range(n):
             if mapping[a] < 0:
                 continue
             for ta, tb in ((a, x), (x, a)):
-                for table1, table2 in ((s1.add, s2.add), (s1.mul, s2.mul)):
+                for table1, table2 in tables:
                     r1 = table1[ta][tb]
                     r2 = table2[mapping[ta]][mapping[tb]]
                     if mapping[r1] >= 0:
@@ -280,9 +282,19 @@ def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[st
                         return False
         return True
 
+    def preserves_tables() -> bool:
+        return all(
+            list(map(mapping.__getitem__, table1[a]))
+            == list(map(table2[mapping[a]].__getitem__, mapping))
+            for table1, table2 in tables
+            for a in range(n)
+        )
+
     def assign(x: int) -> bool:
         if x == n:
-            return True
+            # consistent() compares a product only once its result is
+            # mapped; one whose result is mapped later is compared here.
+            return preserves_tables()
         for y in candidates[x]:
             if used[y]:
                 continue
