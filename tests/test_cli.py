@@ -4,7 +4,8 @@ import json
 import pytest
 
 from flathg.cli import main
-from flathg.hypergraph import parse_hypergraph
+from flathg.constructions import format_witness_report, verify_witness
+from flathg.hypergraph import family, format_hypergraph, parse_hypergraph
 
 BOOL_LATTICE = json.dumps(
     {
@@ -219,6 +220,13 @@ class TestWitness:
         assert code == 0
         assert "ok: yes" in out.splitlines()
 
+    def test_text_output_and_export_are_the_formatted_report(self, capsys, tmp_path):
+        target = tmp_path / "report.txt"
+        code, out, _ = run(capsys, ["witness", "triangle_in_abcd", "--export", str(target)])
+        assert code == 0
+        assert out == format_witness_report(verify_witness("triangle_in_abcd"))
+        assert target.read_bytes() == out.encode()
+
     def test_unknown_kind(self, capsys):
         code, _, err = run(capsys, ["witness", "bogus"])
         assert code == 2
@@ -262,6 +270,8 @@ class TestFamily:
         )
         assert code == 0
         assert json.loads(target.read_text()) == json.loads(out)
+        assert out == format_hypergraph(family("n_cycle", 4))
+        assert target.read_bytes() == out.encode()
 
 
 class TestSuite:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -16,8 +17,15 @@ from flathg.constructions import (
 )
 from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import build_hypergraph, family
-from flathg.semiring import FiniteSemiring, MulTable, flat_completion, verify_axioms
-from flathg.words import build_sc
+from flathg.semiring import (
+    FiniteSemiring,
+    MulTable,
+    flat_completion,
+    multiplicative_zero,
+    verify_axioms,
+)
+from flathg.suite import random_hyperforest, sample_nonuniform, sample_pendant
+from flathg.words import build_sc, builtin_s7
 
 
 class TestClosure:
@@ -102,8 +110,10 @@ def _componentwise(table, x, y):
 def _reference_closure(base, gens):
     """The worklist fixpoint over tuples, with no tables."""
     elements = []
+    seen = set()
     for x in gens:
-        if x not in elements:
+        if x not in seen:
+            seen.add(x)
             elements.append(x)
     cursor = 0
     while cursor < len(elements):
@@ -115,7 +125,8 @@ def _reference_closure(base, gens):
                 _componentwise(base.mul, y, x),
                 _componentwise(base.mul, x, y),
             ):
-                if z not in elements:
+                if z not in seen:
+                    seen.add(z)
                     elements.append(z)
         cursor += 1
     return elements
@@ -131,6 +142,7 @@ def _reference_quotient(base, elements, ideal):
     """Collapse the ideal by tuple arithmetic: (labels, add, mul) or the
     congruence violation message."""
     j_set = set(ideal)
+    position = {x: i for i, x in enumerate(elements)}
     for name, table in (("add", base.add), ("mul", base.mul)):
         for x in elements:
             for flip in (False, True):
@@ -139,7 +151,7 @@ def _reference_quotient(base, elements, ideal):
                     r = _componentwise(table, j, x) if flip else _componentwise(table, x, j)
                     results.setdefault(r, j)
                 if len(results) > 1 and any(r not in j_set for r in results):
-                    r1, r2 = sorted(results, key=elements.index)[:2]
+                    r1, r2 = sorted(results, key=position.__getitem__)[:2]
                     return (
                         "ideal does not induce a congruence: "
                         f"{name}({_label(base, x)}, .) sends {_label(base, results[r1])} "
@@ -197,8 +209,8 @@ def assert_closure_matches_reference(base, gens):
         for j, y in enumerate(want):
             assert want[s.add[i][j]] == _componentwise(base.add, x, y)
             assert want[s.mul[i][j]] == _componentwise(base.mul, x, y)
-    zero = (base.zero,) * len(gens[0])
-    assert s.zero == (want.index(zero) if zero in want else None)
+    position = {x: i for i, x in enumerate(want)}
+    assert s.zero == position.get((base.zero,) * len(gens[0]))
     return sub, want
 
 
@@ -419,6 +431,17 @@ class TestWitnesses:
         rep = verify_witness("leaf_removal", hypergraph=h, leaf_case="disjoint")
         assert rep.ok
 
+    def test_removing_the_only_2_vertex_edge_is_refused(self):
+        h = build_hypergraph(["u1", "u2"], [("u1", "u2")])
+        message = "^removing the 2-vertex edge leaves an empty hypergraph$"
+        with pytest.raises(ValueError, match=message):
+            verify_witness("uniform_reduction", hypergraph=h)
+
+    def test_removing_the_only_leaf_is_refused(self):
+        h = build_hypergraph(["u1", "u2", "u3"], [("u1", "u2", "u3")])
+        with pytest.raises(ValueError, match="^removing the leaf leaves an empty hypergraph$"):
+            verify_witness("leaf_removal", hypergraph=h, leaf_case="disjoint")
+
     def test_leaf_removal_requires_arguments(self):
         with pytest.raises(ValueError, match="requires a hypergraph and a leaf_case"):
             verify_witness("leaf_removal")
@@ -499,3 +522,93 @@ class TestSubwordEmbedding:
 
     def test_too_small_target_has_none(self, sc_abc):
         assert find_subword_embedding(sc_abc) is None
+
+
+def _reference_subword_embedding(target):
+    """The generator triple loop with per-label table lookups: the reference
+    for find_subword_embedding, down to the first embedding found and the
+    key order of the returned dict."""
+    sc = build_sc(["abc"])
+    z_t = target.zero if target.zero is not None else multiplicative_zero(target)
+    gen_indices = [i for i, lbl in enumerate(target.elements) if lbl.startswith("a·")]
+    for i in gen_indices:
+        for j in gen_indices:
+            if j == i:
+                continue
+            for k in gen_indices:
+                if k in (i, j):
+                    continue
+                if target.mul[target.mul[i][j]][k] == z_t:
+                    continue
+                images = {
+                    "a": i,
+                    "b": j,
+                    "c": k,
+                    "ab": target.mul[i][j],
+                    "ac": target.mul[i][k],
+                    "bc": target.mul[j][k],
+                    "abc": target.mul[target.mul[i][j]][k],
+                    "0": z_t,
+                }
+                if len(set(images.values())) != len(images):
+                    continue
+                good = True
+                for x_lbl, x_img in images.items():
+                    for y_lbl, y_img in images.items():
+                        sx, sy = sc.index(x_lbl), sc.index(y_lbl)
+                        if images[sc.elements[sc.mul[sx][sy]]] != target.mul[x_img][y_img]:
+                            good = False
+                            break
+                        if images[sc.elements[sc.add[sx][sy]]] != target.add[x_img][y_img]:
+                            good = False
+                            break
+                    if not good:
+                        break
+                if good:
+                    return {lbl: target.elements[img] for lbl, img in images.items()}
+    return None
+
+
+EMBEDDING_HYPERGRAPHS = {
+    **{f"{kind}({i})": family(kind, i) for kind in ("beam", "fan", "nested") for i in range(1, 5)},
+    **{f"n_cycle({n})": family("n_cycle", n) for n in range(3, 11)},
+    "nonuniform-sample": sample_nonuniform(),
+    "pendant-sample": sample_pendant(),
+    **{f"hyperforest-{seed}": random_hyperforest(random.Random(seed)) for seed in range(30)},
+}
+
+def _without_a_zero():
+    """The abc subword tables with the letters named as vertex generators
+    and 0·0 = a, so that no element is a multiplicative zero but the seven
+    words stay distinct products."""
+    sc = build_sc(["abc"])
+    names = {"a": "a·u1", "b": "a·u2", "c": "a·u3"}
+    mul = [list(row) for row in sc.mul]
+    mul[sc.zero][sc.zero] = sc.index("a")
+    return FiniteSemiring(
+        tuple(names.get(w, w) for w in sc.elements), sc.add, tuple(map(tuple, mul))
+    )
+
+
+# Semirings that host no embedding: the word semirings have no vertex
+# generators, and the last one has no zero.
+NO_EMBEDDING = {
+    "sc_abc": lambda: build_sc(["abc"]),
+    "sc_abcd": lambda: build_sc(["abcd"]),
+    "s7": builtin_s7,
+    "no-zero": _without_a_zero,
+}
+
+
+@pytest.mark.parametrize("name", [*EMBEDDING_HYPERGRAPHS, *NO_EMBEDDING])
+def test_subword_embedding_agrees_with_the_triple_loop(name):
+    if name in NO_EMBEDDING:
+        target = NO_EMBEDDING[name]()
+    else:
+        target = build_semiring(EMBEDDING_HYPERGRAPHS[name]).exported
+    got = find_subword_embedding(target)
+    want = _reference_subword_embedding(target)
+    assert got == want
+    assert (want is None) == (name in NO_EMBEDDING)
+    if want is not None:
+        assert list(got) == list(want) == ["a", "b", "c", "ab", "ac", "bc", "abc", "0"]
