@@ -64,15 +64,11 @@ class Reporter:
         self.artifact: str | None = None
 
     def record(self, fields: dict, text: str) -> None:
-        line = json.dumps(fields) if self.structured else text
+        """Print one record: the fields as JSON, or the text, which may end
+        in a newline of its own."""
+        line = json.dumps(fields) if self.structured else text.removesuffix("\n")
         print(line)
         self.printed.append(line + "\n")
-
-    def document(self, text: str) -> None:
-        """A preformatted block that is its own output in both formats."""
-        end = "" if text.endswith("\n") else "\n"
-        print(text, end=end)
-        self.printed.append(text + end)
 
 
 def _positive(text: str) -> int:
@@ -450,31 +446,23 @@ def _cmd_witness(args, out: Reporter) -> int:
         report = verify_witness(kind, **kwargs)
     except ValueError as exc:
         raise CliInputError(str(exc))
-    rendered = format_witness_report(report)
-    if out.structured:
-        fields = {
-            "command": "witness",
-            "kind": report.kind,
-            "claim": report.claim,
-            "ok": report.ok,
-            "power_arity": report.power_arity,
-            "closure_size": report.closure_size,
-            "ideal_size": report.ideal_size,
-            "quotient_size": report.quotient_size,
-            "generators": list(report.generators),
-            "stages": [
-                {"name": st.name, "ok": st.ok, "detail": st.detail} for st in report.stages
-            ],
-            "failure_stage": report.failure_stage,
-            "isomorphism": None
-            if report.isomorphism is None
-            else {src: dst for src, dst in report.isomorphism},
-            "notes": list(report.notes),
-        }
-        out.record(fields, rendered)
-    else:
-        out.document(rendered)
-    out.artifact = rendered
+    fields = {
+        "command": "witness",
+        "kind": report.kind,
+        "claim": report.claim,
+        "ok": report.ok,
+        "power_arity": report.power_arity,
+        "closure_size": report.closure_size,
+        "ideal_size": report.ideal_size,
+        "quotient_size": report.quotient_size,
+        "generators": list(report.generators),
+        "stages": [{"name": st.name, "ok": st.ok, "detail": st.detail} for st in report.stages],
+        "failure_stage": report.failure_stage,
+        "isomorphism": None if report.isomorphism is None else dict(report.isomorphism),
+        "notes": list(report.notes),
+    }
+    out.artifact = format_witness_report(report)
+    out.record(fields, out.artifact)
     return 0 if report.ok else 1
 
 
@@ -483,21 +471,15 @@ def _cmd_family(args, out: Reporter) -> int:
         h = family(args.kind, args.index)
     except ValueError as exc:
         raise CliInputError(str(exc))
-    rendered = format_hypergraph(h)
-    if out.structured:
-        out.record(
-            {
-                "command": "family",
-                "kind": args.kind,
-                "index": args.index,
-                "vertices": list(h.vertices),
-                "edges": [list(e) for e in h.edge_list()],
-            },
-            rendered,
-        )
-    else:
-        out.document(rendered)
-    out.artifact = rendered
+    fields = {
+        "command": "family",
+        "kind": args.kind,
+        "index": args.index,
+        "vertices": list(h.vertices),
+        "edges": [list(e) for e in h.edge_list()],
+    }
+    out.artifact = format_hypergraph(h)
+    out.record(fields, out.artifact)
     return 0
 
 

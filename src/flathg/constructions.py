@@ -10,12 +10,14 @@ report rather than an exception, so the report always tells the full story.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain, permutations
 
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
-from .hypergraph import Hypergraph, family, leaf_edges, validate
+from .hypergraph import Hypergraph, family, leaf_edges, sub_hypergraph, validate
 from .semiring import FiniteSemiring, is_flat, multiplicative_zero
 from .terms import check_identity_flat, nested_identity
 from .words import build_sc
@@ -213,16 +215,11 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
 
 
 def _element_signatures(s: FiniteSemiring) -> list[tuple]:
-    n = s.size
     z = multiplicative_zero(s)
-    add_fact = [0] * n
-    mul_fact = [0] * n
-    for a in range(n):
-        for b in range(n):
-            add_fact[s.add[a][b]] += 1
-            mul_fact[s.mul[a][b]] += 1
+    add_fact = Counter(chain.from_iterable(s.add))
+    mul_fact = Counter(chain.from_iterable(s.mul))
     out = []
-    for x in range(n):
+    for x, (mul_row, mul_col) in enumerate(zip(s.mul, zip(*s.mul))):
         seen: list[int] = []
         y = x
         while y not in seen:
@@ -230,20 +227,30 @@ def _element_signatures(s: FiniteSemiring) -> list[tuple]:
             y = s.add[y][x]
         ann = 0
         if z is not None:
-            ann = sum(1 for w in range(n) if s.mul[x][w] == z and s.mul[w][x] == z)
+            ann = list(zip(mul_row, mul_col)).count((z, z))
         out.append(
             (
                 len(seen),
                 ann,
                 mul_fact[x],
                 add_fact[x],
-                z is not None and s.mul[x][x] == z,
-                s.mul[x][x] == x,
+                z is not None and mul_row[x] == z,
+                mul_row[x] == x,
                 s.add[x][x] == x,
                 x == z,
             )
         )
     return out
+
+
+def _preserves(s1: FiniteSemiring, s2: FiniteSemiring, image) -> bool:
+    """True when image, a list sending each s1 index to an s2 index, carries
+    both tables of s1 into those of s2."""
+    return all(
+        list(map(image.__getitem__, table1[a])) == list(map(table2[image[a]].__getitem__, image))
+        for table1, table2 in ((s1.add, s2.add), (s1.mul, s2.mul))
+        for a in range(s1.size)
+    )
 
 
 def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[str, str] | None:
@@ -282,19 +289,11 @@ def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[st
                         return False
         return True
 
-    def preserves_tables() -> bool:
-        return all(
-            list(map(mapping.__getitem__, table1[a]))
-            == list(map(table2[mapping[a]].__getitem__, mapping))
-            for table1, table2 in tables
-            for a in range(n)
-        )
-
     def assign(x: int) -> bool:
         if x == n:
             # consistent() compares a product only once its result is
             # mapped; one whose result is mapped later is compared here.
-            return preserves_tables()
+            return _preserves(s1, s2, mapping)
         for y in candidates[x]:
             if used[y]:
                 continue
@@ -449,11 +448,10 @@ def _triangle_in_abcd(**_) -> _QuotientPlan:
 
 def _delete_edge(h: Hypergraph, edge: frozenset[str], what: str) -> Hypergraph:
     """h without one edge and without the vertices only that edge covers."""
-    remaining = frozenset(e for e in h.edges if e != edge)
+    remaining = h.edges - {edge}
     if not remaining:
         raise ValueError(f"removing the {what} leaves an empty hypergraph")
-    covered = set().union(*remaining)
-    return Hypergraph(tuple(v for v in h.vertices if v in covered), remaining)
+    return sub_hypergraph(h, remaining)
 
 
 def _uniform_reduction(hypergraph: Hypergraph, **_) -> _QuotientPlan:
@@ -671,51 +669,30 @@ def verify_witness(
 def find_subword_embedding(target: FiniteSemiring) -> dict[str, str] | None:
     """Embed the 8-element abc subword semiring into a hypergraph semiring.
 
-    Tries each generator triple whose pairwise and triple products are all
-    non-zero (that is, each hyperedge), mapping letters to the edge's
-    vertex generators, and verifies the induced map preserves both tables
-    injectively. Returns the first verified embedding.
+    Tries each ordered triple of vertex generators as the letters a, b, c,
+    the words as their products and 0 as the target's zero, and returns the
+    first such map that is injective and preserves both tables, keyed by
+    word. A triple that is no hyperedge sends abc to the zero, so
+    injectivity rules it out. A target without a zero has no embedding.
     """
     sc = build_sc(["abc"])
-    z_t = _zero_of(target)
-    gen_indices = [
-        i
-        for i, lbl in enumerate(target.elements)
-        if lbl.startswith("a·")
-    ]
-    for i in gen_indices:
-        for j in gen_indices:
-            if j == i:
-                continue
-            for k in gen_indices:
-                if k in (i, j):
-                    continue
-                if target.mul[target.mul[i][j]][k] == z_t:
-                    continue
-                images = {
-                    "a": i,
-                    "b": j,
-                    "c": k,
-                    "ab": target.mul[i][j],
-                    "ac": target.mul[i][k],
-                    "bc": target.mul[j][k],
-                    "abc": target.mul[target.mul[i][j]][k],
-                    "0": z_t,
-                }
-                if len(set(images.values())) != len(images):
-                    continue
-                good = True
-                for x_lbl, x_img in images.items():
-                    for y_lbl, y_img in images.items():
-                        sx, sy = sc.index(x_lbl), sc.index(y_lbl)
-                        if images[sc.elements[sc.mul[sx][sy]]] != target.mul[x_img][y_img]:
-                            good = False
-                            break
-                        if images[sc.elements[sc.add[sx][sy]]] != target.add[x_img][y_img]:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if good:
-                    return {lbl: target.elements[img] for lbl, img in images.items()}
+    zero = _zero_of(target)
+    if zero is None:
+        return None
+    mul = target.mul
+    gens = [i for i, lbl in enumerate(target.elements) if lbl.startswith("a·")]
+    for i, j, k in permutations(gens, 3):
+        words = {
+            "a": i,
+            "b": j,
+            "c": k,
+            "ab": mul[i][j],
+            "ac": mul[i][k],
+            "bc": mul[j][k],
+            "abc": mul[mul[i][j]][k],
+            "0": zero,
+        }
+        image = [words[w] for w in sc.elements]
+        if len(set(image)) == len(image) and _preserves(sc, target, image):
+            return {w: target.elements[x] for w, x in words.items()}
     return None

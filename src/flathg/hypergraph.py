@@ -202,14 +202,20 @@ def linked_classes(h: Hypergraph) -> dict[Pair, frozenset[Pair]]:
     return dict(sorted(keyed.items(), key=lambda item: tuple(sorted(item[0]))))
 
 
+def sub_hypergraph(h: Hypergraph, edges) -> Hypergraph:
+    """The partial subhypergraph of h on the given edges: those edges and
+    the vertices they cover, in h's vertex order."""
+    edges = frozenset(edges)
+    covered = set().union(*edges)
+    return Hypergraph(tuple(v for v in h.vertices if v in covered), edges)
+
+
 def uniform_core(h: Hypergraph) -> Hypergraph:
     """Induced subhypergraph on the vertices covered by 3-vertex edges."""
     triple_cover = set().union(*(e for e in h.edges if len(e) == 3), frozenset())
     if not triple_cover:
         raise ValueError("no 3-uniform core: hypergraph has only 2-vertex edges")
-    kept = frozenset(e for e in h.edges if e <= triple_cover)
-    vertices = tuple(v for v in h.vertices if v in triple_cover)
-    return Hypergraph(vertices, kept)
+    return sub_hypergraph(h, (e for e in h.edges if e <= triple_cover))
 
 
 def leaf_edges(edges: frozenset[Edge]) -> list[tuple[Edge, frozenset[str]]]:
@@ -245,8 +251,7 @@ def leaf_core(h: Hypergraph) -> Hypergraph:
         if not dropped:
             break
         edges = edges - dropped
-    covered = set().union(*edges)
-    return Hypergraph(tuple(v for v in h.vertices if v in covered), edges)
+    return sub_hypergraph(h, edges)
 
 
 def _beam_edges(index: int) -> list[tuple[str, ...]]:
