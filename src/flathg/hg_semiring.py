@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypergraph import Hypergraph, Pair, linked_classes, validate
-from .semiring import FiniteSemiring, MulTable, flat_completion
+from .semiring import FiniteSemiring, flat_completion
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,16 @@ def normal_form_product(h: Hypergraph, x: HgElement, y: HgElement) -> HgElement:
     return _product(nf, x, y)
 
 
-def _carrier(h: Hypergraph) -> tuple[tuple[HgElement, ...], MulTable]:
+def build_semiring(h: Hypergraph) -> HypergraphSemiring:
+    """Flat completion of the hypergraph's multiplication table.
+
+    Elements are ordered zero first, then generators in vertex order, then
+    pair classes by representative, then top. The completion re-verifies
+    associativity, absorption and 0-cancellation, so a wrong pair-class
+    partition cannot silently produce a non-semiring. A hypergraph
+    consisting only of 2-vertex edges is accepted, but then no product of
+    three generators reaches the top; the result flags that degenerate shape.
+    """
     _require_valid(h)
     nf = _NormalForms(h)
     elements: list[HgElement] = [ZERO]
@@ -143,35 +152,11 @@ def _carrier(h: Hypergraph) -> tuple[tuple[HgElement, ...], MulTable]:
                 pair = index[HgElement("pair", pair=nf.rep_of[edge - {u}])]
                 mul[pair][gen_u] = mul[gen_u][pair] = top
     labels = tuple(e.label for e in elements)
-    return tuple(elements), MulTable(labels, tuple(tuple(row) for row in mul), zero=0)
-
-
-def build_semigroup(h: Hypergraph) -> MulTable:
-    """Multiplication table of the hypergraph semiring's carrier.
-
-    Elements are ordered zero first, then generators in vertex order, then
-    pair classes by representative, then top. Only the products inside an
-    edge are filled from the normal forms; every other entry is the zero,
-    and callers downstream re-check associativity exhaustively.
-    """
-    return _carrier(h)[1]
-
-
-def build_semiring(h: Hypergraph) -> HypergraphSemiring:
-    """Flat completion of the hypergraph semigroup.
-
-    The completion re-verifies associativity, absorption and 0-cancellation,
-    so a wrong pair-class partition cannot silently produce a non-semiring.
-    A hypergraph consisting only of 2-vertex edges is accepted, but then no
-    product of three generators reaches the top; the result flags that
-    degenerate shape.
-    """
-    elements, table = _carrier(h)
-    exported = flat_completion(table)
+    exported = flat_completion(labels, tuple(map(tuple, mul)), 0)
     degenerate = all(len(e) != 3 for e in h.edges)
     return HypergraphSemiring(
         source=h,
-        elements=elements,
+        elements=tuple(elements),
         exported=exported,
         degenerate_no_top_triple=degenerate,
     )

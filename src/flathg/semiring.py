@@ -2,10 +2,10 @@
 
 The FiniteSemiring value is the exchange format every other module builds or
 consumes: an ordered tuple of element labels plus index-valued addition and
-multiplication tables. The constructors check every table entry, a whole row
-at a time. Law checks are exhaustive: a law is decided on every triple of
-elements, and a failure is reported with its first counterexample in
-lexicographic order (a, b, c).
+multiplication tables. Its constructor is the one table-entry check, a whole
+row at a time; the builders and the parser all go through it. Law checks
+are exhaustive: a law is decided on every triple of elements, and a failure
+is reported with its first counterexample in lexicographic order (a, b, c).
 
 The semirings of this library are flat: the zero absorbs under · and is the
 top for +, so almost every product is the zero. The three-variable scans use
@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
 
 
@@ -51,8 +50,8 @@ class FiniteSemiring:
     def __post_init__(self):
         _check_shape(self.elements, self.add, "add")
         _check_shape(self.elements, self.mul, "mul")
-        if self.zero is not None and not 0 <= self.zero < len(self.elements):
-            raise ValueError(f"zero index {self.zero} out of range")
+        if self.zero is not None:
+            _check_zero(self.zero, len(self.elements))
 
     @property
     def size(self) -> int:
@@ -66,20 +65,6 @@ class FiniteSemiring:
 
     def mul_label(self, a: str, b: str) -> str:
         return self.elements[self.mul[self.index(a)][self.index(b)]]
-
-
-@dataclass(frozen=True)
-class MulTable:
-    """A finite multiplication table with a designated zero, no addition yet."""
-
-    elements: tuple[str, ...]
-    mul: tuple[tuple[int, ...], ...]
-    zero: int
-
-    def __post_init__(self):
-        _check_shape(self.elements, self.mul, "mul")
-        if not 0 <= self.zero < len(self.elements):
-            raise ValueError(f"zero index {self.zero} out of range")
 
 
 @dataclass(frozen=True)
@@ -97,15 +82,21 @@ class AxiomReport:
 
 
 def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
+    """n rows of n element indices; an index is an int, and a bool is not one."""
     n = len(elements)
     if len(table) != n or any(len(row) != n for row in table):
         raise ValueError(f"ragged {name} table: expected {n}x{n}")
     for row in table:
-        if all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n:
+        if not set(map(type, row)) - {int} and 0 <= min(row) and max(row) < n:
             continue
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"{name} table entry {v!r} is not an element index")
+
+
+def _check_zero(zero, n: int) -> None:
+    if type(zero) is not int or not 0 <= zero < n:
+        raise ValueError(f"zero index {zero!r} out of range")
 
 
 def _absorbing(table) -> int | None:
@@ -344,29 +335,29 @@ def is_zero_cancellative(s: FiniteSemiring) -> bool | tuple[str, str, str]:
     return True if bad is None else bad
 
 
-def flat_completion(sg: MulTable) -> FiniteSemiring:
-    """Extend a semigroup-with-zero to a flat semiring.
+def flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring:
+    """Extend a multiplication table with a zero to a flat semiring.
 
     The addition is forced: x + x = x and x + y = 0 for x != y. This yields
-    a genuine semiring exactly when the input is associative, zero-absorbing
-    and 0-cancellative, so those three laws are checked up front and a
-    violation is refused by name.
+    a genuine semiring exactly when the table is associative, zero-absorbing
+    and 0-cancellative. The semiring's constructor checks both tables, then
+    those three laws are checked and a violation is refused by name.
     """
-    n = len(sg.elements)
-    mul = _Table(sg.mul)
-    bad = _assoc_failure(sg.elements, mul)
+    n = len(elements)
+    _check_zero(zero, n)
+    s = FiniteSemiring(elements, tuple(_flat_row(n, zero, x) for x in range(n)), mul, zero)
+    table = _Table(mul)
+    bad = _assoc_failure(elements, table)
     if bad is not None:
         raise ValueError(f"not associative: counterexample {bad}")
-    z = sg.zero
     for x in range(n):
-        if sg.mul[z][x] != z or sg.mul[x][z] != z:
-            raise ValueError(f"zero is not absorbing: fails at {sg.elements[x]!r}")
-    # z absorbs, so it is the table's one absorbing element.
-    cancel = _cancellation_failure(sg.elements, mul.nonzero)
+        if mul[zero][x] != zero or mul[x][zero] != zero:
+            raise ValueError(f"zero is not absorbing: fails at {elements[x]!r}")
+    # zero absorbs, so it is the table's one absorbing element.
+    cancel = _cancellation_failure(elements, table.nonzero)
     if cancel is not None:
         raise ValueError(f"not 0-cancellative: counterexample {cancel}")
-    add = tuple(_flat_row(n, z, x) for x in range(n))
-    return FiniteSemiring(sg.elements, add, sg.mul, z)
+    return s
 
 
 @dataclass(frozen=True)
@@ -444,22 +435,16 @@ def parse_semiring(text: str) -> FiniteSemiring:
         if raw and all(isinstance(v, int) for v in raw):
             if len(raw) != n * n:
                 raise SemiringParseError(f"'{field}' flat table must have {n * n} entries")
-            rows = [raw[i * n : (i + 1) * n] for i in range(n)]
-        else:
-            rows = raw
-        if len(rows) != n:
-            raise SemiringParseError(f"'{field}' must have {n} rows")
-        out = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != n:
-                raise SemiringParseError(f"'{field}' rows must each have {n} entries")
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise SemiringParseError(f"'{field}' entry {v!r} is not an element index")
-            out.append(tuple(row))
-        return tuple(out)
+            raw = [raw[i * n : (i + 1) * n] for i in range(n)]
+        if not all(isinstance(row, list) for row in raw):
+            raise SemiringParseError(f"'{field}' rows must be lists")
+        return tuple(map(tuple, raw))
 
     zero = data.get("zero")
-    if zero is not None and (not isinstance(zero, int) or not 0 <= zero < n):
+    if zero is not None and type(zero) is not int:
         raise SemiringParseError(f"zero index {zero!r} out of range")
-    return FiniteSemiring(tuple(elements), table("add"), table("mul"), zero)
+    add, mul = table("add"), table("mul")
+    try:
+        return FiniteSemiring(tuple(elements), add, mul, zero)
+    except ValueError as exc:
+        raise SemiringParseError(str(exc)) from exc

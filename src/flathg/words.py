@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .semiring import FiniteSemiring, MulTable, flat_completion
+from .semiring import FiniteSemiring, flat_completion
 
 
 def _submultisets(word: Counter[str]) -> list[tuple[str, ...]]:
@@ -56,8 +56,7 @@ def build_sc(words) -> FiniteSemiring:
         for m2, j in index.items():
             union = tuple(sorted(m1 + m2))
             mul[i][j] = index.get(union, 0)
-    table = MulTable(labels, tuple(tuple(row) for row in mul), zero=0)
-    return flat_completion(table)
+    return flat_completion(labels, tuple(map(tuple, mul)), 0)
 
 
 def builtin_s7() -> FiniteSemiring:

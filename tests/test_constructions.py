@@ -19,7 +19,6 @@ from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import build_hypergraph, family
 from flathg.semiring import (
     FiniteSemiring,
-    MulTable,
     flat_completion,
     multiplicative_zero,
     verify_axioms,
@@ -179,7 +178,7 @@ def _brandt():
         [0] + [units.index((i, l)) + 1 if j == k else 0 for k, l in units] for i, j in units
     ]
     labels = ("0",) + tuple(f"e{i}{j}" for i, j in units)
-    return flat_completion(MulTable(labels, tuple(map(tuple, mul)), 0))
+    return flat_completion(labels, tuple(map(tuple, mul)), 0)
 
 
 @st.composite

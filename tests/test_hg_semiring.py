@@ -5,7 +5,6 @@ from flathg.hg_semiring import (
     TOP,
     ZERO,
     HgElement,
-    build_semigroup,
     build_semiring,
     normal_form_product,
 )
@@ -139,12 +138,13 @@ class TestBuildSemiring:
         else:
             kind, i = name.split(":")
             h = family(kind, int(i))
-        elements = build_semiring(h).elements
-        index = {e: i for i, e in enumerate(elements)}
+        built = build_semiring(h)
+        index = {e: i for i, e in enumerate(built.elements)}
         want = tuple(
-            tuple(index[normal_form_product(h, x, y)] for y in elements) for x in elements
+            tuple(index[normal_form_product(h, x, y)] for y in built.elements)
+            for x in built.elements
         )
-        assert build_semigroup(h).mul == want
+        assert built.exported.mul == want
 
     def test_beam_100_builds_and_certifies(self):
         """A 608-element carrier: the table scans read only its non-zero products."""
@@ -152,13 +152,6 @@ class TestBuildSemiring:
         assert s.size == 608
         assert verify_axioms(s).all_pass
         assert subdirect_irreducibility_certificate(s).granted
-
-    def test_semigroup_matches_semiring_mul(self):
-        h = family("nested", 1)
-        sg = build_semigroup(h)
-        s = build_semiring(h).exported
-        assert sg.mul == s.mul
-        assert sg.elements == s.elements
 
     def test_relabelling_gives_isomorphic_semiring(self):
         h = family("nested", 2)

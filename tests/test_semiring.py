@@ -9,7 +9,6 @@ from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import family
 from flathg.semiring import (
     FiniteSemiring,
-    MulTable,
     SemiringParseError,
     flat_completion,
     format_semiring,
@@ -65,12 +64,24 @@ class TestAxioms:
 
     @pytest.mark.parametrize(
         "row, bad",
-        [((0, 2), "2"), ((0, -1), "-1"), ((1.0, 0), "1.0"), (("0", 5), "'0'"), ((5, "x"), "5")],
+        [
+            ((0, 2), "2"),
+            ((0, -1), "-1"),
+            ((1.0, 0), "1.0"),
+            (("0", 5), "'0'"),
+            ((5, "x"), "5"),
+            ((True, 0), "True"),
+        ],
     )
     def test_first_bad_entry_named(self, row, bad):
         """A row that fails the whole-row check is walked for its first bad entry."""
         with pytest.raises(ValueError, match=rf"^mul table entry {re.escape(bad)} is not an element index$"):
             FiniteSemiring(("a", "b"), ((0, 1), (1, 1)), ((0, 1), row), zero=None)
+
+    @pytest.mark.parametrize("zero", (2, -1, True, "0"))
+    def test_zero_must_be_an_int_index(self, zero):
+        with pytest.raises(ValueError, match=rf"^zero index {re.escape(repr(zero))} out of range$"):
+            FiniteSemiring(("a", "b"), ((0, 1), (1, 1)), ((0, 1), (1, 1)), zero=zero)
 
 
 class TestFlatness:
@@ -146,14 +157,13 @@ class TestCancellation:
 
 class TestFlatCompletion:
     def test_completion_reproduces_flat_addition(self, sc_abc):
-        table = MulTable(sc_abc.elements, sc_abc.mul, sc_abc.index("0"))
-        again = flat_completion(table)
+        again = flat_completion(sc_abc.elements, sc_abc.mul, sc_abc.index("0"))
         assert again.add == sc_abc.add
 
     def test_rejects_non_associative(self):
         mul = ((0, 0, 0), (0, 2, 0), (0, 1, 0))
         with pytest.raises(ValueError, match=r"^not associative: counterexample \('x', 'x', 'x'\)$"):
-            flat_completion(MulTable(("z", "x", "y"), mul, 0))
+            flat_completion(("z", "x", "y"), mul, 0)
 
     def test_rejects_non_cancellative(self):
         mul = [[0] * 4 for _ in range(4)]
@@ -161,12 +171,28 @@ class TestFlatCompletion:
             for j in (1, 2):
                 mul[i][j] = 3
         with pytest.raises(ValueError, match="cancellative"):
-            flat_completion(MulTable(("z", "a", "b", "c"), tuple(tuple(r) for r in mul), 0))
+            flat_completion(("z", "a", "b", "c"), tuple(tuple(r) for r in mul), 0)
 
     def test_rejects_non_absorbing_zero(self):
         mul = ((0, 1), (1, 1))
         with pytest.raises(ValueError, match="absorb"):
-            flat_completion(MulTable(("z", "e"), mul, 0))
+            flat_completion(("z", "e"), mul, 0)
+
+    @pytest.mark.parametrize(
+        "mul, zero, message",
+        [
+            (((0, 0), (0,)), 0, "ragged mul table: expected 2x2"),
+            (((0, 0), (0, 2)), 0, "mul table entry 2 is not an element index"),
+            (((0, 0), (0, True)), 0, "mul table entry True is not an element index"),
+            (((0, 0), (0, 0)), 2, "zero index 2 out of range"),
+            (((0, 0), (0, 0)), False, "zero index False out of range"),
+            # Both wrong: the zero is refused before the table is read.
+            (((0, 0), (0, 2)), 2, "zero index 2 out of range"),
+        ],
+    )
+    def test_table_refusals_are_the_constructors(self, mul, zero, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            flat_completion(("z", "e"), mul, zero)
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,9 +254,8 @@ def dense_verdicts(s):
     return tuple(verdicts)
 
 
-def dense_completion_refusal(sg):
+def dense_completion_refusal(lab, mul, z):
     """flat_completion's refusal message by the dense scans, or None."""
-    lab, mul, z = sg.elements, sg.mul, sg.zero
     n = len(lab)
     bad = dense_assoc_failure(lab, mul)
     if bad is not None:
@@ -257,13 +282,13 @@ def assert_scans_agree(s):
     assert verify_axioms(s).verdicts == dense_verdicts(s)
     if s.size == 0:
         return
-    sg = MulTable(s.elements, s.mul, s.zero if s.zero is not None else 0)
-    want = dense_completion_refusal(sg)
+    sg = (s.elements, s.mul, s.zero if s.zero is not None else 0)
+    want = dense_completion_refusal(*sg)
     if want is None:
-        assert flat_completion(sg).mul == s.mul
+        assert flat_completion(*sg).mul == s.mul
     else:
         with pytest.raises(ValueError) as err:
-            flat_completion(sg)
+            flat_completion(*sg)
         assert str(err.value) == want
 
 
@@ -429,6 +454,24 @@ class TestSerialization:
     def test_bad_entry_rejected(self):
         doc = '{"elements": ["z"], "add": [[5]], "mul": [[0]], "zero": 0}'
         with pytest.raises(SemiringParseError):
+            parse_semiring(doc)
+
+    @pytest.mark.parametrize(
+        "add, zero, message",
+        [
+            ("[[0, 1], [1]]", "0", "ragged add table: expected 2x2"),
+            ("[[0, 1]]", "0", "ragged add table: expected 2x2"),
+            ("[[0, 1], [1, 2]]", "0", "add table entry 2 is not an element index"),
+            ("[[0, true], [true, true]]", "0", "add table entry True is not an element index"),
+            ("[[0, 1], 1]", "0", "'add' rows must be lists"),
+            ("[[0, 1], [1, 1]]", "2", "zero index 2 out of range"),
+            ("[[0, 1], [1, 1]]", '"0"', "zero index '0' out of range"),
+            ("[[0, 1], [1, 1]]", "false", "zero index False out of range"),
+        ],
+    )
+    def test_refusal_messages(self, add, zero, message):
+        doc = f'{{"elements": ["0", "x"], "add": {add}, "mul": [[0, 0], [0, 1]], "zero": {zero}}}'
+        with pytest.raises(SemiringParseError, match=rf"^{re.escape(message)}$"):
             parse_semiring(doc)
 
     def test_garbage_rejected(self):
