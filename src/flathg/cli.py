@@ -201,7 +201,7 @@ def _load_subject(source: str) -> tuple[str, FiniteSemiring, bool]:
     text = _read_file(source)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"bad input file {source}: {exc}")
     if isinstance(doc, dict) and "vertices" in doc:
         try:

@@ -386,7 +386,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise HypergraphParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise HypergraphParseError("top level must be an object")

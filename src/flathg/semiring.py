@@ -414,7 +414,7 @@ def parse_semiring(text: str) -> FiniteSemiring:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SemiringParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SemiringParseError("top level must be an object")

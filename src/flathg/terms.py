@@ -99,6 +99,10 @@ def make_identity(lhs: Term, rhs: Term) -> Identity:
 
 _TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789")
 
+# Brackets nest at most this deep. Each level takes the parser three stack
+# frames, so far deeper text would exhaust the interpreter's recursion limit.
+MAX_NESTING = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -128,6 +132,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -159,8 +164,12 @@ class _Parser:
             self.take("ident")
             return Variable(value)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise IdentitySyntaxError(f"brackets nested deeper than {MAX_NESTING} levels", pos)
             self.take("(")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.take(")")
             return inner
         raise IdentitySyntaxError(f"expected a variable or '(', found {value or 'end of input'!r}", pos)

@@ -73,6 +73,33 @@ class TestExitCodes:
         assert "budget exceeded: 2^2 = 4 evaluations > 3" in err
 
 
+    def test_deep_brackets_are_an_input_error(self, capsys):
+        code, _, err = run(capsys, ["check", "builtin:sc_abc", "(" * 400 + "x" + ")" * 400 + "=x"])
+        assert code == 2
+        assert "brackets nested deeper than 200 levels (at position 200)" in err
+
+    @pytest.mark.parametrize("argv", (["validate"], ["check", "eq3.1"]))
+    def test_deep_json_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert "maximum recursion depth exceeded" in err
+
+    @pytest.mark.parametrize(
+        "zero, message",
+        ((0, "add table entry True is not an element index"), (False, "zero index False out of range")),
+        ids=("true-entry", "false-zero"),
+    )
+    def test_boolean_indices_are_an_input_error(self, capsys, tmp_path, zero, message):
+        path = tmp_path / "bool.json"
+        doc = {"elements": ["0", "x"], "add": [[0, True], [True, True]], "mul": [[0, 0], [0, 1]]}
+        path.write_text(json.dumps({**doc, "zero": zero}))
+        code, _, err = run(capsys, ["check", str(path), "eq3.1"])
+        assert code == 2
+        assert err == f"flathg: error: bad semiring file {path}: {message}\n"
+
+
 class TestValidate:
     def test_families_are_valid(self, capsys):
         code, out, _ = run(capsys, ["validate", "family:fan:2"])

@@ -269,6 +269,10 @@ class TestSerialization:
         with pytest.raises(HypergraphParseError):
             parse_hypergraph("not json")
 
+    def test_parse_rejects_deep_nesting(self):
+        with pytest.raises(HypergraphParseError, match="^not valid JSON: maximum recursion depth"):
+            parse_hypergraph("[" * 100_000 + "]" * 100_000)
+
     def test_parse_rejects_missing_keys(self):
         with pytest.raises(HypergraphParseError):
             parse_hypergraph('{"vertices": ["a"]}')

@@ -474,6 +474,10 @@ class TestSerialization:
         with pytest.raises(SemiringParseError, match=rf"^{re.escape(message)}$"):
             parse_semiring(doc)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(SemiringParseError, match="^not valid JSON: maximum recursion depth"):
+            parse_semiring("[" * 100_000 + "]" * 100_000)
+
     def test_garbage_rejected(self):
         with pytest.raises(SemiringParseError):
             parse_semiring("[1, 2, 3]")

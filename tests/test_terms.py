@@ -72,6 +72,19 @@ class TestParsing:
         ident = parse_identity("(x1) = x1")
         assert isinstance(ident.lhs, Variable)
 
+    @pytest.mark.parametrize("opening", ("(", "(x+", "(x*y+"))
+    def test_nesting_limit(self, sc_abc, opening):
+        """The deepest text the parser takes still checks; one more bracket
+        is refused at its position, not by the interpreter's recursion limit."""
+        depth = terms.MAX_NESTING
+        ident = parse_identity(opening * depth + "x" + ")" * depth + "=x")
+        verdict = check_identity_bruteforce(sc_abc, ident).holds
+        assert verdict == check_identity_flat(sc_abc, ident).holds == (opening != "(x*y+")
+        position = len(opening) * depth
+        message = rf"^brackets nested deeper than {depth} levels \(at position {position}\)$"
+        with pytest.raises(IdentitySyntaxError, match=message):
+            parse_identity(opening * (depth + 1) + "x" + ")" * (depth + 1) + "=x")
+
 
 class TestRegistry:
     def test_eq41_is_the_first_nested_identity(self):
