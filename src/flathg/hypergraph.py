@@ -21,7 +21,7 @@ Pair = frozenset[str]
 
 INFINITE: float = math.inf
 
-FAMILY_KINDS = ("n_cycle", "beam", "fan", "nested", "s7_marker")
+FAMILY_KINDS = ("n_cycle", "beam", "fan", "nested")
 
 _DOT_FILL = {0: "lightcoral", 1: "lightskyblue", 2: "palegreen"}
 
@@ -272,15 +272,8 @@ def _beam_edges(index: int) -> list[tuple[str, ...]]:
 def family(kind: str, index: int) -> Hypergraph:
     """Build a named family member on vertices u1, u2, ...
 
-    Kinds: n_cycle (index >= 3), beam, fan, nested (index >= 1). The kind
-    s7_marker is reserved for a semiring that has no underlying hypergraph,
-    so requesting it always fails; use the builtin semiring "s7" instead.
+    Kinds: n_cycle (index >= 3), beam, fan, nested (index >= 1).
     """
-    if kind == "s7_marker":
-        raise ValueError(
-            "unsupported kind/index combination: s7_marker has no hypergraph; "
-            "use the builtin semiring 's7'"
-        )
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unsupported kind/index combination: {kind!r}, {index}")
     if kind == "n_cycle":

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flathg.hypergraph import (
+    FAMILY_KINDS,
     Hypergraph,
     HypergraphParseError,
     build_hypergraph,
@@ -122,9 +123,13 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unsupported kind/index"):
             family("wheel", 3)
 
-    def test_marker_kind_points_at_builtin(self):
-        with pytest.raises(ValueError, match="builtin semiring 's7'"):
+    def test_s7_marker_is_an_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unsupported kind/index combination: 's7_marker', 1$"):
             family("s7_marker", 1)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_every_kind_builds_at_index_3(self, kind):
+        assert validate(family(kind, 3)).valid
 
     def test_fan3_isomorphic_to_beam3(self):
         iso = find_hypergraph_isomorphism(family("fan", 3), family("beam", 3))
