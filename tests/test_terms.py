@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from flathg import terms
 from flathg.hg_semiring import build_semiring
+from flathg.hypergraph import family
 from flathg.semiring import FiniteSemiring, is_flat, verify_axioms
 from flathg.suite import random_hyperforest
 from flathg.terms import (
@@ -27,6 +28,7 @@ from flathg.terms import (
     parse_identity_file,
 )
 from flathg.words import build_sc, builtin_s7
+from test_constructions import _brandt
 
 # x + x = 0 and every product 0: absorbing zero, additive top, but no
 # idempotent addition, so not a semiring the flat checker may decide.
@@ -187,6 +189,54 @@ class TestFlatChecker:
         with pytest.raises(ValueError, match="flat checker requires"):
             check_identity_flat(DOUBLING, ident)
         assert check_identity_bruteforce(DOUBLING, ident).holds
+
+
+@pytest.fixture(scope="module")
+def pinned_subjects(sc_abc, sc_abcd, triangle_semiring, nested_semirings):
+    return {
+        "sc_abc": sc_abc,
+        "sc_abcd": sc_abcd,
+        "triangle": triangle_semiring,
+        **{f"nested({i})": s for i, s in nested_semirings.items()},
+        "n_cycle(4)": build_semiring(family("n_cycle", 4)).exported,
+        "brandt": _brandt(),
+    }
+
+
+# The flat checker's exact output: verdict, the first counterexample's values
+# in the identity's variable order, and `explored`. The search order decides
+# all three, so a refactor of the search must leave every row unchanged. The
+# Brandt semiring is not commutative, so its rows run the written-order path.
+FLAT_PINS = [
+    ("sc_abc", "eq3.1", "holds", None, 350),
+    ("triangle", "eq3.1", "fails", "a·u1 a·u2 a·u3 a·u4 a·u5 a·u6", 819),
+    ("nested(1)", "eq4.2", "holds", None, 2126),
+    ("nested(1)", "eq4.3", "holds", None, 1784),
+    ("nested(2)", "eq4.2", "fails", "a·u2 a·u4 a·u3 a·u5 a·u1 a·u6 a·u7 a·u8 a·u9", 5216),
+    ("nested(2)", "eq4.3", "holds", None, 4826),
+    ("nested(3)", "eq4.2", "fails", "a·u2 a·u4 a·u3 a·u5 a·u1 a·u6 a·u7 a·u8 a·u9", 11054),
+    (
+        "nested(3)", "eq4.3", "fails",
+        "a·u2 a·u4 a·u3 a·u5 a·u1 a·u6 a·u7 a·u8 a·u9 a·u10 a·u11 a·u12", 5329,
+    ),
+    ("nested(2)", "eq4.4", "holds", None, 4142),
+    ("sc_abcd", "eq4.4", "fails", "a b c d 0 0 0 0", 1758),
+    ("n_cycle(4)", "nested:4", "holds", None, 2946),
+    ("brandt", "x*y = y*x", "fails", "e12 e21", 4),
+    ("brandt", "x*x*y = y*x*x", "fails", "e11 e12", 7),
+    ("brandt", "x*y*z = z*y*x", "fails", "e11 e12 e21", 5),
+    ("brandt", "x*y*x = x*y*x*y*x", "holds", None, 40),
+    ("brandt", "(x+y)*z*(x+y) = x*z*x + y*z*y", "holds", None, 168),
+]
+
+
+@pytest.mark.parametrize("subject, key, verdict, values, explored", FLAT_PINS)
+def test_flat_checker_output_is_pinned(pinned_subjects, subject, key, verdict, values, explored):
+    ident = parse_identity(key) if "=" in key else builtin_identity(key)
+    result = check_identity_flat(pinned_subjects[subject], ident)
+    cex = None if values is None else list(zip(ident.variables, values.split()))
+    assert (result.verdict, result.counterexample and list(result.counterexample.items()),
+            result.explored) == (verdict, cex, explored)
 
 
 def test_a_counterexample_where_both_sides_agree_is_an_internal_error(s7):
