@@ -11,6 +11,7 @@ and compare the other side there.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .semiring import FiniteSemiring, is_flat, multiplicative_zero
@@ -368,12 +369,13 @@ class _SideSearch:
     """Backtracking enumeration of assignments that pin one side to a value.
 
     Every monomial of the side must evaluate to the target; remaining
-    variables of the identity range free. On commutative carriers (all the
-    builtin ones) a running partial product per monomial prunes any branch
-    that already hit zero, and a variable joining a monomial with partial
-    product p only tries the values v with p·v non-zero; otherwise completed
-    monomials are re-evaluated in their written order, which is slower but
-    order-faithful.
+    variables of the identity range free. Variables are assigned slot by
+    slot, so each monomial is complete at its largest slot and checked
+    against the target there. On commutative carriers (all the builtin ones)
+    a running partial product per monomial prunes any branch that already
+    hit zero, and a variable joining a monomial with partial product p only
+    tries the values v with p·v non-zero; otherwise a monomial is folded in
+    its written order where it completes, which is slower but order-faithful.
     """
 
     def __init__(self, s: FiniteSemiring, side_monomials, all_variables):
@@ -382,46 +384,31 @@ class _SideSearch:
         self.commutative = all(
             s.mul[i][j] == s.mul[j][i] for i in range(s.size) for j in range(i)
         )
-        self.monomials = side_monomials
-        counts: dict[str, int] = {}
-        for mono in side_monomials:
-            for v in mono:
-                counts[v] = counts.get(v, 0) + 1
+        counts = Counter(itertools.chain.from_iterable(side_monomials))
         side_vars = sorted(counts, key=lambda v: (-counts[v], all_variables.index(v)))
-        free_vars = [v for v in all_variables if v not in counts]
-        self.order = side_vars + free_vars
-        self.n_side = len(side_vars)
-        self.slot = {v: i for i, v in enumerate(self.order)}
-        self.var_monos = {
-            self.slot[v]: [
-                (m, mono.count(v)) for m, mono in enumerate(side_monomials) if v in mono
-            ]
-            for v in counts
-        }
-        self.mono_size = [len(m) for m in side_monomials]
+        self.order = side_vars + [v for v in all_variables if v not in counts]
+        slot = {v: i for i, v in enumerate(self.order)}
+        self.monomials = [tuple(slot[v] for v in mono) for mono in side_monomials]
+        # Per side slot: (monomial index, multiplicity, completes at this slot).
+        self.touches: list[list[tuple[int, int, bool]]] = [[] for _ in side_vars]
+        for m, mono in enumerate(self.monomials):
+            for i, mult in Counter(mono).items():
+                self.touches[i].append((m, mult, i == max(mono)))
         self.nonzero = [v for v in range(s.size) if v != self.zero]
         self.followers: dict[int, list[int]] = {}
         self.explored = 0
 
     def search(self, target: int):
-        assignment = [0] * len(self.order)
+        """Yield each hit as a dict from variable name to element index."""
         partial: list[int | None] = [None] * len(self.monomials)
-        filled = [0] * len(self.monomials)
-        yield from self._assign(0, target, assignment, partial, filled)
-
-    def _eval_monomial(self, mono: tuple[str, ...], assignment: list[int]) -> int:
-        acc: int | None = None
-        for v in mono:
-            value = assignment[self.slot[v]]
-            acc = value if acc is None else self.s.mul[acc][value]
-        return acc
+        yield from self._assign(0, target, [0] * len(self.order), partial)
 
     def _candidates(self, touches, partial) -> list[int]:
         """Ascending non-zero values that no touched partial product sends to zero."""
         best = self.nonzero
         if not self.commutative:
             return best
-        for m, _ in touches:
+        for m, _, _ in touches:
             p = partial[m]
             if p is None:
                 continue
@@ -433,50 +420,39 @@ class _SideSearch:
                 best = row
         return best
 
-    def _assign(self, depth, target, assignment, partial, filled):
-        if depth == len(self.order):
-            yield tuple(assignment)
+    def _assign(self, slot, target, assignment, partial):
+        if slot == len(self.order):
+            yield dict(zip(self.order, assignment))
             return
-        slot = depth
-        if slot < self.n_side:
-            touches = self.var_monos[slot]
+        if slot < len(self.touches):
+            touches = self.touches[slot]
             values = self._candidates(touches, partial)
         else:
             touches, values = (), range(self.s.size)
         mul = self.s.mul
-        saved = [(m, partial[m], filled[m]) for m, _ in touches]
+        saved = [(m, partial[m]) for m, _, _ in touches]
         for value in values:
             assignment[slot] = value
-            ok = True
-            for m, mult in touches:
-                filled[m] += mult
+            for m, mult, completes in touches:
                 if self.commutative:
                     prod = partial[m]
                     for _ in range(mult):
                         prod = value if prod is None else mul[prod][value]
                     partial[m] = prod
-                    if filled[m] == self.mono_size[m]:
-                        if prod != target:
-                            ok = False
-                            break
-                    elif prod == self.zero:
-                        ok = False
+                    if (prod != target) if completes else (prod == self.zero):
                         break
-                elif filled[m] == self.mono_size[m]:
-                    if self._eval_monomial(self.monomials[m], assignment) != target:
-                        ok = False
+                elif completes:
+                    mono = self.monomials[m]
+                    prod = assignment[mono[0]]
+                    for i in mono[1:]:
+                        prod = mul[prod][assignment[i]]
+                    if prod != target:
                         break
-            if ok:
+            else:
                 self.explored += 1
-                yield from self._assign(depth + 1, target, assignment, partial, filled)
-            for m, p, f in saved:
+                yield from self._assign(slot + 1, target, assignment, partial)
+            for m, p in saved:
                 partial[m] = p
-                filled[m] = f
-        return
-
-    def full_assignment(self, packed: tuple[int, ...]) -> dict[str, int]:
-        """Map a hit from search order back to variable names."""
-        return dict(zip(self.order, packed))
 
 
 def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
@@ -495,18 +471,16 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     if not is_flat(s):
         raise ValueError("flat checker requires a flat semiring; use brute force")
     ident = make_identity(ident.lhs, ident.rhs)
-    sides = {"lhs": ident.lhs, "rhs": ident.rhs}
-    monomials = {"lhs": _monomials(ident.lhs), "rhs": _monomials(ident.rhs)}
+    sides = ((_monomials(ident.lhs), ident.rhs), (_monomials(ident.rhs), ident.lhs))
     zero = multiplicative_zero(s)
     explored = 0
-    for side, other in (("lhs", "rhs"), ("rhs", "lhs")):
-        search = _SideSearch(s, monomials[side], list(ident.variables))
+    for monomials, other in sides:
+        search = _SideSearch(s, monomials, ident.variables)
         for target in range(s.size):
             if target == zero:
                 continue
-            for packed in search.search(target):
-                values = search.full_assignment(packed)
-                if _value(sides[other], values, s) != target:
+            for values in search.search(target):
+                if _value(other, values, s) != target:
                     return _failure(ident, values, s, explored + search.explored)
         explored += search.explored
     return CheckResult("holds", None, explored)
