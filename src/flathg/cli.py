@@ -311,13 +311,13 @@ def _cmd_check(args, out: Reporter) -> int:
     method = "flat" if axioms_hold and is_flat(s) else "brute-force"
     worst = 0
     for label, ident in idents:
-        if method == "flat":
-            result = check_identity_flat(s, ident)
-        else:
-            try:
+        try:
+            if method == "flat":
+                result = check_identity_flat(s, ident)
+            else:
                 result = check_identity_bruteforce(s, ident, budget=args.budget_evals)
-            except ValueError as exc:
-                raise CliInputError(str(exc))
+        except ValueError as exc:
+            raise CliInputError(str(exc))
         fields = {
             "command": "check",
             "subject": name,

@@ -11,6 +11,7 @@ and compare the other side there.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -103,6 +104,11 @@ _TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789")
 # Brackets nest at most this deep. Each level takes the parser three stack
 # frames, so far deeper text would exhaust the interpreter's recursion limit.
 MAX_NESTING = 200
+
+# The flat checker refuses an identity side that expands into more monomials
+# than this. A product of k binomials has 2^k; at twelve (4,096) a check
+# already takes seconds, and each further binomial doubles time and memory.
+MAX_MONOMIALS = 4096
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -349,6 +355,15 @@ def check_identity_bruteforce(
     return CheckResult("holds", None, explored)
 
 
+def _monomial_count(node: Term) -> int:
+    """The length of _monomials(node), computed without building the list."""
+    if isinstance(node, Variable):
+        return 1
+    if isinstance(node, Sum):
+        return sum(map(_monomial_count, node.terms))
+    return math.prod(map(_monomial_count, node.factors))
+
+
 def _monomials(node: Term) -> list[tuple[str, ...]]:
     """Expand a normalized term into its sum-of-products monomial list."""
     if isinstance(node, Variable):
@@ -461,7 +476,8 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     For each side and each non-zero target value, enumerate the assignments
     making every monomial of that side equal the target (the side then sums
     to the target), and evaluate the opposite side at each hit. The identity
-    fails precisely when some hit disagrees.
+    fails precisely when some hit disagrees. A side that expands into more
+    than MAX_MONOMIALS monomials is refused with ValueError before any search.
 
     Only is_flat is checked here. The search also relies on the semiring
     axioms (associative multiplication, both distributive laws), so a caller
@@ -471,6 +487,15 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     if not is_flat(s):
         raise ValueError("flat checker requires a flat semiring; use brute force")
     ident = make_identity(ident.lhs, ident.rhs)
+    for side in (ident.lhs, ident.rhs):
+        count = _monomial_count(side)
+        if count > MAX_MONOMIALS:
+            # Python refuses to print an int of more than 4,300 digits.
+            size = count if count < 10**12 else f"at least 2^{count.bit_length() - 1}"
+            raise ValueError(
+                f"identity side expands to {size} monomials, "
+                f"over the flat checker's cap of {MAX_MONOMIALS}"
+            )
     sides = ((_monomials(ident.lhs), ident.rhs), (_monomials(ident.rhs), ident.lhs))
     zero = multiplicative_zero(s)
     explored = 0

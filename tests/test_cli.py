@@ -73,6 +73,15 @@ class TestExitCodes:
         assert "budget exceeded: 2^2 = 4 evaluations > 3" in err
 
 
+    def test_monomial_cap_is_an_input_error(self, capsys):
+        binomials = "*".join(f"(x{i}+y{i})" for i in range(13))
+        code, _, err = run(capsys, ["check", "builtin:sc_abc", f"{binomials}=x0"])
+        assert code == 2
+        assert err == (
+            "flathg: error: identity side expands to 8192 monomials, "
+            "over the flat checker's cap of 4096\n"
+        )
+
     def test_deep_brackets_are_an_input_error(self, capsys):
         code, _, err = run(capsys, ["check", "builtin:sc_abc", "(" * 400 + "x" + ")" * 400 + "=x"])
         assert code == 2

@@ -190,6 +190,23 @@ class TestFlatChecker:
             check_identity_flat(DOUBLING, ident)
         assert check_identity_bruteforce(DOUBLING, ident).holds
 
+    def test_monomial_cap_refuses_before_expanding(self, sc_abc, monkeypatch):
+        """13 binomials expand to 8,192 monomials, past the cap of 4,096."""
+        binomials = "*".join(f"(x{i}+y{i})" for i in range(13))
+        monkeypatch.setattr(terms, "_monomials", None)
+        message = r"^identity side expands to 8192 monomials, over the flat checker's cap of 4096$"
+        with pytest.raises(ValueError, match=message):
+            check_identity_flat(sc_abc, parse_identity(f"x0 = {binomials}"))
+
+    @pytest.mark.parametrize(
+        "text",
+        ("x", "x*y*x", "x + y*z", "(x+y)*(x+y+z)*w", "((x+y)*z + w)*(x+y)", "*".join(["(x+y)"] * 12)),
+        ids=("variable", "product", "sum", "binomials", "nested", "cap"),
+    )
+    def test_monomial_count_is_the_expansion_length(self, text):
+        side = parse_identity(f"{text} = x").lhs
+        assert terms._monomial_count(side) == len(terms._monomials(side))
+
 
 @pytest.fixture(scope="module")
 def pinned_subjects(sc_abc, sc_abcd, triangle_semiring, nested_semirings):
