@@ -72,7 +72,6 @@ class TestExitCodes:
         assert code == 2
         assert "budget exceeded: 2^2 = 4 evaluations > 3" in err
 
-
     def test_monomial_cap_is_an_input_error(self, capsys):
         binomials = "*".join(f"(x{i}+y{i})" for i in range(13))
         code, _, err = run(capsys, ["check", "builtin:sc_abc", f"{binomials}=x0"])

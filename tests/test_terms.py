@@ -190,11 +190,12 @@ class TestFlatChecker:
             check_identity_flat(DOUBLING, ident)
         assert check_identity_bruteforce(DOUBLING, ident).holds
 
-    def test_monomial_cap_refuses_before_expanding(self, sc_abc, monkeypatch):
-        """13 binomials expand to 8,192 monomials, past the cap of 4,096."""
-        binomials = "*".join(f"(x{i}+y{i})" for i in range(13))
+    @pytest.mark.parametrize("k, size", ((13, "8192"), (50, r"at least 2\^50")))
+    def test_monomial_cap_refuses_before_expanding(self, sc_abc, monkeypatch, k, size):
+        """k binomials expand to 2^k monomials, past the cap of 4,096."""
+        binomials = "*".join(f"(x{i}+y{i})" for i in range(k))
         monkeypatch.setattr(terms, "_monomials", None)
-        message = r"^identity side expands to 8192 monomials, over the flat checker's cap of 4096$"
+        message = rf"^identity side expands to {size} monomials, over the flat checker's cap of 4096$"
         with pytest.raises(ValueError, match=message):
             check_identity_flat(sc_abc, parse_identity(f"x0 = {binomials}"))
 
