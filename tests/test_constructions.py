@@ -485,6 +485,15 @@ class TestWitnesses:
         assert rep.isomorphism is None
         assert rep.quotient_size == 0
 
+    def test_nested_chain_separating_assignment_is_pinned(self):
+        """The first counterexample the flat checker reports on nested(8),
+        fixed by its search order: a growth-axis instance past the golden file."""
+        rep = verify_witness("nested_chain", index=7)
+        assert rep.ok
+        pins = {f"x{3 * j + k}": f"a·u{3 * j + 4 - k}" for j in range(9) for k in (1, 2, 3)}
+        expected = ", ".join(f"{k}={v}" for k, v in sorted(pins.items()))
+        assert rep.notes == (f"separating assignment: {expected}",)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown witness kind 'bogus'"):
             verify_witness("bogus")

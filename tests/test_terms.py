@@ -217,6 +217,7 @@ def pinned_subjects(sc_abc, sc_abcd, triangle_semiring, nested_semirings):
         "triangle": triangle_semiring,
         **{f"nested({i})": s for i, s in nested_semirings.items()},
         "n_cycle(4)": build_semiring(family("n_cycle", 4)).exported,
+        "n_cycle(12)": build_semiring(family("n_cycle", 12)).exported,
         "brandt": _brandt(),
     }
 
@@ -240,6 +241,7 @@ FLAT_PINS = [
     ("nested(2)", "eq4.4", "holds", None, 4142),
     ("sc_abcd", "eq4.4", "fails", "a b c d 0 0 0 0", 1758),
     ("n_cycle(4)", "nested:4", "holds", None, 2946),
+    ("n_cycle(12)", "nested:12", "holds", None, 25346),
     ("brandt", "x*y = y*x", "fails", "e12 e21", 4),
     ("brandt", "x*x*y = y*x*x", "fails", "e11 e12", 7),
     ("brandt", "x*y*z = z*y*x", "fails", "e11 e12 e21", 5),
