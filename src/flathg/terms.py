@@ -78,10 +78,10 @@ def _flatten(node: Term) -> Term:
     return node
 
 
-def _walk_variables(node: Term, seen: list[str]) -> None:
+def _walk_variables(node: Term, seen: dict[str, None]) -> None:
+    """Add each variable name to `seen`, whose keys keep first-occurrence order."""
     if isinstance(node, Variable):
-        if node.name not in seen:
-            seen.append(node.name)
+        seen[node.name] = None
     elif isinstance(node, Product):
         for t in node.factors:
             _walk_variables(t, seen)
@@ -93,7 +93,7 @@ def _walk_variables(node: Term, seen: list[str]) -> None:
 def make_identity(lhs: Term, rhs: Term) -> Identity:
     """Normalize both sides and collect variables in first-occurrence order."""
     lhs, rhs = _flatten(lhs), _flatten(rhs)
-    names: list[str] = []
+    names: dict[str, None] = {}
     _walk_variables(lhs, names)
     _walk_variables(rhs, names)
     return Identity(lhs, rhs, tuple(names))
@@ -265,7 +265,7 @@ def _value(node: Term, values: dict[str, int], s: FiniteSemiring) -> int:
 def eval_term(t: Term, assignment: dict[str, str], s: FiniteSemiring) -> str:
     """Evaluate a term under a label-valued assignment, returning a label."""
     t = _flatten(t)
-    names: list[str] = []
+    names: dict[str, None] = {}
     _walk_variables(t, names)
     missing = [v for v in names if v not in assignment]
     if missing:

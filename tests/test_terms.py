@@ -49,6 +49,12 @@ class TestParsing:
         ident = parse_identity("x3*x1 + x2 = x2")
         assert ident.variables == ("x3", "x1", "x2")
 
+    def test_20000_variables_in_first_occurrence_order(self):
+        """10,000 binomials; the rhs repeats a variable, which adds none."""
+        binomials = "*".join(f"(x{i}+y{i})" for i in range(10_000))
+        ident = parse_identity(f"{binomials} = y9999")
+        assert ident.variables == tuple(v for i in range(10_000) for v in (f"x{i}", f"y{i}"))
+
     def test_missing_operand_reports_position(self):
         with pytest.raises(IdentitySyntaxError, match="position 5"):
             parse_identity("x1 + = x2")
@@ -331,7 +337,7 @@ def hostile_terms(draw):
 @settings(max_examples=100, deadline=None)
 @given(hostile_terms())
 def test_generated_source_names_only_slots_tables_and_temporaries(term):
-    names: list[str] = []
+    names: dict[str, None] = {}
     terms._walk_variables(term, names)
     slots = {v: i for i, v in enumerate(names)}
     source = terms._side_source(term, slots)
