@@ -393,14 +393,13 @@ class _SideSearch:
     its written order where it completes, which is slower but order-faithful.
     """
 
-    def __init__(self, s: FiniteSemiring, side_monomials, all_variables):
+    def __init__(self, s: FiniteSemiring, side_monomials, all_variables, zero, commutative):
         self.s = s
-        self.zero = multiplicative_zero(s)
-        self.commutative = all(
-            s.mul[i][j] == s.mul[j][i] for i in range(s.size) for j in range(i)
-        )
+        self.zero = zero
+        self.commutative = commutative
         counts = Counter(itertools.chain.from_iterable(side_monomials))
-        side_vars = sorted(counts, key=lambda v: (-counts[v], all_variables.index(v)))
+        position = {v: i for i, v in enumerate(all_variables)}
+        side_vars = sorted(counts, key=lambda v: (-counts[v], position[v]))
         self.order = side_vars + [v for v in all_variables if v not in counts]
         slot = {v: i for i, v in enumerate(self.order)}
         self.monomials = [tuple(slot[v] for v in mono) for mono in side_monomials]
@@ -498,9 +497,10 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
             )
     sides = ((_monomials(ident.lhs), ident.rhs), (_monomials(ident.rhs), ident.lhs))
     zero = multiplicative_zero(s)
+    commutative = all(s.mul[i][j] == s.mul[j][i] for i in range(s.size) for j in range(i))
     explored = 0
     for monomials, other in sides:
-        search = _SideSearch(s, monomials, ident.variables)
+        search = _SideSearch(s, monomials, ident.variables, zero, commutative)
         for target in range(s.size):
             if target == zero:
                 continue
