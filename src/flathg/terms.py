@@ -391,6 +391,13 @@ class _SideSearch:
     hit zero, and a variable joining a monomial with partial product p only
     tries the values v with p·v non-zero; otherwise a monomial is folded in
     its written order where it completes, which is slower but order-faithful.
+
+    No check below the first completion slot depends on the target, and at
+    that slot only the value the completed monomials agree on does. So the
+    prefix up to that slot is walked once per side, each surviving state is
+    filed under that value, and `search(target)` resumes only from the states
+    filed under its target. `explored` advances as if each target walked the
+    prefix again, so it counts the same nodes as a walk from slot 0.
     """
 
     def __init__(self, s: FiniteSemiring, side_monomials, all_variables, zero, commutative):
@@ -411,11 +418,57 @@ class _SideSearch:
         self.nonzero = [v for v in range(s.size) if v != self.zero]
         self.followers: dict[int, list[int]] = {}
         self.explored = 0
+        self.first = min(map(max, self.monomials))
+        # Target -> (prefix nodes passed before it, assignment, partial
+        # products), one state per slot-`first` node, in walk order.
+        self.frontier: dict[int, list[tuple[int, list[int], list[int | None]]]] = {}
+        self.prefix_nodes = 0
+        self._walk_prefix(0, [0] * len(self.order), [None] * len(self.monomials))
 
     def search(self, target: int):
         """Yield each hit as a dict from variable name to element index."""
-        partial: list[int | None] = [None] * len(self.monomials)
-        yield from self._assign(0, target, [0] * len(self.order), partial)
+        counted = 0
+        for before, assignment, partial in self.frontier.get(target, ()):
+            self.explored += before - counted + 1
+            counted = before
+            yield from self._assign(self.first + 1, target, assignment, partial)
+        self.explored += self.prefix_nodes - counted
+
+    def _walk_prefix(self, slot, assignment, partial):
+        """File each state at slot `first` whose completed monomials agree on
+        one non-zero value under that value; below `first`, prune as `_assign`."""
+        mul = self.s.mul
+        touches = self.touches[slot]
+        saved = [(m, partial[m]) for m, _, _ in touches]
+        for value in self._candidates(touches, partial):
+            assignment[slot] = value
+            agreed = None
+            for m, mult, completes in touches:
+                if self.commutative:
+                    prod = partial[m]
+                    for _ in range(mult):
+                        prod = value if prod is None else mul[prod][value]
+                    partial[m] = prod
+                elif completes:
+                    mono = self.monomials[m]
+                    prod = assignment[mono[0]]
+                    for i in mono[1:]:
+                        prod = mul[prod][assignment[i]]
+                else:
+                    continue
+                if prod == self.zero or (completes and agreed not in (None, prod)):
+                    break
+                if completes:
+                    agreed = prod
+            else:
+                if slot < self.first:
+                    self.prefix_nodes += 1
+                    self._walk_prefix(slot + 1, assignment, partial)
+                else:
+                    state = (self.prefix_nodes, assignment[:], partial[:])
+                    self.frontier.setdefault(agreed, []).append(state)
+            for m, p in saved:
+                partial[m] = p
 
     def _candidates(self, touches, partial) -> list[int]:
         """Ascending non-zero values that no touched partial product sends to zero."""
