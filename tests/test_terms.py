@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import tokenize
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -400,3 +401,116 @@ def test_flat_checker_agrees_with_brute_force_on_generated_flat_semirings(ident,
     fast = check_identity_flat(s, ident)
     slow = check_identity_bruteforce(s, ident)
     assert fast.holds == slow.holds
+
+
+class _PerTargetSideSearch:
+    """The flat checker's side search with no shared prefix: every target
+    walks from slot 0. The reference for the differential below."""
+
+    def __init__(self, s, side_monomials, all_variables):
+        self.s, self.zero = s, terms.multiplicative_zero(s)
+        self.commutative = all(
+            s.mul[i][j] == s.mul[j][i] for i in range(s.size) for j in range(i)
+        )
+        counts = Counter(itertools.chain.from_iterable(side_monomials))
+        side_vars = sorted(counts, key=lambda v: (-counts[v], all_variables.index(v)))
+        self.order = side_vars + [v for v in all_variables if v not in counts]
+        slot = {v: i for i, v in enumerate(self.order)}
+        self.monomials = [tuple(slot[v] for v in mono) for mono in side_monomials]
+        self.touches = [[] for _ in side_vars]
+        for m, mono in enumerate(self.monomials):
+            for i, mult in Counter(mono).items():
+                self.touches[i].append((m, mult, i == max(mono)))
+        self.nonzero = [v for v in range(s.size) if v != self.zero]
+        self.explored = 0
+
+    def search(self, target):
+        partial = [None] * len(self.monomials)
+        yield from self._assign(0, target, [0] * len(self.order), partial)
+
+    def _assign(self, slot, target, assignment, partial):
+        if slot == len(self.order):
+            yield dict(zip(self.order, assignment))
+            return
+        mul = self.s.mul
+        touches = self.touches[slot] if slot < len(self.touches) else ()
+        values = range(self.s.size) if slot >= len(self.touches) else self.nonzero
+        if self.commutative:
+            for m, _, _ in touches:
+                if partial[m] is not None:
+                    values = [v for v in values if mul[partial[m]][v] != self.zero]
+        saved = [(m, partial[m]) for m, _, _ in touches]
+        for value in values:
+            assignment[slot] = value
+            for m, mult, completes in touches:
+                if self.commutative:
+                    prod = partial[m]
+                    for _ in range(mult):
+                        prod = value if prod is None else mul[prod][value]
+                    partial[m] = prod
+                    if (prod != target) if completes else (prod == self.zero):
+                        break
+                elif completes:
+                    mono = self.monomials[m]
+                    prod = assignment[mono[0]]
+                    for i in mono[1:]:
+                        prod = mul[prod][assignment[i]]
+                    if prod != target:
+                        break
+            else:
+                self.explored += 1
+                yield from self._assign(slot + 1, target, assignment, partial)
+            for m, p in saved:
+                partial[m] = p
+
+
+def _per_target_check(s, ident):
+    """check_identity_flat's verdict, first counterexample and `explored`,
+    searched target by target from slot 0."""
+    explored = 0
+    for side, other in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
+        search = _PerTargetSideSearch(s, terms._monomials(side), ident.variables)
+        for target in search.nonzero:
+            for values in search.search(target):
+                if terms._value(other, values, s) != target:
+                    witness = {v: s.elements[values[v]] for v in ident.variables}
+                    return "fails", list(witness.items()), explored + search.explored
+        explored += search.explored
+    return "holds", None, explored
+
+
+@pytest.fixture(scope="module")
+def differential_carriers(sc_abc, sc_abcd, triangle_semiring):
+    return {
+        "sc_abc": sc_abc,
+        "sc_abcd": sc_abcd,
+        "beam(1)": triangle_semiring,
+        "n_cycle(3)": build_semiring(family("n_cycle", 3)).exported,
+        "brandt": _brandt(),
+    }
+
+
+@st.composite
+def differential_sides(draw, names):
+    """A bare variable or its square (complete at slot 0), or a term tree
+    with bracketed products of sums."""
+    v = Variable(draw(st.sampled_from(names)))
+    return draw(st.one_of(st.just(v), st.just(Product((v, v))), term_trees(names)))
+
+
+@st.composite
+def differential_identities(draw):
+    names = [f"x{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
+    return make_identity(draw(differential_sides(names)), draw(differential_sides(names)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["sc_abc", "sc_abcd", "beam(1)", "n_cycle(3)", "brandt"]),
+    differential_identities(),
+)
+def test_shared_prefix_matches_the_per_target_search(differential_carriers, carrier, ident):
+    s = differential_carriers[carrier]
+    result = check_identity_flat(s, ident)
+    cex = result.counterexample and list(result.counterexample.items())
+    assert (result.verdict, cex, result.explored) == _per_target_check(s, ident)
