@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from flathg import terms
 from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import family
-from flathg.semiring import FiniteSemiring, is_flat, verify_axioms
+from flathg.semiring import FiniteSemiring, is_flat, multiplicative_zero, verify_axioms
 from flathg.suite import random_hyperforest
 from flathg.terms import (
     IdentitySyntaxError,
@@ -408,7 +408,7 @@ class _PerTargetSideSearch:
     walks from slot 0. The reference for the differential below."""
 
     def __init__(self, s, side_monomials, all_variables):
-        self.s, self.zero = s, terms.multiplicative_zero(s)
+        self.s, self.zero = s, multiplicative_zero(s)
         self.commutative = all(
             s.mul[i][j] == s.mul[j][i] for i in range(s.size) for j in range(i)
         )
