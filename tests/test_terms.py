@@ -35,6 +35,15 @@ from test_constructions import _brandt
 # idempotent addition, so not a semiring the flat checker may decide.
 DOUBLING = FiniteSemiring(("0", "x"), ((0, 0), (0, 0)), ((0, 0), (0, 0)), zero=0)
 
+# Flat addition, but a·a = 0 while a·b = b·a = b·b = b: multiplication is
+# not associative and neither distributive law holds.
+NON_ASSOCIATIVE = FiniteSemiring(
+    ("0", "a", "b"), ((0, 0, 0), (0, 1, 0), (0, 0, 2)), ((0, 0, 0), (0, 0, 2), (0, 2, 2)), zero=0
+)
+
+# The two-element Boolean semiring: 1 + 1 = 1, not flat.
+BOOLEAN = FiniteSemiring(("0", "x"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), zero=0)
+
 
 class TestParsing:
     def test_product_binds_tighter_than_sum(self):
@@ -217,8 +226,9 @@ class TestFlatChecker:
 
 
 @pytest.fixture(scope="module")
-def pinned_subjects(sc_abc, sc_abcd, triangle_semiring, nested_semirings):
+def pinned_subjects(sc_abc, sc_abcd, s7, triangle_semiring, nested_semirings):
     return {
+        "s7": s7,
         "sc_abc": sc_abc,
         "sc_abcd": sc_abcd,
         "triangle": triangle_semiring,
@@ -226,6 +236,8 @@ def pinned_subjects(sc_abc, sc_abcd, triangle_semiring, nested_semirings):
         "n_cycle(4)": build_semiring(family("n_cycle", 4)).exported,
         "n_cycle(12)": build_semiring(family("n_cycle", 12)).exported,
         "brandt": _brandt(),
+        "non-associative": NON_ASSOCIATIVE,
+        "boolean": BOOLEAN,
     }
 
 
@@ -261,6 +273,35 @@ FLAT_PINS = [
 def test_flat_checker_output_is_pinned(pinned_subjects, subject, key, verdict, values, explored):
     ident = parse_identity(key) if "=" in key else builtin_identity(key)
     result = check_identity_flat(pinned_subjects[subject], ident)
+    cex = None if values is None else list(zip(ident.variables, values.split()))
+    assert (result.verdict, result.counterexample and list(result.counterexample.items()),
+            result.explored) == (verdict, cex, explored)
+
+
+# The brute-force checker's exact output, as FLAT_PINS. Lexicographic order
+# decides the counterexample and `explored`; rows cover a non-flat carrier,
+# full exhaustion, a counterexample near the end of the order, a table that
+# breaks the axioms and 30 variables, more than Python nests blocks.
+BRUTE_PINS = [
+    ("s7", "eq4.2", "holds", None, 19683),
+    ("s7", "eq4.4", "fails", "1 1 1 1 1 1 1 a", 2),
+    ("sc_abc", "eq3.1", "holds", None, 262144),
+    ("triangle", "x5*x5*x5 + x5 + x1 = x2*x4 + x1*x3*x5 + x1*x1*x5", "holds", None, 537824),
+    ("triangle", "x3 + x1*x4*x2 = x4*x3*x3*x1", "fails", "TOP a·u1 a·u2 a·u3", 35900),
+    ("non-associative", "x*x*y = y*x*x", "fails", "a b", 6),
+    ("non-associative", "x3*x2 + x2*x1 + x1*x3*x1 = x1 + x2*x3", "fails", "b b a", 26),
+    (
+        "boolean",
+        " + ".join(f"x{i}" for i in range(30)) + " = " + "*".join(f"x{i}" for i in range(30)),
+        "fails", "0 " * 29 + "x", 2,
+    ),
+]
+
+
+@pytest.mark.parametrize("subject, key, verdict, values, explored", BRUTE_PINS)
+def test_bruteforce_output_is_pinned(pinned_subjects, subject, key, verdict, values, explored):
+    ident = parse_identity(key) if "=" in key else builtin_identity(key)
+    result = check_identity_bruteforce(pinned_subjects[subject], ident, budget=2**31)
     cex = None if values is None else list(zip(ident.variables, values.split()))
     assert (result.verdict, result.counterexample and list(result.counterexample.items()),
             result.explored) == (verdict, cex, explored)
