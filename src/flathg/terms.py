@@ -274,45 +274,67 @@ def eval_term(t: Term, assignment: dict[str, str], s: FiniteSemiring) -> str:
     return s.elements[_value(t, values, s)]
 
 
-# Bracket depth at which a generated expression is spilled to a temporary;
-# far below the parser's nesting limit, so any term size compiles.
-_NEST_LIMIT = 50
+# Loops the generated brute-force search nests at most. CPython refuses
+# more than 20 statically nested blocks, so past this many variables the
+# outermost ones share one loop over their product.
+_MAX_LOOPS = 16
 
 
-def _emit(node: Term, slots: dict[str, int], lines: list[str]) -> tuple[str, int]:
-    """Source for one term as (expression, bracket depth), spilling deep
-    subexpressions into `lines` as temporaries `t0`, `t1`, ..."""
-    if isinstance(node, Variable):
-        return f"a[{slots[node.name]}]", 1
-    if isinstance(node, Product):
-        table, parts = "M", node.factors
-    else:
-        table, parts = "A", node.terms
-    acc, depth = _emit(parts[0], slots, lines)
-    for part in parts[1:]:
-        operand, inner = _emit(part, slots, lines)
-        acc, depth = f"{table}[{acc}][{operand}]", max(depth, inner) + 1
-        if depth >= _NEST_LIMIT:
-            lines.append(f"t{len(lines)} = {acc}")
-            acc, depth = f"t{len(lines) - 1}", 0
-    return acc, depth
+def _nest_source(ident: Identity) -> str:
+    """Python source of `side(R, A, M, product)`, the brute-force search.
 
-
-def _side_source(node: Term, slots: dict[str, int]) -> str:
-    """Python source of `side(a, A, M)`, the value of one identity side.
-
-    The source names only the slot tuple `a`, the tables `A` and `M`, and
-    numbered temporaries; variable names never reach it.
+    Each variable is bound by a loop over the carrier `R`, in
+    `ident.variables` order, so assignments come in lexicographic order; past
+    `_MAX_LOOPS` variables the outermost ones are bound together by one loop
+    over `product(R, repeat=...)`. Each side is folded left to right as
+    written, one table lookup `tK = A[x][y]` or `tK = M[x][y]` per statement,
+    and each statement sits in the loop of the last variable it reads, so it
+    is recomputed only when that variable changes. Textually identical
+    lookups share a temporary. The innermost body returns the first
+    assignment at which the sides differ; the function returns None when
+    there is none. The source names only the loop slots `aI`, temporaries,
+    the tables, `R` and `product`; variable names never reach it.
     """
-    lines: list[str] = []
-    result, _ = _emit(node, slots, lines)
-    body = "".join(f"    {line}\n" for line in lines)
-    return f"def side(a, A, M):\n{body}    return {result}\n"
+    nvars = len(ident.variables)
+    fused = max(nvars - _MAX_LOOPS + 1, 1)
+    slots = [f"a{i}" for i in range(nvars)]
+    # Each variable's slot and loop index; the first `fused` share loop 0.
+    operands = {v: (slots[i], max(i - fused + 1, 0)) for i, v in enumerate(ident.variables)}
+    bodies: list[list[str]] = [[] for _ in range(nvars - fused + 1)]
+    temps: dict[tuple[str, str, str], tuple[str, int]] = {}
+
+    def fold(node: Term) -> tuple[str, int]:
+        """The operand holding a term's value and the loop it is known in."""
+        if isinstance(node, Variable):
+            return operands[node.name]
+        table, parts = ("M", node.factors) if isinstance(node, Product) else ("A", node.terms)
+        acc, loop = fold(parts[0])
+        for part in parts[1:]:
+            operand, inner = fold(part)
+            key = (table, acc, operand)
+            if key not in temps:
+                temp, loop = f"t{len(temps)}", max(loop, inner)
+                temps[key] = temp, loop
+                bodies[loop].append(f"{temp} = {table}[{acc}][{operand}]")
+            acc, loop = temps[key]
+        return acc, loop
+
+    lhs, _ = fold(ident.lhs)
+    rhs, _ = fold(ident.rhs)
+    outer = f"{', '.join(slots[:fused])} in product(R, repeat={fused})" if fused > 1 else "a0 in R"
+    headers = [f"for {outer}:"] + [f"for {slot} in R:" for slot in slots[fused:]]
+    lines = ["def side(R, A, M, product):"]
+    for depth, (header, body) in enumerate(zip(headers, bodies), start=1):
+        lines.append("    " * depth + header)
+        lines.extend("    " * (depth + 1) + line for line in body)
+    lines.append("    " * (len(headers) + 1) + f"if {lhs} != {rhs}:")
+    lines.append("    " * (len(headers) + 2) + f"return ({', '.join(slots)},)")
+    return "\n".join(lines) + "\n"
 
 
-def _compile_side(node: Term, slots: dict[str, int]):
+def _compile_nest(ident: Identity):
     namespace: dict[str, object] = {}
-    exec(_side_source(node, slots), {"__builtins__": {}}, namespace)
+    exec(_nest_source(ident), {"__builtins__": {}}, namespace)
     return namespace["side"]
 
 
@@ -332,8 +354,10 @@ def check_identity_bruteforce(
     """Exhaust every assignment; first counterexample in lexicographic order.
 
     Refuses outright when |S|^variables exceeds the budget, naming the flat
-    checker as the alternative. Each side is compiled to a Python function
-    once per call, which the |S|^variables evaluations amortize.
+    checker as the alternative. The identity is compiled to one loop nest per
+    call (`_nest_source`), which the |S|^variables assignments amortize.
+    `explored` is the counterexample's position in that order, or
+    |S|^variables when the identity holds.
     """
     ident = make_identity(ident.lhs, ident.rhs)
     nvars = len(ident.variables)
@@ -343,16 +367,13 @@ def check_identity_bruteforce(
             f"budget exceeded: {s.size}^{nvars} = {total} evaluations > {budget}; "
             "use the flat checker"
         )
-    slots = {v: i for i, v in enumerate(ident.variables)}
-    left = _compile_side(ident.lhs, slots)
-    right = _compile_side(ident.rhs, slots)
-    add, mul = s.add, s.mul
-    explored = 0
-    for assignment in itertools.product(range(s.size), repeat=nvars):
-        explored += 1
-        if left(assignment, add, mul) != right(assignment, add, mul):
-            return _failure(ident, dict(zip(ident.variables, assignment)), s, explored)
-    return CheckResult("holds", None, explored)
+    hit = _compile_nest(ident)(range(s.size), s.add, s.mul, itertools.product)
+    if hit is None:
+        return CheckResult("holds", None, total)
+    index = 0
+    for value in hit:
+        index = index * s.size + value
+    return _failure(ident, dict(zip(ident.variables, hit)), s, index + 1)
 
 
 def _monomial_count(node: Term) -> int:

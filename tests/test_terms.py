@@ -339,31 +339,83 @@ def term_trees(names):
 
 
 word_sets = st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=2)
-carriers = st.one_of(word_sets.map(build_sc), st.just(builtin_s7()))
 
 
-@settings(max_examples=60, deadline=None)
-@given(carriers, term_trees(["x1", "x2", "x3"]), term_trees(["x1", "x2", "x3"]))
-def test_compiled_bruteforce_agrees_with_the_tree_walker(s, lhs, rhs):
-    ident = make_identity(lhs, rhs)
+@st.composite
+def bruteforce_sides(draw, names):
+    """A term tree, a product of bracketed binomials, or a side that repeats
+    a subterm, which the loop nest computes once."""
+    tree = term_trees(names)
+    binomial = st.lists(st.sampled_from(names), min_size=2, max_size=2).map(
+        lambda pair: Sum(tuple(map(Variable, pair)))
+    )
+    return draw(
+        st.one_of(
+            tree,
+            st.lists(binomial, min_size=1, max_size=3).map(lambda bs: Product(tuple(bs))),
+            tree.map(lambda t: Product((t, t))),
+            st.tuples(tree, tree).map(lambda p: Sum((Product(p), p[1], Product(p)))),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compiled_bruteforce_agrees_with_the_tree_walker(pinned_subjects, data):
+    named = st.sampled_from(["s7", "triangle", "brandt", "non-associative", "boolean"])
+    s = data.draw(st.one_of(word_sets.map(build_sc), named.map(pinned_subjects.__getitem__)))
+    # One to five variables, at most 4,096 assignments for the tree walker.
+    most = max(k for k in range(1, 6) if s.size**k <= 4096)
+    names = [f"x{i}" for i in range(1, data.draw(st.integers(1, most)) + 1)]
+    ident = make_identity(data.draw(bruteforce_sides(names)), data.draw(bruteforce_sides(names)))
     result = check_identity_bruteforce(s, ident)
     assert (result.verdict, result.counterexample, result.explored) == _reference_bruteforce(
         s, ident
     )
 
 
+class _OneEach:
+    """Loop ranges for a compiled loop nest: the I-th loop entered runs over
+    values[I] alone. Valid while every variable has its own loop."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def __iter__(self):
+        return iter((next(self._values),))
+
+
+def _nest_values(side, names, values, s):
+    """The values y at which the loop nest of `side = y` finds the sides
+    equal, with the side's variables bound to `values`: [side's value]."""
+    fresh = "".join(names) + "y"
+    nest = terms._compile_nest(terms.Identity(side, Variable(fresh), (*names, fresh)))
+    return [
+        y for y in range(s.size)
+        if nest(_OneEach((*values, y)), s.add, s.mul, itertools.product) is None
+    ]
+
+
 @pytest.mark.parametrize("kind", [Sum, Product])
 def test_300_operand_side_compiles_and_agrees(s7, kind):
     big = make_identity(kind(tuple(Variable(f"x{k % 4 + 1}") for k in range(300))), Variable("x1"))
-    slots = {v: i for i, v in enumerate(big.variables)}
-    side = terms._compile_side(big.lhs, slots)
     for values in itertools.product(range(s7.size), repeat=len(big.variables)):
         env = dict(zip(big.variables, values))
-        assert side(values, s7.add, s7.mul) == terms._value(big.lhs, env, s7)
+        assert _nest_values(big.lhs, big.variables, values, s7) == [terms._value(big.lhs, env, s7)]
     assert check_identity_bruteforce(s7, make_identity(big.lhs, big.lhs)).holds
 
 
-_SOURCE_NAMES = {"def", "side", "a", "A", "M", "return"}
+def test_1000_variables_fuse_into_the_loop_limit():
+    one = FiniteSemiring(("0",), ((0,),), ((0,),), zero=0)
+    xs = tuple(Variable(f"x{i}") for i in range(1000))
+    ident = make_identity(Sum(xs), Product(xs[::-1]))
+    loops = re.findall(r"^ *for ", terms._nest_source(ident), re.MULTILINE)
+    assert len(loops) == terms._MAX_LOOPS
+    result = check_identity_bruteforce(one, ident)
+    assert (result.verdict, result.counterexample, result.explored) == ("holds", None, 1)
+
+
+_SOURCE_NAMES = {"def", "side", "A", "M", "return", "for", "in", "if", "R", "product", "repeat"}
 _SOURCE_LAYOUT = {
     tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
 }
@@ -381,21 +433,25 @@ def hostile_terms(draw):
 def test_generated_source_names_only_slots_tables_and_temporaries(term):
     names: dict[str, None] = {}
     terms._walk_variables(term, names)
-    slots = {v: i for i, v in enumerate(names)}
-    source = terms._side_source(term, slots)
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.NAME:
-            assert tok.string in _SOURCE_NAMES or re.fullmatch(r"t\d+", tok.string)
-        elif tok.type == tokenize.NUMBER:
-            assert tok.string.isdigit()
-        elif tok.type == tokenize.OP:
-            assert tok.string in {"(", ")", "[", "]", ",", ":", "="}
-        else:
-            assert tok.type in _SOURCE_LAYOUT
+    names = list(names)
+    # Against one fresh variable every variable has its own loop; against a
+    # sum of _MAX_LOOPS fresh ones the outermost loops are fused.
+    fresh = ["".join(names) + "y" * i for i in range(1, terms._MAX_LOOPS + 1)]
+    for others in (fresh[:1], fresh):
+        other = Sum(tuple(map(Variable, others))) if len(others) > 1 else Variable(others[0])
+        source = terms._nest_source(terms.Identity(term, other, (*names, *others)))
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in _SOURCE_NAMES or re.fullmatch(r"[at]\d+", tok.string)
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit()
+            elif tok.type == tokenize.OP:
+                assert tok.string in {"(", ")", "[", "]", ",", ":", "=", "!="}
+            else:
+                assert tok.type in _SOURCE_LAYOUT
     s = builtin_s7()
-    side = terms._compile_side(term, slots)
     values = tuple(i % s.size for i in range(len(names)))
-    assert side(values, s.add, s.mul) == terms._value(term, dict(zip(names, values)), s)
+    assert _nest_values(term, names, values, s) == [terms._value(term, dict(zip(names, values)), s)]
 
 
 @st.composite
