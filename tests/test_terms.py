@@ -280,14 +280,16 @@ def test_flat_checker_output_is_pinned(pinned_subjects, subject, key, verdict, v
 
 # The brute-force checker's exact output, as FLAT_PINS. Lexicographic order
 # decides the counterexample and `explored`; rows cover a non-flat carrier,
-# full exhaustion, a counterexample near the end of the order, a table that
-# breaks the axioms and 30 variables, more than Python nests blocks.
+# full exhaustion, a counterexample near the end of the order, products that
+# do not commute, a table that breaks the axioms and 30 variables, more than
+# Python nests blocks.
 BRUTE_PINS = [
     ("s7", "eq4.2", "holds", None, 19683),
     ("s7", "eq4.4", "fails", "1 1 1 1 1 1 1 a", 2),
     ("sc_abc", "eq3.1", "holds", None, 262144),
     ("triangle", "x5*x5*x5 + x5 + x1 = x2*x4 + x1*x3*x5 + x1*x1*x5", "holds", None, 537824),
     ("triangle", "x3 + x1*x4*x2 = x4*x3*x3*x1", "fails", "TOP a·u1 a·u2 a·u3", 35900),
+    ("brandt", "x*x*y = x*y", "fails", "e12 e21", 14),
     ("non-associative", "x*x*y = y*x*x", "fails", "a b", 6),
     ("non-associative", "x3*x2 + x2*x1 + x1*x3*x1 = x1 + x2*x3", "fails", "b b a", 26),
     (
