@@ -3,8 +3,11 @@
 A coloring maps every vertex to one of the colors 0, 1, 2, and is strong
 when each hyperedge sees pairwise distinct colors. Robustness asks more:
 whichever two vertices you pin to whichever valid colors, a full strong
-coloring must still exist. The search routines are plain backtracking with
-forward checking; the instances here are far too small for anything else.
+coloring must still exist. A strong coloring is a homomorphism into the
+simplex on the three colors (Hell and Nešetřil, Graphs and Homomorphisms,
+2004), whose edges are all sets of distinct colors, the empty one too: a
+k-vertex edge needs k distinct colors, and a 4-vertex edge has no coloring.
+So every question here is one run of hypergraph.homomorphisms.
 """
 
 from __future__ import annotations
@@ -13,11 +16,16 @@ import itertools
 import logging
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, degree_order, homomorphisms
 
 logger = logging.getLogger(__name__)
 
 COLORS = (0, 1, 2)
+
+_SIMPLEX = Hypergraph(
+    COLORS,
+    frozenset(frozenset(c) for k in range(4) for c in itertools.combinations(COLORS, k)),
+)
 
 Coloring = dict[str, int]
 
@@ -38,58 +46,9 @@ class RobustnessReport:
     failure: ExtensionFailure | None
 
 
-def _pair_constraints(h: Hypergraph) -> dict[str, set[str]]:
-    """For each vertex, the vertices it must differ from (edge mates)."""
-    mates: dict[str, set[str]] = {v: set() for v in h.vertices}
-    for e in h.edges:
-        for u, v in itertools.combinations(e, 2):
-            mates[u].add(v)
-            mates[v].add(u)
-    return mates
-
-
-def _degree_order(h: Hypergraph) -> list[str]:
-    """Vertices by descending degree, ties by label: most constrained first."""
-    degree = dict.fromkeys(h.vertices, 0)
-    for e in h.edges:
-        for v in e:
-            degree[v] += 1
-    return sorted(h.vertices, key=lambda v: (-degree[v], v))
-
-
-def _complete(
-    assignment: dict[str, int],
-    order: list[str],
-    mates: dict[str, set[str]],
-    collect: list[Coloring] | None,
-    cap: int | None,
-) -> bool:
-    """Depth-first completion; returns True as soon as one coloring exists
-    unless collect is given, in which case the full list is gathered."""
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            if collect is None:
-                return True
-            collect.append(dict(assignment))
-            if cap is not None and len(collect) > cap:
-                raise ValueError(f"more than {cap} strong colorings; raise the cap")
-            return False
-        v = order[i]
-        if v in assignment:
-            return assign(i + 1)
-        for color in COLORS:
-            for m in mates[v]:
-                if assignment.get(m) == color:
-                    break
-            else:
-                assignment[v] = color
-                if assign(i + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    return assign(0)
+def _edge_pairs(h: Hypergraph) -> set[frozenset[str]]:
+    """The vertex pairs in a common edge: they must differ in color."""
+    return {frozenset(p) for e in h.edges for p in itertools.combinations(e, 2)}
 
 
 def enumerate_strong_colorings(h: Hypergraph, cap: int | None = None) -> list[Coloring]:
@@ -98,10 +57,11 @@ def enumerate_strong_colorings(h: Hypergraph, cap: int | None = None) -> list[Co
     An empty result means the hypergraph is not strong 3-colorable. With a
     cap, exceeding it raises instead of truncating silently.
     """
-    mates = _pair_constraints(h)
-    collect: list[Coloring] = []
-    _complete({}, list(h.vertices), mates, collect, cap)
-    return collect
+    limit = None if cap is None else cap + 1
+    colorings = list(itertools.islice(homomorphisms(h, _SIMPLEX, h.vertices, {}), limit))
+    if cap is not None and len(colorings) > cap:
+        raise ValueError(f"more than {cap} strong colorings; raise the cap")
+    return colorings
 
 
 def extends(h: Hypergraph, partial: dict[str, int]) -> bool:
@@ -116,16 +76,17 @@ def extends(h: Hypergraph, partial: dict[str, int]) -> bool:
     for v, color in partial.items():
         if v not in vertices:
             raise ValueError(f"unknown vertex {v!r} in partial assignment")
-        if color not in COLORS:
+        if isinstance(color, bool) or color not in COLORS:
             raise ValueError(f"color {color!r} is not one of 0, 1, 2")
-    mates = _pair_constraints(h)
+    pairs = _edge_pairs(h)
     for u, v in itertools.combinations(sorted(partial), 2):
-        if partial[u] == partial[v] and v in mates[u]:
+        if partial[u] == partial[v] and frozenset((u, v)) in pairs:
             raise ValueError(
                 f"invalid partial assignment: {{{u}, {v}}} is a subhyperedge "
                 f"but both are colored {partial[u]}"
             )
-    return _complete(dict(partial), _degree_order(h), mates, None, None)
+    pins = {v: (color,) for v, color in partial.items()}
+    return next(homomorphisms(h, _SIMPLEX, degree_order(h), pins), None) is not None
 
 
 def is_2_robust(h: Hypergraph) -> RobustnessReport:
@@ -137,14 +98,13 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
     """
     if any(len(e) != 3 for e in h.edges):
         logger.warning("2-robustness tested on a non-3-uniform hypergraph")
-    mates = _pair_constraints(h)
-    order = _degree_order(h)
+    pairs, order = _edge_pairs(h), degree_order(h)
     for u, v in itertools.combinations(sorted(h.vertices), 2):
-        adjacent = v in mates[u]
+        adjacent = frozenset((u, v)) in pairs
         for cu, cv in itertools.product(COLORS, COLORS):
             if adjacent and cu == cv:
                 continue
-            if not _complete({u: cu, v: cv}, order, mates, None, None):
+            if next(homomorphisms(h, _SIMPLEX, order, {u: (cu,), v: (cv,)}), None) is None:
                 return RobustnessReport(
                     robust=False,
                     failure=ExtensionFailure(pair=(u, v), assignment=(cu, cv)),

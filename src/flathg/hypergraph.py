@@ -1,4 +1,4 @@
-"""Finite 3-hypergraphs: validation, girth, pair classes, cores, named families.
+"""Finite 3-hypergraphs: validation, girth, pair classes, cores, families, homomorphisms.
 
 Vertices are opaque strings. An admissible hypergraph is finite and linear,
 has no loops or isolated vertices, and keeps every 2-vertex edge disjoint
@@ -8,10 +8,12 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
@@ -24,6 +26,7 @@ INFINITE: float = math.inf
 FAMILY_KINDS = ("n_cycle", "beam", "fan", "nested")
 
 _DOT_FILL = {0: "lightcoral", 1: "lightskyblue", 2: "palegreen"}
+MEMO_KEPT = 256  # keys a homomorphism-search memo keeps before starting over
 
 
 class HypergraphParseError(ValueError):
@@ -112,45 +115,36 @@ def is_linear(h: Hypergraph) -> bool:
     return all(len(e & f) <= 1 for e, f in itertools.combinations(h.edges, 2))
 
 
+def _incident(h: Hypergraph) -> dict[str, list[Edge]]:
+    """Each vertex's edges, shortest first."""
+    incident: dict[str, list[Edge]] = {v: [] for v in h.vertices}
+    for e in sorted(h.edges, key=len):
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    return incident
+
+
 def girth(h: Hypergraph) -> int | float:
     """Length of the shortest alternating cycle, or INFINITE when acyclic.
 
     A cycle of length n >= 2 alternates n distinct vertices and n distinct
     edges, consecutive vertices sharing the edge between them. Works on any
     loop-free hypergraph, admissible or not, so a pair of edges sharing two
-    vertices is reported as a 2-cycle.
+    vertices is reported as a 2-cycle. Found as half the vertex-edge incidence
+    graph's girth, by breadth-first search from each vertex.
     """
-    incident: dict[str, list[Edge]] = {v: [] for v in h.vertices}
-    for e in h.edges:
-        for v in e:
-            incident.setdefault(v, []).append(e)
-    rank = {v: i for i, v in enumerate(sorted(incident))}
-    best = INFINITE
-
-    def extend(start: str, current: str, used_v: set[str], used_e: set[Edge]) -> None:
-        nonlocal best
-        depth = len(used_e)
-        if depth + 1 >= best:
-            return
-        for e in incident[current]:
-            if e in used_e:
-                continue
-            if depth >= 1 and start in e:
-                best = min(best, depth + 1)
-                continue
-            used_e.add(e)
-            for nxt in e:
-                if nxt in used_v or rank[nxt] < rank[start]:
-                    continue
-                used_v.add(nxt)
-                extend(start, nxt, used_v, used_e)
-                used_v.discard(nxt)
-            used_e.discard(e)
-
-    for start in sorted(incident):
-        extend(start, start, {start}, set())
-        if best == 2:
-            break
+    incident, best = _incident(h), INFINITE
+    for start in incident:
+        dist, parent, queue = {start: 0}, {start: None}, [start]
+        for x in queue:
+            if dist[x] >= best:
+                break
+            for y in incident.get(x, x):  # an edge's neighbours are its vertices
+                if y not in dist:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+                elif y != parent[x]:
+                    best = min(best, (dist[x] + dist[y] + 1) // 2)
     return best
 
 
@@ -308,67 +302,113 @@ def family(kind: str, index: int) -> Hypergraph:
     return build_hypergraph(vertices, edges)
 
 
-def _vertex_signature(h: Hypergraph, v: str) -> tuple:
-    """(degree, sorted sizes of the incident edges)."""
-    sizes = sorted(len(e) for e in h.edges if v in e)
-    return (len(sizes), tuple(sizes))
+def degree_order(h: Hypergraph) -> list[str]:
+    """Vertices by descending degree, ties by label: most constrained first."""
+    incident = _incident(h)
+    return sorted(h.vertices, key=lambda v: (-len(incident[v]), v))
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with compute(key), and starts over past
+    MEMO_KEPT keys (a vertex of two 3-edges into 3 colors has 4**4 keys)."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_KEPT:
+            self.clear()
+        self[key] = value = self.compute(key)
+        return value
+
+
+@functools.lru_cache(maxsize=8)
+def _fit_tables(h: Hypergraph, target: Hypergraph) -> tuple[dict, dict]:
+    """Per vertex v of h, a getter of its edges' other members' images and a
+    memo from them to the target vertices v fits, in target's order; and
+    the image with nothing mapped."""
+    rank = {x: i for i, x in enumerate(target.vertices)}
+
+    @functools.lru_cache(maxsize=MEMO_KEPT)
+    def edge_fits(size, images):
+        mapped = {x for x in images if x is not None}
+        if len(mapped) < len(images) - images.count(None):
+            return frozenset()
+        return frozenset().union(*(f - mapped for f in target.edges if len(f) == size and mapped <= f))
+
+    def vertex_fits(sizes, key):
+        count = sum(sizes) - len(sizes)
+        images = key if count > 1 else (key,)[:count]
+        fits = set(rank)
+        for size in sizes:
+            fits &= edge_fits(size, images[: size - 1])
+            images = images[size - 1 :]
+        return dict.fromkeys(sorted(fits, key=rank.__getitem__))
+
+    vertex_memos = _Memo(lambda sizes: _Memo(functools.partial(vertex_fits, sizes)))
+    tables = {}
+    for v, edges in _incident(h).items():
+        others = [o for e in edges for o in e if o != v] or [v]
+        tables[v] = (operator.itemgetter(*others), vertex_memos[tuple(map(len, edges))])
+    return tables, dict.fromkeys(h.vertices)
+
+
+def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injective: bool = False):
+    """Yield each map of h's vertices to target's under which every edge of h
+    lands on an edge of target of the same size (Hell and Nešetřil, Graphs
+    and Homomorphisms, 2004), as a dict in h's vertex order.
+
+    Maps come in lexicographic order over order (all of h's vertices) times
+    each vertex's candidates (its list in candidates, else target's vertices);
+    one with a single candidate is mapped first. With injective, no two share
+    an image. Each node is one memo lookup on an explicit stack.
+    """
+    if frozenset() in h.edges and frozenset() not in target.edges:
+        return
+    tables, unmapped = _fit_tables(h, target)
+    image = unmapped.copy()
+    for v, only in candidates.items():
+        if len(only) == 1:
+            get, fits = tables[v]
+            if only[0] not in fits[get(image)] or injective and only[0] in image.values():
+                return
+            image[v] = only[0]
+    free = [v for v in order if image[v] is None]
+    options, depth, it = [None] * len(free), 0, None
+    while 0 <= depth < len(free):
+        v = free[depth]
+        if it is None:
+            get, fits = tables[v]
+            fit, only = fits[get(image)], candidates.get(v)
+            it = options[depth] = iter(fit) if only is None else filter(fit.__contains__, only)
+            if injective:  # the images taken so far stay taken at this depth
+                it = options[depth] = itertools.filterfalse(set(image.values()).__contains__, it)
+        image[v] = w = next(it, None)
+        if w is None:
+            depth, it = depth - 1, options[depth - 1]
+        elif depth == len(free) - 1:
+            yield dict(image)
+        else:
+            depth, it = depth + 1, None
+    if not free:
+        yield dict(image)
 
 
 def find_hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> dict[str, str] | None:
     """Search for a vertex bijection carrying edges of h1 exactly onto edges of h2.
 
-    Returns the mapping found by a deterministic backtracking search, or None.
-    Candidate vertices are filtered by degree and incident edge sizes, which
-    keeps the search shallow on the small hypergraphs this library handles.
+    With as many edges on both sides, that is an injective homomorphism: the
+    first one, trying vertices in degree_order, each against h2's vertices
+    with the same incident edge sizes in label order. None if there is none.
     """
-    if len(h1.vertices) != len(h2.vertices) or len(h1.edges) != len(h2.edges):
+    sig1, sig2 = ({v: tuple(map(len, es)) for v, es in _incident(h).items()} for h in (h1, h2))
+    if len(h1.edges) != len(h2.edges) or sorted(sig1.values()) != sorted(sig2.values()):
         return None
-    sig1 = {v: _vertex_signature(h1, v) for v in h1.vertices}
-    sig2 = {v: _vertex_signature(h2, v) for v in h2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-    if sorted(len(e) for e in h1.edges) != sorted(len(e) for e in h2.edges):
-        return None
-
-    order = sorted(h1.vertices, key=lambda v: (-sig1[v][0], v))
-    edges2 = h2.edges
-    edge_sizes2: dict[int, list[Edge]] = {}
-    for e in edges2:
-        edge_sizes2.setdefault(len(e), []).append(e)
-
-    def feasible(mapping: dict[str, str]) -> bool:
-        mapped = set(mapping)
-        for e in h1.edges:
-            image = {mapping[v] for v in e if v in mapped}
-            if len(image) == len(e):
-                if frozenset(image) not in edges2:
-                    return False
-            elif image:
-                if not any(image <= f for f in edge_sizes2.get(len(e), ())):
-                    return False
-        return True
-
-    used: set[str] = set()
-    mapping: dict[str, str] = {}
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in sorted(h2.vertices):
-            if w in used or sig2[w] != sig1[v]:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if feasible(mapping) and assign(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if assign(0):
-        return {v: mapping[v] for v in h1.vertices}
-    return None
+    alike: dict[tuple, list[str]] = {}
+    for w in sorted(h2.vertices):
+        alike.setdefault(sig2[w], []).append(w)
+    candidates = {v: alike[sig1[v]] for v in h1.vertices}
+    return next(homomorphisms(h1, h2, degree_order(h1), candidates, injective=True), None)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -240,6 +240,15 @@ class TestColor:
         )
         assert (code, out) == (1, "does not extend\n")
 
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [([], "strongly 3-colorable: 6 colorings\n"), (["--extend", "u1=0"], "extends\n")],
+    )
+    def test_search_deeper_than_the_recursion_limit(self, capsys, extra, expected):
+        # beam(330) has 993 vertices: a search with a frame per vertex overflows.
+        code, out, _ = run(capsys, ["color", "family:beam:330", *extra])
+        assert (code, out) == (0, expected)
+
     def test_enumerate_lists_then_counts(self, capsys):
         code, out, _ = run(capsys, ["color", "family:beam:1", "--enumerate"])
         assert code == 0

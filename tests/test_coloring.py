@@ -98,6 +98,12 @@ class TestExtends:
         with pytest.raises(ValueError, match="color"):
             extends(triangle, {"u1": 5})
 
+    @pytest.mark.parametrize("color", [True, False])
+    def test_bool_color_rejected(self, triangle, color):
+        # True == 1 and False == 0, but a bool is not a color
+        with pytest.raises(ValueError, match="is not one of 0, 1, 2"):
+            extends(triangle, {"u1": color})
+
     def test_subhyperedge_clash_rejected(self, triangle):
         with pytest.raises(ValueError, match="subhyperedge but both are colored"):
             extends(triangle, {"u1": 0, "u2": 0})

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,17 @@ class TestGirth:
         h = build_hypergraph(["a", "b", "c", "d"], [("a", "b", "c"), ("a", "b", "d")])
         assert girth(h) == 2
 
+    def test_hyperpath_deeper_than_the_recursion_limit(self):
+        # 300 edges in a row: a search with a frame per edge needs 300 frames.
+        vertices = [f"v{i}" for i in range(601)]
+        path = build_hypergraph(vertices, [vertices[i : i + 3] for i in range(0, 600, 2)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            assert girth(path) == math.inf
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_linearity_matches_girth_on_families(self):
         for kind, idx in [("beam", 2), ("fan", 2), ("nested", 2), ("n_cycle", 5)]:
             h = family(kind, idx)
@@ -260,6 +273,16 @@ class TestIsomorphism:
         assert (find_hypergraph_isomorphism(a, b) is None) == (
             find_hypergraph_isomorphism(b, a) is None
         )
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        h = family("beam", 330)
+        names = {v: f"w{i:04d}" for i, v in enumerate(sorted(h.vertices))}
+        relabelled = build_hypergraph(
+            sorted(names.values()), [[names[v] for v in e] for e in h.edges]
+        )
+        iso = find_hypergraph_isomorphism(h, relabelled)
+        assert iso is not None and len(iso) == 993
+        assert {frozenset(iso[v] for v in e) for e in h.edges} == relabelled.edges
 
     def test_size_mismatch(self):
         assert find_hypergraph_isomorphism(family("beam", 1), family("beam", 2)) is None

@@ -1,13 +1,15 @@
 """The coloring and isomorphism searches against frozen recursive references.
 
 The references below are copies of the recursive backtracking searches the
-library used before both moved onto one homomorphism search. Every public
-answer must match them exactly: the coloring list in order (keys in order
-too), the first failing pair of is_2_robust, extends on every valid pinned
-pair, and the first isomorphism found.
+library used before both moved onto one homomorphism search, and of the
+recursive alternating-cycle search girth used before its breadth-first one.
+Every public answer must match them exactly: the coloring list in order
+(keys in order too), the first failing pair of is_2_robust, extends on
+every valid pinned pair, the first isomorphism found, and the girth.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,8 +22,14 @@ from flathg.coloring import (
     extends,
     is_2_robust,
 )
-from flathg.hypergraph import build_hypergraph, family, find_hypergraph_isomorphism
-from flathg.suite import random_hyperforest, sample_nonuniform, sample_pendant, single_edge
+from flathg.hypergraph import build_hypergraph, family, find_hypergraph_isomorphism, girth
+from flathg.suite import (
+    _random_loopfree,
+    random_hyperforest,
+    sample_nonuniform,
+    sample_pendant,
+    single_edge,
+)
 
 
 def _mates(h):
@@ -129,6 +137,41 @@ def reference_isomorphism(h1, h2):
     return {v: mapping[v] for v in h1.vertices} if assign(0) else None
 
 
+def reference_girth(h):
+    incident = {v: [] for v in h.vertices}
+    for e in h.edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    rank = {v: i for i, v in enumerate(sorted(incident))}
+    best = math.inf
+
+    def extend(start, current, used_v, used_e):
+        nonlocal best
+        depth = len(used_e)
+        if depth + 1 >= best:
+            return
+        for e in incident[current]:
+            if e in used_e:
+                continue
+            if depth >= 1 and start in e:
+                best = min(best, depth + 1)
+                continue
+            used_e.add(e)
+            for nxt in e:
+                if nxt in used_v or rank[nxt] < rank[start]:
+                    continue
+                used_v.add(nxt)
+                extend(start, nxt, used_v, used_e)
+                used_v.discard(nxt)
+            used_e.discard(e)
+
+    for start in sorted(incident):
+        extend(start, start, {start}, set())
+        if best == 2:
+            break
+    return best
+
+
 def _random_mixed(rng):
     """Up to 7 vertices and edges of 0 to 4 vertices: admissible or not."""
     vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
@@ -229,3 +272,11 @@ def test_isomorphism_matches_on_same_size_pairs():
         assert find_hypergraph_isomorphism(a, b) == want
         found += want is not None
     assert 0 < found < len(pairs)
+
+
+def test_girth_matches():
+    rng = random.Random(7)
+    hypergraphs = list(CASES.values()) + [_random_loopfree(rng) for _ in range(300)]
+    hypergraphs += [family(kind, i) for kind in ("beam", "fan", "nested") for i in (8, 16)]
+    assert [girth(h) for h in hypergraphs] == [reference_girth(h) for h in hypergraphs]
+    assert {2, 3, 4, math.inf} <= {girth(h) for h in hypergraphs}
