@@ -374,8 +374,8 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
                 return
             image[v] = only[0]
     free = [v for v in order if image[v] is None]
-    options, depth, it = [None] * len(free), 0, None
-    while 0 <= depth < len(free):
+    options, depth, it, last = [None] * len(free), 0, None, len(free) - 1
+    while 0 <= depth <= last:
         v = free[depth]
         if it is None:
             get, fits = tables[v]
@@ -386,7 +386,7 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
         image[v] = w = next(it, None)
         if w is None:
             depth, it = depth - 1, options[depth - 1]
-        elif depth == len(free) - 1:
+        elif depth == last:
             yield dict(image)
         else:
             depth, it = depth + 1, None

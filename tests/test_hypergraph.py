@@ -166,7 +166,7 @@ class TestGirth:
             sys.setrecursionlimit(limit)
 
     def test_linearity_matches_girth_on_families(self):
-        for kind, idx in [("beam", 2), ("fan", 2), ("nested", 2), ("n_cycle", 5)]:
+        for kind, idx in [("beam", 2), ("fan", 2), ("nested", 2), ("nested", 16), ("n_cycle", 5)]:
             h = family(kind, idx)
             assert is_linear(h) and girth(h) >= 3
 

@@ -277,6 +277,8 @@ def test_isomorphism_matches_on_same_size_pairs():
 def test_girth_matches():
     rng = random.Random(7)
     hypergraphs = list(CASES.values()) + [_random_loopfree(rng) for _ in range(300)]
-    hypergraphs += [family(kind, i) for kind in ("beam", "fan", "nested") for i in (8, 16)]
+    # The reference takes seconds on nested(8) under some hash seeds, and
+    # grows about 7x for every 2 more.
+    hypergraphs += [family(kind, i) for kind in ("beam", "fan", "nested") for i in (4, 6)]
     assert [girth(h) for h in hypergraphs] == [reference_girth(h) for h in hypergraphs]
     assert {2, 3, 4, math.inf} <= {girth(h) for h in hypergraphs}
