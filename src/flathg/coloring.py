@@ -3,11 +3,9 @@
 A coloring maps every vertex to one of the colors 0, 1, 2, and is strong
 when each hyperedge sees pairwise distinct colors. Robustness asks more:
 whichever two vertices you pin to whichever valid colors, a full strong
-coloring must still exist. A strong coloring is a homomorphism into the
-simplex on the three colors (Hell and Nešetřil, Graphs and Homomorphisms,
-2004), whose edges are all sets of distinct colors, the empty one too: a
-k-vertex edge needs k distinct colors, and a 4-vertex edge has no coloring.
-So every question here is one run of hypergraph.homomorphisms.
+coloring must still exist. Every search here runs hypergraph.homomorphisms
+into the simplex on the three colors, whose edges are all sets of distinct
+colors.
 """
 
 from __future__ import annotations
@@ -98,15 +96,24 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
     """
     if any(len(e) != 3 for e in h.edges):
         logger.warning("2-robustness tested on a non-3-uniform hypergraph")
-    pairs, order = _edge_pairs(h), degree_order(h)
-    for u, v in itertools.combinations(sorted(h.vertices), 2):
+    pairs = _edge_pairs(h)
+    order = degree_order(h)
+    vertices = sorted(h.vertices)
+    # Permuting the colors of a strong coloring gives another one. So a
+    # coloring in which u and v are alike (or unlike) shows that every
+    # pinning of u and v to equal (or distinct) colors extends.
+    witnessed: set[tuple[str, str, bool]] = set()
+    for u, v in itertools.combinations(vertices, 2):
         adjacent = frozenset((u, v)) in pairs
         for cu, cv in itertools.product(COLORS, COLORS):
-            if adjacent and cu == cv:
+            if adjacent and cu == cv or (u, v, cu == cv) in witnessed:
                 continue
-            if next(homomorphisms(h, _SIMPLEX, order, {u: (cu,), v: (cv,)}), None) is None:
+            coloring = next(homomorphisms(h, _SIMPLEX, order, {u: (cu,), v: (cv,)}), None)
+            if coloring is None:
                 return RobustnessReport(
                     robust=False,
                     failure=ExtensionFailure(pair=(u, v), assignment=(cu, cv)),
                 )
+            for x, y in itertools.combinations(vertices, 2):
+                witnessed.add((x, y, coloring[x] == coloring[y]))
     return RobustnessReport(robust=True, failure=None)

@@ -8,7 +8,6 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
@@ -26,7 +25,6 @@ INFINITE: float = math.inf
 FAMILY_KINDS = ("n_cycle", "beam", "fan", "nested")
 
 _DOT_FILL = {0: "lightcoral", 1: "lightskyblue", 2: "palegreen"}
-MEMO_KEPT = 256  # keys a homomorphism-search memo keeps before starting over
 
 
 class HypergraphParseError(ValueError):
@@ -131,20 +129,37 @@ def girth(h: Hypergraph) -> int | float:
     edges, consecutive vertices sharing the edge between them. Works on any
     loop-free hypergraph, admissible or not, so a pair of edges sharing two
     vertices is reported as a 2-cycle. Found as half the vertex-edge incidence
-    graph's girth, by breadth-first search from each vertex.
+    graph's girth, by breadth-first search from each vertex; a search that
+    covers its component without closing a cycle has found a tree, whose
+    vertices need no search of their own.
     """
-    incident, best = _incident(h), INFINITE
+    incident = _incident(h)
+    neighbours: dict = dict(incident)  # a vertex's edges, and an edge's vertices
+    for e in h.edges:
+        neighbours[e] = e
+    best = INFINITE
+    in_trees: set[str] = set()
     for start in incident:
-        dist, parent, queue = {start: 0}, {start: None}, [start]
+        if start in in_trees:
+            continue
+        dist = {start: 0}
+        parent = {start: None}
+        queue = [start]
+        closed = False
         for x in queue:
             if dist[x] >= best:
                 break
-            for y in incident.get(x, x):  # an edge's neighbours are its vertices
+            for y in neighbours[x]:
                 if y not in dist:
-                    dist[y], parent[y] = dist[x] + 1, x
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
                     queue.append(y)
                 elif y != parent[x]:
+                    closed = True
                     best = min(best, (dist[x] + dist[y] + 1) // 2)
+        else:
+            if not closed:
+                in_trees.update(dist)
     return best
 
 
@@ -308,49 +323,35 @@ def degree_order(h: Hypergraph) -> list[str]:
     return sorted(h.vertices, key=lambda v: (-len(incident[v]), v))
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with compute(key), and starts over past
-    MEMO_KEPT keys (a vertex of two 3-edges into 3 colors has 4**4 keys)."""
+class _EdgeFits(dict):
+    """Maps the images of an edge's members (None where unmapped) to the
+    target vertices that can fill the unmapped places: those of the target
+    edges of the same size that hold every image. Filled on first use. A
+    search maps each vertex into the fits of its edges, so the images it
+    asks about are distinct and lie in one target edge: the target bounds
+    the table, not the hypergraph searched."""
 
-    def __init__(self, compute):
-        self.compute = compute
+    def __init__(self, target: Hypergraph):
+        self.target = target
+        self.incident = _incident(target)
 
-    def __missing__(self, key):
-        if len(self) >= MEMO_KEPT:
-            self.clear()
-        self[key] = value = self.compute(key)
-        return value
+    def __missing__(self, images):
+        mapped = [x for x in images if x is not None]
+        edges = self.incident[mapped[0]] if mapped else self.target.edges
+        fit = set()
+        for f in edges:
+            if len(f) == len(images) and f.issuperset(mapped):
+                fit |= f.difference(mapped)
+        self[images] = frozenset(fit)
+        return self[images]
 
 
-@functools.lru_cache(maxsize=8)
-def _fit_tables(h: Hypergraph, target: Hypergraph) -> tuple[dict, dict]:
-    """Per vertex v of h, a getter of its edges' other members' images and a
-    memo from them to the target vertices v fits, in target's order; and
-    the image with nothing mapped."""
-    rank = {x: i for i, x in enumerate(target.vertices)}
-
-    @functools.lru_cache(maxsize=MEMO_KEPT)
-    def edge_fits(size, images):
-        mapped = {x for x in images if x is not None}
-        if len(mapped) < len(images) - images.count(None):
-            return frozenset()
-        return frozenset().union(*(f - mapped for f in target.edges if len(f) == size and mapped <= f))
-
-    def vertex_fits(sizes, key):
-        count = sum(sizes) - len(sizes)
-        images = key if count > 1 else (key,)[:count]
-        fits = set(rank)
-        for size in sizes:
-            fits &= edge_fits(size, images[: size - 1])
-            images = images[size - 1 :]
-        return dict.fromkeys(sorted(fits, key=rank.__getitem__))
-
-    vertex_memos = _Memo(lambda sizes: _Memo(functools.partial(vertex_fits, sizes)))
-    tables = {}
-    for v, edges in _incident(h).items():
-        others = [o for e in edges for o in e if o != v] or [v]
-        tables[v] = (operator.itemgetter(*others), vertex_memos[tuple(map(len, edges))])
-    return tables, dict.fromkeys(h.vertices)
+def _images_of(members):
+    """A function from an image dict to the tuple of the members' images."""
+    if len(members) == 1:
+        (v,) = members
+        return lambda image: (image[v],)
+    return operator.itemgetter(*members)
 
 
 def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injective: bool = False):
@@ -361,37 +362,45 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
     Maps come in lexicographic order over order (all of h's vertices) times
     each vertex's candidates (its list in candidates, else target's vertices);
     one with a single candidate is mapped first. With injective, no two share
-    an image. Each node is one memo lookup on an explicit stack.
+    an image. The search keeps one iterator of choices per mapped vertex on
+    an explicit stack; a vertex's choices are its candidates in the fits of
+    all its edges, one table lookup per edge.
     """
     if frozenset() in h.edges and frozenset() not in target.edges:
         return
-    tables, unmapped = _fit_tables(h, target)
-    image = unmapped.copy()
-    for v, only in candidates.items():
-        if len(only) == 1:
-            get, fits = tables[v]
-            if only[0] not in fits[get(image)] or injective and only[0] in image.values():
-                return
-            image[v] = only[0]
-    free = [v for v in order if image[v] is None]
-    options, depth, it, last = [None] * len(free), 0, None, len(free) - 1
-    while 0 <= depth <= last:
-        v = free[depth]
-        if it is None:
-            get, fits = tables[v]
-            fit, only = fits[get(image)], candidates.get(v)
-            it = options[depth] = iter(fit) if only is None else filter(fit.__contains__, only)
-            if injective:  # the images taken so far stay taken at this depth
-                it = options[depth] = itertools.filterfalse(set(image.values()).__contains__, it)
-        image[v] = w = next(it, None)
-        if w is None:
-            depth, it = depth - 1, options[depth - 1]
-        elif depth == last:
+    getters = {v: [_images_of(tuple(e)) for e in edges] for v, edges in _incident(h).items()}
+    fits = _EdgeFits(target)
+    everything = frozenset(target.vertices)
+    image = dict.fromkeys(h.vertices)
+
+    def choices(v):
+        """v's candidates, in order, that keep each of v's edges on a target
+        edge given the images so far."""
+        fit = everything
+        for images_of in getters[v]:
+            fit = fit & fits[images_of(image)]
+            if not fit:
+                break
+        if injective:
+            fit = fit.difference(image.values())
+        return filter(fit.__contains__, candidates.get(v, target.vertices))
+
+    # Vertices with a single candidate go first (sorted is stable), so that
+    # every check sees them.
+    order = sorted(order, key=lambda v: len(candidates.get(v, target.vertices)) > 1)
+    if not order:
+        yield dict(image)
+        return
+    stack = [choices(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        image[v] = next(stack[-1], None)
+        if image[v] is None:
+            stack.pop()
+        elif len(stack) == len(order):
             yield dict(image)
         else:
-            depth, it = depth + 1, None
-    if not free:
-        yield dict(image)
+            stack.append(choices(order[len(stack)]))
 
 
 def find_hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> dict[str, str] | None:
@@ -401,7 +410,8 @@ def find_hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> dict[str, str
     first one, trying vertices in degree_order, each against h2's vertices
     with the same incident edge sizes in label order. None if there is none.
     """
-    sig1, sig2 = ({v: tuple(map(len, es)) for v, es in _incident(h).items()} for h in (h1, h2))
+    sig1 = {v: tuple(map(len, edges)) for v, edges in _incident(h1).items()}
+    sig2 = {w: tuple(map(len, edges)) for w, edges in _incident(h2).items()}
     if len(h1.edges) != len(h2.edges) or sorted(sig1.values()) != sorted(sig2.values()):
         return None
     alike: dict[tuple, list[str]] = {}

@@ -155,9 +155,11 @@ class TestGirth:
         assert girth(h) == 2
 
     def test_hyperpath_deeper_than_the_recursion_limit(self):
-        # 300 edges in a row: a search with a frame per edge needs 300 frames.
-        vertices = [f"v{i}" for i in range(601)]
-        path = build_hypergraph(vertices, [vertices[i : i + 3] for i in range(0, 600, 2)])
+        # 1,200 edges in a row: a search with a frame per edge needs 1,200
+        # frames, and a breadth-first search from every vertex of the path
+        # would take seconds; one search covers the whole tree.
+        vertices = [f"v{i}" for i in range(2401)]
+        path = build_hypergraph(vertices, [vertices[i : i + 3] for i in range(0, 2400, 2)])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:

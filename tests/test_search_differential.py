@@ -186,6 +186,8 @@ HAND_MADE = {
     "two 3-edges share two vertices": build_hypergraph("abcd", ["abc", "abd"]),
     "attached 2-edge": build_hypergraph("abcde", ["abc", "cd", "de"]),
     "isolated vertex": build_hypergraph("abcd", ["abc"]),
+    # a vertex of high degree that comes last in the vertex order
+    "star, hub last": build_hypergraph("abcdefghijz", ["zab", "zcd", "zef", "zgh", "zij"]),
     "empty edge": build_hypergraph("abc", ["", "abc"]),
     "no edges": build_hypergraph("ab", []),
     "nonuniform sample": sample_nonuniform(),
@@ -203,7 +205,7 @@ CASES.update({f"mixed {seed}": _random_mixed(random.Random(1000 + seed)) for see
 
 
 def test_the_case_list_covers_what_it_claims():
-    assert len(CASES) == 97
+    assert len(CASES) == 98
     assert len(reference_colorings(HAND_MADE["one-vertex edge"])) == 18
     assert reference_colorings(HAND_MADE["four-vertex edge"]) == []
     sizes = {len(e) for h in CASES.values() for e in h.edges}
