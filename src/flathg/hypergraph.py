@@ -129,9 +129,9 @@ def girth(h: Hypergraph) -> int | float:
     edges, consecutive vertices sharing the edge between them. Works on any
     loop-free hypergraph, admissible or not, so a pair of edges sharing two
     vertices is reported as a 2-cycle. Found as half the vertex-edge incidence
-    graph's girth, by breadth-first search from each vertex; a search that
-    covers its component without closing a cycle has found a tree, whose
-    vertices need no search of their own.
+    graph's girth, by breadth-first search from each vertex. Until a cycle
+    is found, a search covers its whole component; one that finds no cycle
+    has covered a tree, whose vertices need no search of their own.
     """
     incident = _incident(h)
     neighbours: dict = dict(incident)  # a vertex's edges, and an edge's vertices
@@ -145,7 +145,6 @@ def girth(h: Hypergraph) -> int | float:
         dist = {start: 0}
         parent = {start: None}
         queue = [start]
-        closed = False
         for x in queue:
             if dist[x] >= best:
                 break
@@ -155,11 +154,9 @@ def girth(h: Hypergraph) -> int | float:
                     parent[y] = x
                     queue.append(y)
                 elif y != parent[x]:
-                    closed = True
                     best = min(best, (dist[x] + dist[y] + 1) // 2)
-        else:
-            if not closed:
-                in_trees.update(dist)
+        if best == INFINITE:  # the search covered its component and found no cycle
+            in_trees.update(dist)
     return best
 
 
