@@ -18,7 +18,7 @@ from itertools import chain, permutations
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
 from .hypergraph import Hypergraph, family, leaf_edges, sub_hypergraph, validate
-from .semiring import FiniteSemiring, is_flat, multiplicative_zero
+from .semiring import FiniteSemiring, is_commutative, is_flat, multiplicative_zero
 from .terms import check_identity_flat, nested_identity
 from .words import build_sc
 
@@ -38,11 +38,21 @@ def _power_label(base: FiniteSemiring, x: tuple[int, ...]) -> str:
 
 
 def _power_element(base: FiniteSemiring, entries) -> tuple[int, ...]:
-    """A power element given as a tuple of base labels or of base indices."""
+    """A power element given as a tuple of base labels or of base indices.
+
+    An index is an int, and a bool is not one; a tuple with any str in it
+    is read as labels, every one of which must be a base label.
+    """
     entries = tuple(entries)
     if any(isinstance(e, str) for e in entries):
-        return tuple(base.index(lbl) for lbl in entries)
-    return tuple(int(e) for e in entries)
+        for e in entries:
+            if not isinstance(e, str) or e not in base.elements:
+                raise ValueError(f"coordinate {e!r} is not an element label")
+        return tuple(map(base.index, entries))
+    for e in entries:
+        if type(e) is not int or not 0 <= e < base.size:
+            raise ValueError(f"coordinate {e!r} is not an element index")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,12 @@ def generated_subsemiring(
     y at once. The k translated columns, joined, hold the n products as
     strided slices. Products are interned per y in the order y+x, x+y, y·x,
     x·y.
+
+    A commutative table (is_commutative) has only the y∘x translations: its
+    x∘y is the same string, and interning it again would always be a hit.
+    Its one product stream per cursor fills both the row entry x∘y and the
+    column entry y∘x, so the elements, their order and the tables are those
+    of the two-sided streams, which non-commutative tables keep.
     """
     gens = [_power_element(base, g) for g in generators]
     if not gens:
@@ -97,12 +113,17 @@ def generated_subsemiring(
         raise ValueError("power arity must be at least 1")
     if any(len(g) != arity for g in gens):
         raise ValueError(f"generators must all have {arity} coordinates")
-    # Translation tables per base element, in interning order: y+x, x+y,
-    # y·x, x·y, each indexed by x's coordinate.
+    # Per operation, translation tables per base element x, indexed by x's
+    # coordinate: y∘x from x's column, then x∘y from x's row, or None when
+    # the table is commutative.
     translations = []
     for table in (base.add, base.mul):
         translations.append([str.maketrans(dict(enumerate(col))) for col in zip(*table)])
-        translations.append([str.maketrans(dict(enumerate(row))) for row in table])
+        translations.append(
+            None
+            if is_commutative(table)
+            else [str.maketrans(dict(enumerate(row))) for row in table]
+        )
     elements: list[str] = []
     position: dict[str, int] = {}
     # add[i] and mul[i] gain column j when the worklist reaches max(i, j).
@@ -127,16 +148,18 @@ def generated_subsemiring(
         known = "".join(elements[:n])
         columns = [known[c::arity] for c in range(arity)]
         yx_add, xy_add, yx_mul, xy_mul = (
-            "".join([col.translate(by_x[ord(xc)]) for col, xc in zip(columns, x)])
+            None
+            if by_x is None
+            else "".join([col.translate(by_x[ord(xc)]) for col, xc in zip(columns, x)])
             for by_x in translations
         )
         add_row: list[int] = []
         mul_row: list[int] = []
         for i in range(n):
             yx_add_i = intern(yx_add[i::n])
-            add_row.append(intern(xy_add[i::n]))
+            add_row.append(yx_add_i if xy_add is None else intern(xy_add[i::n]))
             yx_mul_i = intern(yx_mul[i::n])
-            mul_row.append(intern(xy_mul[i::n]))
+            mul_row.append(yx_mul_i if xy_mul is None else intern(xy_mul[i::n]))
             if i < cursor:
                 add[i].append(yx_add_i)
                 mul[i].append(yx_mul_i)
@@ -185,10 +208,12 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     labels = a.semiring.elements
     k = len(a.elements)
     for op_name, table in (("add", a.semiring.add), ("mul", a.semiring.mul)):
-        for x, column in enumerate(zip(*table)):
+        # A commutative table's column is its row, so only the row is read.
+        lines = zip(table) if is_commutative(table) else zip(table, zip(*table))
+        for x, pair in enumerate(lines):
             # x with every member of J, on the left and then on the right;
             # each result keeps the first member that produced it.
-            for line in (table[x], column):
+            for line in pair:
                 results = {line[j]: j for j in reversed(j_idx)}
                 if len(results) > 1 and not j_set.issuperset(results):
                     r1, r2 = sorted(results)[:2]

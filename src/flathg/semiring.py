@@ -264,6 +264,11 @@ def multiplicative_zero(s: FiniteSemiring) -> int | None:
     return _absorbing(s.mul)
 
 
+def is_commutative(table) -> bool:
+    """True when the square table equals its transpose: a∘b == b∘a for all a, b."""
+    return tuple(zip(*table)) == tuple(map(tuple, table))
+
+
 def _flat_row(n: int, z: int, x: int) -> tuple[int, ...]:
     """Row x of the flat addition: x + x = x and x + y = z for y != x."""
     row = [z] * n

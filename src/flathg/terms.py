@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .semiring import FiniteSemiring, is_flat, multiplicative_zero
+from .semiring import FiniteSemiring, is_commutative, is_flat, multiplicative_zero
 
 
 class IdentitySyntaxError(ValueError):
@@ -571,7 +571,7 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
             )
     sides = ((_monomials(ident.lhs), ident.rhs), (_monomials(ident.rhs), ident.lhs))
     zero = multiplicative_zero(s)
-    commutative = all(s.mul[i][j] == s.mul[j][i] for i in range(s.size) for j in range(i))
+    commutative = is_commutative(s.mul)
     explored = 0
     for monomials, other in sides:
         search = _SideSearch(s, monomials, ident.variables, zero, commutative)

@@ -20,11 +20,23 @@ from flathg.hypergraph import build_hypergraph, family
 from flathg.semiring import (
     FiniteSemiring,
     flat_completion,
+    is_commutative,
     multiplicative_zero,
     verify_axioms,
 )
 from flathg.suite import random_hyperforest, sample_nonuniform, sample_pendant
 from flathg.words import build_sc, builtin_s7
+
+
+# Coordinates that are neither base labels nor in-range int indices.
+BAD_COORDINATES = [
+    pytest.param((99,), "coordinate 99 is not an element index", id="past-the-end"),
+    pytest.param((-1,), "coordinate -1 is not an element index", id="negative"),
+    pytest.param((1.7,), "coordinate 1.7 is not an element index", id="float"),
+    pytest.param((True,), "coordinate True is not an element index", id="bool"),
+    pytest.param(("a", 1), "coordinate 1 is not an element label", id="mixed"),
+    pytest.param(("a", "zz"), "coordinate 'zz' is not an element label", id="unknown-label"),
+]
 
 
 class TestClosure:
@@ -73,6 +85,11 @@ class TestClosure:
         with pytest.raises(ValueError, match="at least one generator"):
             generated_subsemiring(sc_abc, [])
 
+    @pytest.mark.parametrize("generator, message", BAD_COORDINATES)
+    def test_a_bad_generator_coordinate_is_refused(self, sc_abc, generator, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generated_subsemiring(sc_abc, [generator])
+
 
 class TestQuotient:
     def test_zero_ideal_reproduces_the_closure(self, sc_abc):
@@ -100,6 +117,13 @@ class TestQuotient:
         sub = generated_subsemiring(sc_abc, [("a",), ("b",), ("c",)])
         with pytest.raises(ValueError, match="does not induce a congruence"):
             quotient_by_ideal(sub, [("0",), ("a",)])
+
+    @pytest.mark.parametrize("member, message", BAD_COORDINATES)
+    def test_a_bad_ideal_coordinate_is_refused(self, sc_abc, member, message):
+        arity = len(member)
+        sub = generated_subsemiring(sc_abc, [("a",) * arity, ("b",) * arity])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quotient_by_ideal(sub, [("0",) * arity, member])
 
 
 def _componentwise(table, x, y):
@@ -181,9 +205,17 @@ def _brandt():
     return flat_completion(labels, tuple(map(tuple, mul)), 0)
 
 
+def _brandt_left_sum():
+    """The Brandt products with x + y = x: a base whose addition is not
+    commutative either, so both of the closure's streams are two-sided."""
+    b = _brandt()
+    return FiniteSemiring(b.elements, tuple((x,) * b.size for x in range(b.size)), b.mul, b.zero)
+
+
 @st.composite
 def closure_inputs(draw):
-    base = draw(st.sampled_from([build_sc(["abc"]), build_sc(["abcd"]), _brandt()]))
+    bases = [build_sc(["abc"]), build_sc(["abcd"]), _brandt(), _brandt_left_sum()]
+    base = draw(st.sampled_from(bases))
     arity = draw(st.integers(1, 40))
     letters = ("a", "b", "c", "d", "e12", "e21")
     generating = [i for i, lbl in enumerate(base.elements) if lbl in letters]
@@ -232,6 +264,24 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
         else:
             q = quotient_by_ideal(sub, ideal).quotient
             assert (q.elements, q.add, q.mul) == expected
+
+
+@pytest.mark.parametrize("base", [_brandt(), _brandt_left_sum()], ids=["brandt", "left-sum"])
+def test_a_non_commutative_closure_agrees_with_tuple_arithmetic(base):
+    labels = [("e12", "e21", "e11"), ("e21", "e11", "e12"), ("e11", "e12", "e22")]
+    gens = [tuple(map(base.index, g)) for g in labels]
+    sub, want = assert_closure_matches_reference(base, gens)
+    s = sub.semiring
+    assert not is_commutative(s.mul)
+    assert is_commutative(s.add) is is_commutative(base.add)
+    ideal = [x for x in want if base.zero in x]
+    q = quotient_by_ideal(sub, ideal).quotient
+    assert (q.elements, q.add, q.mul) == _reference_quotient(base, want, ideal)
+    # x·J stays in J for every x here; only a product J·x leaves it.
+    ideal = [(base.zero,) * 3, (base.zero, base.zero, base.index("e11"))]
+    with pytest.raises(ValueError) as exc:
+        quotient_by_ideal(sub, ideal)
+    assert str(exc.value) == _reference_quotient(base, want, ideal)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from flathg.semiring import (
     SemiringParseError,
     flat_completion,
     format_semiring,
+    is_commutative,
     is_flat,
     is_zero_cancellative,
     multiplicative_zero,
@@ -299,6 +300,22 @@ def random_tables(draw):
     rows = st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n).map(tuple)
     zero = draw(st.none() | st.integers(0, n - 1)) if n else None
     return FiniteSemiring(tuple(f"e{i}" for i in range(n)), draw(rows), draw(rows), zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tables())
+@example(FiniteSemiring(("e0", "e1"), ((0, 1), (1, 1)), ((0, 1), (0, 1))))
+def test_is_commutative_matches_the_pairwise_definition(s):
+    """Rows given as lists read the same as rows given as tuples."""
+    for table in (s.add, s.mul):
+        want = all(table[a][b] == table[b][a] for a in range(s.size) for b in range(s.size))
+        assert is_commutative(table) is want
+        assert is_commutative([list(row) for row in table]) is want
+
+
+def test_the_builtin_tables_are_commutative(sc_abc, s7, triangle_semiring):
+    for s in (sc_abc, s7, triangle_semiring, BOOL_LATTICE):
+        assert is_commutative(s.add) and is_commutative(s.mul)
 
 
 MUTATION_BASES = {m: build_semiring(family(*m)).exported for m in [("beam", 1), ("nested", 2), ("n_cycle", 4)]}
