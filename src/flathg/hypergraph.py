@@ -369,6 +369,10 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
     fits = _EdgeFits(target)
     everything = frozenset(target.vertices)
     image = dict.fromkeys(h.vertices)
+    # With injective, the images of the vertices mapped so far. A vertex's
+    # choices are drawn while every deeper vertex is unmapped, so its filter
+    # reads the set as it was when the choices were made.
+    taken: set[str] = set()
 
     def choices(v):
         """v's candidates, in order, that keep each of v's edges on a target
@@ -378,9 +382,8 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
             fit = fit & fits[images_of(image)]
             if not fit:
                 break
-        if injective:
-            fit = fit.difference(image.values())
-        return filter(fit.__contains__, candidates.get(v, target.vertices))
+        options = filter(fit.__contains__, candidates.get(v, target.vertices))
+        return itertools.filterfalse(taken.__contains__, options) if injective else options
 
     # Vertices with a single candidate go first (sorted is stable), so that
     # every check sees them.
@@ -391,10 +394,15 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
     stack = [choices(order[0])]
     while stack:
         v = order[len(stack) - 1]
+        if injective:
+            taken.discard(image[v])
         image[v] = next(stack[-1], None)
         if image[v] is None:
             stack.pop()
-        elif len(stack) == len(order):
+            continue
+        if injective:
+            taken.add(image[v])
+        if len(stack) == len(order):
             yield dict(image)
         else:
             stack.append(choices(order[len(stack)]))

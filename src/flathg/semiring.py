@@ -28,6 +28,7 @@ each non-zero value, so it reads each entry once.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,6 +66,22 @@ class FiniteSemiring:
 
     def mul_label(self, a: str, b: str) -> str:
         return self.elements[self.mul[self.index(a)][self.index(b)]]
+
+    @cached_property
+    def byte_tables(self) -> tuple[list[bytes], ...]:
+        """The rows and columns of add, then those of mul, each padded to a
+        256-byte `bytes.translate` table: byte b of row x is x∘b, and of
+        column y it is b∘y. Last, each element's constant vector, the element
+        repeated once per element. For carriers of at most 256 elements;
+        built on first use, once per semiring."""
+        n, pad = self.size, bytes(256 - self.size)
+        out = []
+        for table in (self.add, self.mul):
+            flat = bytes(itertools.chain.from_iterable(table))
+            rows = [flat[x * n : (x + 1) * n] + pad for x in range(n)]
+            out += rows, [flat[y::n] + pad for y in range(n)]
+        out.append([bytes((c,)) * n for c in range(n)])
+        return tuple(out)
 
 
 @dataclass(frozen=True)

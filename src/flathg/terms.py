@@ -15,7 +15,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .semiring import FiniteSemiring, is_commutative, is_flat, multiplicative_zero
+from .semiring import (
+    FiniteSemiring,
+    _first_difference,
+    is_commutative,
+    is_flat,
+    multiplicative_zero,
+)
 
 
 class IdentitySyntaxError(ValueError):
@@ -110,6 +116,11 @@ MAX_NESTING = 200
 # already takes seconds, and each further binomial doubles time and memory.
 MAX_MONOMIALS = 4096
 
+# An identity text longer than this is refused before it is tokenized. The
+# parser keeps a token list and a term tree per character, so an identity
+# file's line had no bound on the time and memory it could take.
+MAX_IDENTITY_CHARS = 1_000_000
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -186,7 +197,12 @@ def parse_identity(text: str) -> Identity:
     """Parse "lhs = rhs" where each side is a sum of '*'-separated products.
 
     Variables match [a-z][a-z0-9]*; juxtaposition is not multiplication.
+    Text longer than MAX_IDENTITY_CHARS is refused.
     """
+    if len(text) > MAX_IDENTITY_CHARS:
+        raise IdentitySyntaxError(
+            f"identity longer than {MAX_IDENTITY_CHARS} characters", MAX_IDENTITY_CHARS
+        )
     parser = _Parser(_tokenize(text))
     lhs = parser.expr()
     parser.take("=")
@@ -279,8 +295,18 @@ def eval_term(t: Term, assignment: dict[str, str], s: FiniteSemiring) -> str:
 # outermost ones share one loop over their product.
 _MAX_LOOPS = 16
 
+# Carrier sizes whose brute-force nest binds the last variable to a byte
+# vector instead of a loop. A byte holds at most 256 element indices; on a
+# 2-element carrier a gather can cost more than the two loop steps it
+# replaces (up to 1.2x slower; measurements in CHANGES.md).
+_VECTOR_SIZES = range(3, 257)
 
-def _nest_source(ident: Identity) -> str:
+
+class _TwoVectors(Exception):
+    """A lookup reads the last variable through both operands."""
+
+
+def _nest_source(ident: Identity, vector: bool = False) -> str | None:
     """Python source of `side(R, A, M, product)`, the brute-force search.
 
     Each variable is bound by a loop over the carrier `R`, in
@@ -292,49 +318,90 @@ def _nest_source(ident: Identity) -> str:
     is recomputed only when that variable changes. Textually identical
     lookups share a temporary. The innermost body returns the first
     assignment at which the sides differ; the function returns None when
-    there is none. The source names only the loop slots `aI`, temporaries,
-    the tables, `R` and `product`; variable names never reach it.
+    there is none.
+
+    With `vector`, the last variable, which one side reads, has no loop: it
+    is the byte string `V` of every value at once, and `side(R, A, M,
+    product, V, F, AR, AC, MR, MC, D)`, whose tables are the semiring's
+    `byte_tables`, returns the differing position in `V` as the last value. A lookup with one operand
+    that reads `V` is a vector itself, one C-level gather: a row x gathers
+    `y.translate(AR[x])`, a column y gathers `x.translate(AC[y])`. It sits in
+    the loop of the last looped variable it reads, before the first loop if
+    none. A vector side is compared whole with the other, a scalar one as its
+    constant vector `F[x]`, and `D` finds the first differing position. A
+    lookup of two vectors has no C-level gather: mapping it element by element
+    costs more than the loop it saves, so there is no vector nest then, and
+    the source is None.
+
+    The source names only the loop slots `aI`, temporaries, the tables, `R`,
+    `product` and the vector names; variable names never reach it.
     """
     nvars = len(ident.variables)
-    fused = max(nvars - _MAX_LOOPS + 1, 1)
-    slots = [f"a{i}" for i in range(nvars)]
-    # Each variable's slot and loop index; the first `fused` share loop 0.
-    operands = {v: (slots[i], max(i - fused + 1, 0)) for i, v in enumerate(ident.variables)}
-    bodies: list[list[str]] = [[] for _ in range(nvars - fused + 1)]
-    temps: dict[tuple[str, str, str], tuple[str, int]] = {}
+    looped = nvars - vector
+    fused = max(looped - _MAX_LOOPS + 1, 1)
+    slots = [f"a{i}" for i in range(looped)]
+    # Each operand's name, the number of loops it needs and whether it is a
+    # vector; the first `fused` variables share loop 1.
+    operands = {
+        v: (slots[i], max(i - fused + 1, 0) + 1, False)
+        for i, v in enumerate(ident.variables[:looped])
+    }
+    if vector:
+        operands[ident.variables[-1]] = ("V", 0, True)
+    bodies: list[list[str]] = [[] for _ in range(looped - fused + 2)]
+    temps: dict[tuple[str, str, str], tuple[str, int, bool]] = {}
 
-    def fold(node: Term) -> tuple[str, int]:
-        """The operand holding a term's value and the loop it is known in."""
+    def lookup(table: str, x: tuple[str, int, bool], y: tuple[str, int, bool]) -> str:
+        (a, _, a_vector), (b, _, b_vector) = x, y
+        if a_vector and b_vector:
+            raise _TwoVectors
+        if a_vector:
+            return f"{a}.translate({table}C[{b}])"
+        if b_vector:
+            return f"{b}.translate({table}R[{a}])"
+        return f"{table}[{a}][{b}]"
+
+    def fold(node: Term) -> tuple[str, int, bool]:
+        """The operand holding a term's value, the loop it is known in and
+        whether it is a vector."""
         if isinstance(node, Variable):
             return operands[node.name]
         table, parts = ("M", node.factors) if isinstance(node, Product) else ("A", node.terms)
-        acc, loop = fold(parts[0])
+        acc = fold(parts[0])
         for part in parts[1:]:
-            operand, inner = fold(part)
-            key = (table, acc, operand)
+            operand = fold(part)
+            key = (table, acc[0], operand[0])
             if key not in temps:
-                temp, loop = f"t{len(temps)}", max(loop, inner)
-                temps[key] = temp, loop
-                bodies[loop].append(f"{temp} = {table}[{acc}][{operand}]")
-            acc, loop = temps[key]
-        return acc, loop
+                temps[key] = f"t{len(temps)}", max(acc[1], operand[1]), acc[2] or operand[2]
+                bodies[temps[key][1]].append(f"{temps[key][0]} = {lookup(table, acc, operand)}")
+            acc = temps[key]
+        return acc
 
-    lhs, _ = fold(ident.lhs)
-    rhs, _ = fold(ident.rhs)
-    outer = f"{', '.join(slots[:fused])} in product(R, repeat={fused})" if fused > 1 else "a0 in R"
-    headers = [f"for {outer}:"] + [f"for {slot} in R:" for slot in slots[fused:]]
-    lines = ["def side(R, A, M, product):"]
-    for depth, (header, body) in enumerate(zip(headers, bodies), start=1):
+    try:
+        (lhs, _, lvec), (rhs, _, rvec) = fold(ident.lhs), fold(ident.rhs)
+    except _TwoVectors:
+        return None
+    if lvec != rvec:
+        lhs, rhs = (lhs, f"F[{rhs}]") if lvec else (f"F[{lhs}]", rhs)
+    at = [f"D({lhs}, {rhs})"] if vector else []
+    headers = []
+    if looped:
+        outer = f"{', '.join(slots[:fused])} in product(R, repeat={fused})" if fused > 1 else "a0 in R"
+        headers = [f"for {outer}:"] + [f"for {slot} in R:" for slot in slots[fused:]]
+    vector_names = ", V, F, AR, AC, MR, MC, D" if vector else ""
+    lines = [f"def side(R, A, M, product{vector_names}):"]
+    lines.extend("    " + line for line in bodies[0])
+    for depth, (header, body) in enumerate(zip(headers, bodies[1:]), start=1):
         lines.append("    " * depth + header)
         lines.extend("    " * (depth + 1) + line for line in body)
     lines.append("    " * (len(headers) + 1) + f"if {lhs} != {rhs}:")
-    lines.append("    " * (len(headers) + 2) + f"return ({', '.join(slots)},)")
+    lines.append("    " * (len(headers) + 2) + f"return ({', '.join(slots + at)},)")
     return "\n".join(lines) + "\n"
 
 
-def _compile_nest(ident: Identity):
+def _compile_nest(source: str):
     namespace: dict[str, object] = {}
-    exec(_nest_source(ident), {"__builtins__": {}}, namespace)
+    exec(source, {"__builtins__": {}}, namespace)
     return namespace["side"]
 
 
@@ -355,9 +422,11 @@ def check_identity_bruteforce(
 
     Refuses outright when |S|^variables exceeds the budget, naming the flat
     checker as the alternative. The identity is compiled to one loop nest per
-    call (`_nest_source`), which the |S|^variables assignments amortize.
-    `explored` is the counterexample's position in that order, or
-    |S|^variables when the identity holds.
+    call (`_nest_source`), which the |S|^variables assignments amortize; on
+    carriers of `_VECTOR_SIZES` its last variable is a byte vector unless a
+    lookup reads that variable through both operands. `explored` is the
+    counterexample's position in that order, or |S|^variables when the
+    identity holds.
     """
     ident = make_identity(ident.lhs, ident.rhs)
     nvars = len(ident.variables)
@@ -367,7 +436,14 @@ def check_identity_bruteforce(
             f"budget exceeded: {s.size}^{nvars} = {total} evaluations > {budget}; "
             "use the flat checker"
         )
-    hit = _compile_nest(ident)(range(s.size), s.add, s.mul, itertools.product)
+    args = (range(s.size), s.add, s.mul, itertools.product)
+    source = s.size in _VECTOR_SIZES and _nest_source(ident, vector=True)
+    if source:
+        *tables, constants = s.byte_tables
+        args += (bytes(range(s.size)), constants, *tables, _first_difference)
+    else:
+        source = _nest_source(ident)
+    hit = _compile_nest(source)(*args)
     if hit is None:
         return CheckResult("holds", None, total)
     index = 0

@@ -86,6 +86,16 @@ class TestExitCodes:
         assert code == 2
         assert "brackets nested deeper than 200 levels (at position 200)" in err
 
+    def test_an_identity_line_past_the_length_budget_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("x = x\n" + " + ".join(["x"] * 400_000) + " = x\n")
+        code, out, err = run(capsys, ["check", "builtin:sc_abc", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"flathg: error: bad identity file {path}: "
+            "identity longer than 1000000 characters (at position 1000000)\n"
+        )
+
     @pytest.mark.parametrize("argv", (["validate"], ["check", "eq3.1"]))
     def test_deep_json_is_an_input_error(self, capsys, tmp_path, argv):
         path = tmp_path / "deep.json"

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flathg.constructions import (
@@ -245,16 +245,33 @@ def assert_closure_matches_reference(base, gens):
     return sub, want
 
 
+# Generators over the Brandt bases whose closure is not commutative under
+# multiplication (see the test after the next one). The closure lists the
+# generators first, so the pick 3 below draws (0, 0, e11) into the ideal.
+_NON_COMMUTATIVE = [("e12", "e21", "e11"), ("e21", "e11", "e12"), ("e11", "e12", "e22")]
+
+
+def _brandt_generators(base, labels):
+    return [tuple(map(base.index, g)) for g in labels]
+
+
 @settings(max_examples=40, deadline=None)
-@given(closure_inputs(), st.data())
-def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
+@given(closure_inputs(), st.lists(st.integers(min_value=0), max_size=4))
+# The left-sum base runs both of the closure's streams two-sided.
+@example((_brandt_left_sum(), _brandt_generators(_brandt_left_sum(), _NON_COMMUTATIVE)), [])
+# x·J stays in J = {0, (0, 0, e11)} for every x of this closure; only a
+# product J·x leaves it, so a quotient reading rows alone accepts J.
+@example(
+    (_brandt(), _brandt_generators(_brandt(), [*_NON_COMMUTATIVE, ("0", "0", "e11")])), [3]
+)
+def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
     base, gens = inputs
     sub, want = assert_closure_matches_reference(base, gens)
     zero = (base.zero,) * len(gens[0])
     if zero not in want:
         return
     zero_coordinate = [x for x in want if base.zero in x]
-    drawn = [zero] + data.draw(st.lists(st.sampled_from(want), max_size=4))
+    drawn = [zero] + [want[p % len(want)] for p in picks]
     for ideal in (zero_coordinate, drawn):
         expected = _reference_quotient(base, want, ideal)
         if isinstance(expected, str):
@@ -268,8 +285,7 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, data):
 
 @pytest.mark.parametrize("base", [_brandt(), _brandt_left_sum()], ids=["brandt", "left-sum"])
 def test_a_non_commutative_closure_agrees_with_tuple_arithmetic(base):
-    labels = [("e12", "e21", "e11"), ("e21", "e11", "e12"), ("e11", "e12", "e22")]
-    gens = [tuple(map(base.index, g)) for g in labels]
+    gens = _brandt_generators(base, _NON_COMMUTATIVE)
     sub, want = assert_closure_matches_reference(base, gens)
     s = sub.semiring
     assert not is_commutative(s.mul)

@@ -45,6 +45,28 @@ NON_ASSOCIATIVE = FiniteSemiring(
 BOOLEAN = FiniteSemiring(("0", "x"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), zero=0)
 
 
+def _chain(n):
+    """The chain lattice 0 < 1 < ... < n-1: add is max, mul is min."""
+    order = range(n)
+    return FiniteSemiring(
+        tuple(map(str, order)),
+        tuple(tuple(max(i, j) for j in order) for i in order),
+        tuple(tuple(min(i, j) for j in order) for i in order),
+        zero=0,
+    )
+
+
+# Carriers on both sides of each bound of terms._VECTOR_SIZES: the Boolean
+# semiring below it, the 3-element tables at it, the 256-element chain at its
+# top and the 257-element one past it, where a byte cannot hold an element.
+CARRIERS = {
+    "boolean": BOOLEAN,
+    "non-associative": NON_ASSOCIATIVE,
+    "chain(256)": _chain(256),
+    "chain(257)": _chain(257),
+}
+
+
 class TestParsing:
     def test_product_binds_tighter_than_sum(self):
         ident = parse_identity("x1 + x2*x3 = x1")
@@ -64,6 +86,16 @@ class TestParsing:
         binomials = "*".join(f"(x{i}+y{i})" for i in range(10_000))
         ident = parse_identity(f"{binomials} = y9999")
         assert ident.variables == tuple(v for i in range(10_000) for v in (f"x{i}", f"y{i}"))
+
+    def test_length_budget(self):
+        """Text of MAX_IDENTITY_CHARS characters parses; one more is refused
+        before it is tokenized."""
+        most = terms.MAX_IDENTITY_CHARS
+        longest = "x=" + "y" * (most - 2)
+        assert parse_identity(longest).variables == ("x", "y" * (most - 2))
+        message = rf"^identity longer than {most} characters \(at position {most}\)$"
+        with pytest.raises(IdentitySyntaxError, match=message):
+            parse_identity(longest + "y")
 
     def test_missing_operand_reports_position(self):
         with pytest.raises(IdentitySyntaxError, match="position 5"):
@@ -236,8 +268,8 @@ def pinned_subjects(sc_abc, sc_abcd, s7, triangle_semiring, nested_semirings):
         "n_cycle(4)": build_semiring(family("n_cycle", 4)).exported,
         "n_cycle(12)": build_semiring(family("n_cycle", 12)).exported,
         "brandt": _brandt(),
-        "non-associative": NON_ASSOCIATIVE,
-        "boolean": BOOLEAN,
+        "sc_ab": build_sc(["ab"]),
+        **CARRIERS,
     }
 
 
@@ -300,7 +332,26 @@ BRUTE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("subject, key, verdict, values, explored", BRUTE_PINS)
+# More rows, from the same checker before the vector nest: lookups that read
+# the last variable through both operands (x+y with y*x, the sum of x2*x3 and
+# x3*x2), which keep the loop nest on a vector-sized carrier; identities of
+# one variable, whose every lookup reads it twice, and x = x, the one that the
+# vector nest checks with no loop at all; and both chains, the 256-element
+# one at the top of the byte range and the 257-element one past it.
+VECTOR_PINS = [
+    ("brandt", "(x+y)*(y*x) = y*x", "fails", "e11 e21", 9),
+    ("triangle", "x1*(x2*x3+x3*x2) = (x1*x3+x1*x2)*x3", "fails", "a·u1 a·u2 a·u3", 228),
+    ("brandt", "x*x = x", "fails", "e12", 3),
+    ("s7", "(x+x*x)*(x*x) = x*x", "holds", None, 3),
+    ("s7", "x = x", "holds", None, 3),
+    ("chain(256)", "x*(x+y) = x", "holds", None, 65536),
+    ("chain(256)", "x + y = y", "fails", "1 0", 257),
+    ("chain(257)", "x*(x+y) = x", "holds", None, 66049),
+    ("chain(257)", "x + y = y", "fails", "1 0", 258),
+]
+
+
+@pytest.mark.parametrize("subject, key, verdict, values, explored", BRUTE_PINS + VECTOR_PINS)
 def test_bruteforce_output_is_pinned(pinned_subjects, subject, key, verdict, values, explored):
     ident = parse_identity(key) if "=" in key else builtin_identity(key)
     result = check_identity_bruteforce(pinned_subjects[subject], ident, budget=2**31)
@@ -364,10 +415,11 @@ def bruteforce_sides(draw, names):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compiled_bruteforce_agrees_with_the_tree_walker(pinned_subjects, data):
-    named = st.sampled_from(["s7", "triangle", "brandt", "non-associative", "boolean"])
+    named = st.sampled_from(["s7", "triangle", "brandt", "sc_ab", *CARRIERS])
     s = data.draw(st.one_of(word_sets.map(build_sc), named.map(pinned_subjects.__getitem__)))
-    # One to five variables, at most 4,096 assignments for the tree walker.
-    most = max(k for k in range(1, 6) if s.size**k <= 4096)
+    # One to five variables, at most 4,096 assignments for the tree walker,
+    # or two variables on the chains.
+    most = max(k for k in range(1, 6) if k <= 2 or s.size**k <= 4096)
     names = [f"x{i}" for i in range(1, data.draw(st.integers(1, most)) + 1)]
     ident = make_identity(data.draw(bruteforce_sides(names)), data.draw(bruteforce_sides(names)))
     result = check_identity_bruteforce(s, ident)
@@ -387,15 +439,25 @@ class _OneEach:
         return iter((next(self._values),))
 
 
-def _nest_values(side, names, values, s):
+def _nest_values(side, names, values, s, vector):
     """The values y at which the loop nest of `side = y` finds the sides
-    equal, with the side's variables bound to `values`: [side's value]."""
+    equal, with the side's variables bound to `values`: [side's value].
+    The vector nest takes y first, so that the side's last variable is its
+    vector, of the one value that variable is bound to; None when the side
+    has no vector nest."""
     fresh = "".join(names) + "y"
-    nest = terms._compile_nest(terms.Identity(side, Variable(fresh), (*names, fresh)))
-    return [
-        y for y in range(s.size)
-        if nest(_OneEach((*values, y)), s.add, s.mul, itertools.product) is None
-    ]
+    order = (fresh, *names) if vector else (*names, fresh)
+    source = terms._nest_source(terms.Identity(side, Variable(fresh), order), vector)
+    if source is None:
+        return None
+    nest = terms._compile_nest(source)
+    args = (s.add, s.mul, itertools.product)
+    if vector:
+        *tables, _ = s.byte_tables
+        constants = [bytes((c,)) for c in range(s.size)]
+        args += (bytes(values[-1:]), constants, *tables, terms._first_difference)
+    loops = (lambda y: (y, *values[:-1])) if vector else (lambda y: (*values, y))
+    return [y for y in range(s.size) if nest(_OneEach(loops(y)), *args) is None]
 
 
 @pytest.mark.parametrize("kind", [Sum, Product])
@@ -403,21 +465,55 @@ def test_300_operand_side_compiles_and_agrees(s7, kind):
     big = make_identity(kind(tuple(Variable(f"x{k % 4 + 1}") for k in range(300))), Variable("x1"))
     for values in itertools.product(range(s7.size), repeat=len(big.variables)):
         env = dict(zip(big.variables, values))
-        assert _nest_values(big.lhs, big.variables, values, s7) == [terms._value(big.lhs, env, s7)]
+        assert _nest_values(big.lhs, big.variables, values, s7, False) == [
+            terms._value(big.lhs, env, s7)
+        ]
+    # x4 is read 75 times, so the fold looks up two vectors: no vector nest.
+    assert _nest_values(big.lhs, big.variables, values, s7, True) is None
+    # With x4 read once, last, the other 299 operands fold into one scalar.
+    parts = [Variable(f"x{k % 3 + 1}") for k in range(299)] + [Variable("x4")]
+    once = make_identity(kind(tuple(parts)), Variable("x1"))
+    for values in itertools.product(range(s7.size), repeat=len(once.variables)):
+        env = dict(zip(once.variables, values))
+        assert _nest_values(once.lhs, once.variables, values, s7, True) == [
+            terms._value(once.lhs, env, s7)
+        ]
     assert check_identity_bruteforce(s7, make_identity(big.lhs, big.lhs)).holds
+
+
+def test_the_vector_nest_gathers_one_vector_per_lookup():
+    # x*y*x = x with y last: each lookup has one operand that reads y.
+    assert terms._nest_source(parse_identity("x*y*x = x"), True) is not None
+    # The second lookup of x*y*y reads y through both operands.
+    assert terms._nest_source(parse_identity("x*y*y = x"), True) is None
+    assert terms._nest_source(parse_identity("x*y + x*y*y = y"), True) is None
+
+
+def test_byte_tables_are_the_rows_and_columns():
+    s = _brandt()
+    add_rows, add_columns, mul_rows, mul_columns, constants = s.byte_tables
+    for rows, columns, table in ((add_rows, add_columns, s.add), (mul_rows, mul_columns, s.mul)):
+        assert len(rows) == len(columns) == s.size
+        for x, y in itertools.product(range(s.size), repeat=2):
+            assert rows[x][y] == columns[y][x] == table[x][y]
+        assert {len(t) for t in rows + columns} == {256}
+    assert constants == [bytes([c] * s.size) for c in range(s.size)]
 
 
 def test_1000_variables_fuse_into_the_loop_limit():
     one = FiniteSemiring(("0",), ((0,),), ((0,),), zero=0)
     xs = tuple(Variable(f"x{i}") for i in range(1000))
     ident = make_identity(Sum(xs), Product(xs[::-1]))
-    loops = re.findall(r"^ *for ", terms._nest_source(ident), re.MULTILINE)
-    assert len(loops) == terms._MAX_LOOPS
+    for vector in (False, True):
+        loops = re.findall(r"^ *for ", terms._nest_source(ident, vector), re.MULTILINE)
+        assert len(loops) == terms._MAX_LOOPS
     result = check_identity_bruteforce(one, ident)
     assert (result.verdict, result.counterexample, result.explored) == ("holds", None, 1)
 
 
 _SOURCE_NAMES = {"def", "side", "A", "M", "return", "for", "in", "if", "R", "product", "repeat"}
+# The vector nest's own names and the gather method.
+_VECTOR_NAMES = {"V", "F", "AR", "AC", "MR", "MC", "D", "translate"}
 _SOURCE_LAYOUT = {
     tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
 }
@@ -437,23 +533,30 @@ def test_generated_source_names_only_slots_tables_and_temporaries(term):
     terms._walk_variables(term, names)
     names = list(names)
     # Against one fresh variable every variable has its own loop; against a
-    # sum of _MAX_LOOPS fresh ones the outermost loops are fused.
-    fresh = ["".join(names) + "y" * i for i in range(1, terms._MAX_LOOPS + 1)]
-    for others in (fresh[:1], fresh):
+    # sum of _MAX_LOOPS + 1 fresh ones the outermost loops are fused, also in
+    # the vector nest, which has no loop for the last one.
+    fresh = ["".join(names) + "y" * i for i in range(1, terms._MAX_LOOPS + 2)]
+    for others, vector in itertools.product((fresh[:1], fresh), (False, True)):
         other = Sum(tuple(map(Variable, others))) if len(others) > 1 else Variable(others[0])
-        source = terms._nest_source(terms.Identity(term, other, (*names, *others)))
+        # The vector nest's last variable is a fresh one, read once.
+        source = terms._nest_source(terms.Identity(term, other, (*names, *others)), vector)
+        names_allowed, operators = _SOURCE_NAMES, {"(", ")", "[", "]", ",", ":", "=", "!="}
+        if vector:
+            names_allowed, operators = names_allowed | _VECTOR_NAMES, operators | {"."}
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
-                assert tok.string in _SOURCE_NAMES or re.fullmatch(r"[at]\d+", tok.string)
+                assert tok.string in names_allowed or re.fullmatch(r"[at]\d+", tok.string)
             elif tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit()
             elif tok.type == tokenize.OP:
-                assert tok.string in {"(", ")", "[", "]", ",", ":", "=", "!="}
+                assert tok.string in operators
             else:
                 assert tok.type in _SOURCE_LAYOUT
     s = builtin_s7()
     values = tuple(i % s.size for i in range(len(names)))
-    assert _nest_values(term, names, values, s) == [terms._value(term, dict(zip(names, values)), s)]
+    want = [terms._value(term, dict(zip(names, values)), s)]
+    assert _nest_values(term, names, values, s, False) == want
+    assert _nest_values(term, names, values, s, True) in (want, None)
 
 
 @st.composite
