@@ -323,15 +323,15 @@ def _nest_source(ident: Identity, vector: bool = False) -> str | None:
     With `vector`, the last variable, which one side reads, has no loop: it
     is the byte string `V` of every value at once, and `side(R, A, M,
     product, V, F, AR, AC, MR, MC, D)`, whose tables are the semiring's
-    `byte_tables`, returns the differing position in `V` as the last value. A lookup with one operand
-    that reads `V` is a vector itself, one C-level gather: a row x gathers
-    `y.translate(AR[x])`, a column y gathers `x.translate(AC[y])`. It sits in
-    the loop of the last looped variable it reads, before the first loop if
-    none. A vector side is compared whole with the other, a scalar one as its
-    constant vector `F[x]`, and `D` finds the first differing position. A
-    lookup of two vectors has no C-level gather: mapping it element by element
-    costs more than the loop it saves, so there is no vector nest then, and
-    the source is None.
+    `byte_tables`, returns the differing position in `V` as the last value.
+    A lookup with one operand that reads `V` is a vector itself, one C-level
+    gather: a row x gathers `y.translate(AR[x])`, a column y gathers
+    `x.translate(AC[y])`. It sits in the loop of the last looped variable it
+    reads, before the first loop if none. A vector side is compared whole
+    with the other, a scalar one as its constant vector `F[x]`, and `D` finds
+    the first differing position. A lookup of two vectors has no C-level
+    gather: mapping it element by element costs more than the loop it saves,
+    so there is no vector nest then, and the source is None.
 
     The source names only the loop slots `aI`, temporaries, the tables, `R`,
     `product` and the vector names; variable names never reach it.
