@@ -137,19 +137,24 @@ def build_semiring(h: Hypergraph) -> HypergraphSemiring:
     elements.extend(HgElement("gen", vertex=v) for v in h.vertices)
     elements.extend(HgElement("pair", pair=tuple(sorted(rep))) for rep in nf.classes)
     elements.append(TOP)
-    index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    top = index[TOP]
+    top = n - 1
+    gen = {v: i for i, v in enumerate(h.vertices, 1)}
+    # Each linked pair -> the index of its class.
+    pair_class = {
+        pair: i for i, members in enumerate(nf.classes.values(), len(gen) + 1) for pair in members
+    }
     mul = [[0] * n for _ in range(n)]
     # Only products inside one edge are non-zero: two of its generators, or
     # the class of two of its vertices with the third generator, either way.
     for edge in h.edges:
         for u in edge:
-            gen_u = index[HgElement("gen", vertex=u)]
+            gen_u = gen[u]
             for v in edge - {u}:
-                mul[gen_u][index[HgElement("gen", vertex=v)]] = index[nf.gen_product(u, v)]
+                uv = frozenset((u, v))
+                mul[gen_u][gen[v]] = top if uv in h.edges else pair_class.get(uv, 0)
             if len(edge) == 3:
-                pair = index[HgElement("pair", pair=nf.rep_of[edge - {u}])]
+                pair = pair_class[edge - {u}]
                 mul[pair][gen_u] = mul[gen_u][pair] = top
     labels = tuple(e.label for e in elements)
     exported = flat_completion(labels, tuple(map(tuple, mul)), 0)

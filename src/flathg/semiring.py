@@ -16,14 +16,21 @@ only fail through the non-zero entries: (ab)c = z, so associativity fails
 only where bc = x for an x with a·x != z. Those (b, c) come from an inverse
 index from each non-zero value to the pairs that produce it, and the two
 distributive laws do the same through the add table, whose absorbing
-element must be the same z. A pair with ab != z compares two whole rows
-instead, gathered in C: row ab against row a read through row b. Per a, the
-smaller (b, c) of the two cases is the reported one. A table without an
-absorbing element falls back to that row comparison for every pair. On the
-tables built here a law so costs one pass over the table plus O(n) per
-non-zero product, not O(n) per pair.
+element must be the same z. A pair with ab != z compares the two sides only
+on the columns where either can be non-zero: those of row ab and row b for
+associativity, those of sum row b and row a for distributivity. On every
+other column both sides are z. Per a, the smaller (b, c) of the two cases is
+the reported one. Tables without a common absorbing element fall back to
+comparing two whole rows, gathered in C, for every pair. On the tables built
+here a law so costs a few lookups per non-zero product.
 The cancellation check keeps, per row and per column, the first index of
 each non-zero value, so it reads each entry once.
+
+A semiring keeps one law view of its tables, built on first use: each
+table's absorbing element, non-zero entries and producers, and each law's
+first counterexample. flat_completion, verify_axioms and
+is_zero_cancellative all read it, so each table is scanned once per
+semiring, and flat_completion hands over its flat addition already known.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, ne
 
 
 class SemiringParseError(ValueError):
@@ -83,6 +90,11 @@ class FiniteSemiring:
         out.append([bytes((c,)) * n for c in range(n)])
         return tuple(out)
 
+    @cached_property
+    def _laws(self) -> _Laws:
+        """The law view of the tables; built on first use, once per semiring."""
+        return _Laws(self.elements, self.add, self.mul)
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -125,16 +137,23 @@ def _absorbing(table) -> int | None:
     return None
 
 
-def _nonzero(table, z) -> list[list[tuple[int, int]]]:
-    """Per row, its (column, value) entries whose value is not z, in column order."""
-    return [[(c, v) for c, v in enumerate(row) if v != z] for row in table]
+def _nonzero(table, z) -> list[dict[int, int]]:
+    """Per row, its entries whose value is not z, as column -> value in
+    column order. compress picks the columns in C; when z is 0, the index the
+    builders give the zero, a row of int entries is its own selector."""
+    n = len(table)
+    cols, zs = tuple(range(n)), (z,) * n
+    return [
+        {c: row[c] for c in itertools.compress(cols, row if z == 0 else map(ne, row, zs))}
+        for row in table
+    ]
 
 
 def _producers(nonzero) -> dict[int, list[tuple[int, int]]]:
     """Each non-zero value x -> the pairs (b, c) whose entry is x, in (b, c) order."""
     out: dict[int, list[tuple[int, int]]] = {}
     for b, entries in enumerate(nonzero):
-        for c, x in entries:
+        for c, x in entries.items():
             out.setdefault(x, []).append((b, c))
     return out
 
@@ -150,7 +169,9 @@ def _gathers(table) -> list:
 
 class _Table:
     """A square table with what the law scans read from it, each computed
-    once on first use, so the laws that share a table share these too."""
+    once on first use, so the laws that share a table share these too. A
+    builder that already knows the absorbing element and the non-zero
+    entries assigns them instead."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -161,7 +182,7 @@ class _Table:
         return _absorbing(self.rows)
 
     @cached_property
-    def nonzero(self) -> list[list[tuple[int, int]]]:
+    def nonzero(self) -> list[dict[int, int]]:
         """Per row, the entries that are not the absorbing element."""
         return _nonzero(self.rows, self.zero)
 
@@ -170,42 +191,97 @@ class _Table:
         return _producers(self.nonzero)
 
     @cached_property
+    def sparse(self) -> bool:
+        """Whether the rows average at most n/8 non-zero entries. Reading a
+        row by its non-zero entries costs about eight times a C gather per
+        column (CPython 3.11), so below that it is the cheaper comparison."""
+        n = len(self.nonzero)
+        return 8 * sum(map(len, self.nonzero)) <= n * n
+
+    @cached_property
     def gathers(self) -> list:
         return _gathers(self.rows)
+
+
+class _Columns(_Table):
+    """The columns of a table as the rows of a table. Its absorbing element
+    is the table's, and its non-zero entries are the table's, regrouped in
+    O(nnz); the dense transpose is built only for a law that reads it."""
+
+    def __init__(self, table: _Table):
+        self.table = table
+
+    @cached_property
+    def rows(self):
+        return tuple(zip(*self.table.rows))
+
+    @cached_property
+    def zero(self) -> int | None:
+        return self.table.zero
+
+    @cached_property
+    def nonzero(self) -> list[dict[int, int]]:
+        cols: list[dict[int, int]] = [{} for _ in self.table.rows]
+        for b, entries in enumerate(self.table.nonzero):
+            for c, v in entries.items():
+                cols[c][b] = v
+        return cols
 
 
 def _first_difference(left, right) -> int:
     return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
-def _law_failure(elements, rows: _Table, inner: _Table, sides) -> tuple[str, str, str] | None:
+def _first_entry_difference(left: dict[int, int], right: dict[int, int]) -> int:
+    """The first column where two rows, given by their non-zero entries, differ."""
+    return min(c for c in left.keys() | right.keys() if left.get(c) != right.get(c))
+
+
+def _through(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
+    """The non-zero entries of a row read through another: c -> outer[inner[c]],
+    from the non-zero entries of both rows (the zero reads as the zero)."""
+    return {c: outer[x] for c, x in inner.items() if x in outer}
+
+
+def _law_failure(
+    elements, rows: _Table, inner: _Table, dense, sparse
+) -> tuple[str, str, str] | None:
     """The first failing triple (a, b, c) of a three-variable law, or None.
 
     The law reads b from rows[a] and then c through inner, whose entry bc
-    (or b + c) is x; sides(a, b, ab) gives both sides of the law for every
-    c, as two rows compared whole. If one z absorbs both tables, only the
-    pairs with ab != z compare rows. For ab = z, one side is z and the other
-    is a·x, so for each non-zero entry x of row a only the (b, c) that
-    produce x are visited. Per a, the least (b, c) of the two cases is the
-    first triple. Without such a z every pair compares rows.
+    (or b + c) is x; dense(a, b, ab) gives both sides of the law for every
+    c, as two rows gathered in C. If one z absorbs both tables, only the
+    pairs with ab != z compare sides, and, where both tables are sparse,
+    sparse(a, b, ab) gives each side as its non-zero entries, so only the
+    columns where either can be non-zero are read. For ab = z, one side is
+    z and the other is a·x, so for each non-zero entry x of row a only the
+    (b, c) that produce x are visited. Per a, the least (b, c) of the two
+    cases is the first triple. Without such a z every pair compares whole
+    rows.
     """
     z = rows.zero
-    sparse = z is not None and inner.zero == z
-    if sparse:
-        nonzero, producers = rows.nonzero, inner.producers
-    for a, row_a in enumerate(rows.rows):
+    if z is None or inner.zero != z:
+        for a, row_a in enumerate(rows.rows):
+            for b, ab in enumerate(row_a):
+                left, right = dense(a, b, ab)
+                if left != right:
+                    return (elements[a], elements[b], elements[_first_difference(left, right)])
+        return None
+    if rows.sparse and inner.sparse:
+        sides, first = sparse, _first_entry_difference
+    else:
+        sides, first = dense, _first_difference
+    producers = inner.producers
+    for a, row_a in enumerate(rows.nonzero):
         found = []
-        pairs = enumerate(row_a)
-        if sparse:
-            pairs = nonzero[a]
-            for x, _ in pairs:
-                pair = next(((b, c) for b, c in producers.get(x, ()) if row_a[b] == z), None)
-                if pair is not None:
-                    found.append(pair)
-        for b, ab in pairs:
+        for x in row_a:
+            pair = next(((b, c) for b, c in producers.get(x, ()) if b not in row_a), None)
+            if pair is not None:
+                found.append(pair)
+        for b, ab in row_a.items():
             left, right = sides(a, b, ab)
             if left != right:
-                found.append((b, _first_difference(left, right)))
+                found.append((b, first(left, right)))
                 break
         if found:
             b, c = min(found)
@@ -213,33 +289,91 @@ def _law_failure(elements, rows: _Table, inner: _Table, sides) -> tuple[str, str
     return None
 
 
-def _assoc_failure(elements, table: _Table) -> tuple[str, str, str] | None:
+def _assoc_failure(elements, t: _Table) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None.
 
     For a pair (a, b), row ab of the table holds (ab)c for every c, and row a
-    gathered through row b holds a(bc).
+    read through row b holds a(bc).
     """
-    rows, gather = table.rows, table.gathers
-    return _law_failure(
-        elements, table, table, lambda a, b, ab: (rows[ab], gather[b](rows[a]))
-    )
-
-
-def _distributive_failure(elements, add: _Table, rows: _Table) -> tuple[str, str, str] | None:
-    """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None.
-
-    rows[a][x] is a·x for the left law (the mul rows), or x·a for the right
-    law (the mul columns), which checks (b+c)a = ba + ca with the same
-    triple order. For a pair (a, b), row a gathered through sum row b holds
-    a(b+c) for every c, and sum row ab gathered through row a holds ab + ac.
-    """
-    add_rows, add_gather, mul_rows, gather = add.rows, add.gathers, rows.rows, rows.gathers
     return _law_failure(
         elements,
-        rows,
-        add,
-        lambda a, b, ab: (add_gather[b](mul_rows[a]), gather[a](add_rows[ab])),
+        t,
+        t,
+        lambda a, b, ab: (t.rows[ab], t.gathers[b](t.rows[a])),
+        lambda a, b, ab: (t.nonzero[ab], _through(t.nonzero[a], t.nonzero[b])),
     )
+
+
+def _distributive_failure(elements, add: _Table, m: _Table) -> tuple[str, str, str] | None:
+    """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None.
+
+    m[a][x] is a·x for the left law (the mul rows), or x·a for the right law
+    (the mul columns), which checks (b+c)a = ba + ca with the same triple
+    order. For a pair (a, b), row a read through sum row b holds a(b+c) for
+    every c, and sum row ab read through row a holds ab + ac.
+    """
+    return _law_failure(
+        elements,
+        m,
+        add,
+        lambda a, b, ab: (add.gathers[b](m.rows[a]), m.gathers[a](add.rows[ab])),
+        lambda a, b, ab: (
+            _through(m.nonzero[a], add.nonzero[b]),
+            _through(add.nonzero[ab], m.nonzero[a]),
+        ),
+    )
+
+
+def _commutativity_failure(elements, t: _Table) -> tuple[str, str] | None:
+    """The first pair (a, b) with ab != ba, as labels, or None: the first row
+    a that differs from column a, compared whole, or by their non-zero
+    entries where z absorbs."""
+    if t.zero is None:
+        pairs, first = zip(t.rows, zip(*t.rows)), _first_difference
+    else:
+        pairs, first = zip(t.nonzero, _Columns(t).nonzero), _first_entry_difference
+    return next(
+        ((elements[a], elements[first(row, col)]) for a, (row, col) in enumerate(pairs) if row != col),
+        None,
+    )
+
+
+class _Laws:
+    """One view of a semiring's tables for its law checks: each table's
+    absorbing element, non-zero entries and producers, and each law's first
+    counterexample, each computed once on first use. It holds the tables,
+    not the semiring, so the semiring caching it forms no reference cycle."""
+
+    def __init__(self, elements, add, mul):
+        self.elements = elements
+        self.add, self.mul = _Table(add), _Table(mul)
+
+    @cached_property
+    def mul_cols(self) -> _Columns:
+        return _Columns(self.mul)
+
+    @cached_property
+    def mul_associative(self) -> tuple[str, str, str] | None:
+        return _assoc_failure(self.elements, self.mul)
+
+    @cached_property
+    def cancellation(self) -> tuple[str, str, str] | None:
+        """The first cancellation failure against the mul table's zero."""
+        return _cancellation_failure(self.elements, self.mul.nonzero, self.mul_cols.nonzero)
+
+    @cached_property
+    def axioms(self) -> tuple[tuple[str, tuple[str, ...] | None], ...]:
+        """Each axiom of verify_axioms with its first counterexample, or None."""
+        lab, add, mul = self.elements, self.add, self.mul
+        idempotent = next(((lab[x],) for x, row in enumerate(add.rows) if row[x] != x), None)
+        return (
+            ("add-associative", _assoc_failure(lab, add)),
+            ("add-commutative", _commutativity_failure(lab, add)),
+            ("add-idempotent", idempotent),
+            ("mul-associative", self.mul_associative),
+            ("left-distributive", _distributive_failure(lab, add, mul)),
+            ("right-distributive", _distributive_failure(lab, add, self.mul_cols)),
+        )
 
 
 def verify_axioms(s: FiniteSemiring) -> AxiomReport:
@@ -247,38 +381,15 @@ def verify_axioms(s: FiniteSemiring) -> AxiomReport:
 
     Checks associativity of both operations, commutativity and idempotency
     of addition, and two-sided distributivity. The first counterexample per
-    axiom is reported as element labels. The laws that read the same table
-    share its absorbing element and non-zero entries, found once per call.
+    axiom is reported as element labels. The verdicts are read from the
+    semiring's law view, so they are decided once per semiring.
     """
-    add, mul, lab = s.add, s.mul, s.elements
-    add_table, mul_table = _Table(add), _Table(mul)
-    add_cols = tuple(zip(*add))
-    verdicts: list[tuple[str, bool, tuple[str, ...] | None]] = []
-    bad = _assoc_failure(lab, add_table)
-    verdicts.append(("add-associative", bad is None, bad))
-    bad = next(
-        (
-            (lab[a], lab[_first_difference(row, col)])
-            for a, (row, col) in enumerate(zip(add, add_cols))
-            if row != col
-        ),
-        None,
-    )
-    verdicts.append(("add-commutative", bad is None, bad))
-    bad = next(((lab[a],) for a, row in enumerate(add) if row[a] != a), None)
-    verdicts.append(("add-idempotent", bad is None, bad))
-    bad = _assoc_failure(lab, mul_table)
-    verdicts.append(("mul-associative", bad is None, bad))
-    bad = _distributive_failure(lab, add_table, mul_table)
-    verdicts.append(("left-distributive", bad is None, bad))
-    bad = _distributive_failure(lab, add_table, _Table(tuple(zip(*mul))))
-    verdicts.append(("right-distributive", bad is None, bad))
-    return AxiomReport(tuple(verdicts))
+    return AxiomReport(tuple((name, bad is None, bad) for name, bad in s._laws.axioms))
 
 
 def multiplicative_zero(s: FiniteSemiring) -> int | None:
     """Index of the two-sided multiplicative zero, if one exists."""
-    return _absorbing(s.mul)
+    return s._laws.mul.zero
 
 
 def is_commutative(table) -> bool:
@@ -327,17 +438,13 @@ def _first_repeat(entries) -> tuple[int, int] | None:
     return first[v], second[v]
 
 
-def _cancellation_failure(elements, rows) -> tuple[str, str, str] | None:
+def _cancellation_failure(elements, rows, cols) -> tuple[str, str, str] | None:
     """The first (a, b, c), b < c, with a·b = a·c != z, else the first with
-    b·a = c·a != z, as labels, or None; rows holds, per row of the mul
-    table, its entries other than z."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in rows]
-    for b, entries in enumerate(rows):
-        for a, v in entries:
-            cols[a].append((b, v))
+    b·a = c·a != z, as labels, or None; rows and cols hold, per row and per
+    column of the mul table, its entries other than z."""
     for lines in (rows, cols):
         for a, entries in enumerate(lines):
-            pair = _first_repeat(entries)
+            pair = _first_repeat(entries.items())
             if pair is not None:
                 b, c = pair
                 return (elements[a], elements[b], elements[c])
@@ -353,7 +460,12 @@ def is_zero_cancellative(s: FiniteSemiring) -> bool | tuple[str, str, str]:
     """
     if s.zero is None:
         raise ValueError("no zero designated")
-    bad = _cancellation_failure(s.elements, _nonzero(s.mul, s.zero))
+    laws = s._laws
+    if laws.mul.zero != s.zero:
+        # A designated zero that does not absorb: a view of its own, not kept.
+        laws = _Laws(s.elements, s.add, s.mul)
+        laws.mul.zero = s.zero
+    bad = laws.cancellation
     return True if bad is None else bad
 
 
@@ -368,15 +480,18 @@ def flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring
     n = len(elements)
     _check_zero(zero, n)
     s = FiniteSemiring(elements, tuple(_flat_row(n, zero, x) for x in range(n)), mul, zero)
-    table = _Table(mul)
-    bad = _assoc_failure(elements, table)
+    # The flat addition's zero absorbs, and x + x = x is its only other entry.
+    laws = s._laws
+    laws.add.zero = zero
+    laws.add.nonzero = [{x: x} if x != zero else {} for x in range(n)]
+    bad = laws.mul_associative
     if bad is not None:
         raise ValueError(f"not associative: counterexample {bad}")
     for x in range(n):
         if mul[zero][x] != zero or mul[x][zero] != zero:
             raise ValueError(f"zero is not absorbing: fails at {elements[x]!r}")
     # zero absorbs, so it is the table's one absorbing element.
-    cancel = _cancellation_failure(elements, table.nonzero)
+    cancel = laws.cancellation
     if cancel is not None:
         raise ValueError(f"not 0-cancellative: counterexample {cancel}")
     return s
@@ -419,14 +534,19 @@ def subdirect_irreducibility_certificate(s: FiniteSemiring) -> IrreducibilityCer
 
 
 def format_semiring(s: FiniteSemiring) -> str:
-    """Serialize to the exchange document: elements, add, mul, zero."""
-    doc = {
-        "elements": list(s.elements),
-        "add": [list(row) for row in s.add],
-        "mul": [list(row) for row in s.mul],
-        "zero": s.zero,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to the exchange document: elements, add, mul, zero.
+
+    Each table row is one line, written by the C JSON encoder (an indent
+    would force the pure-Python one, and a line per entry).
+    """
+
+    def table(rows) -> str:
+        return "[" + ",".join(f"\n    {json.dumps(row)}" for row in rows) + "\n  ]"
+
+    return (
+        f'{{\n  "elements": {json.dumps(s.elements)},\n  "add": {table(s.add)},\n'
+        f'  "mul": {table(s.mul)},\n  "zero": {json.dumps(s.zero)}\n}}\n'
+    )
 
 
 def parse_semiring(text: str) -> FiniteSemiring:

@@ -1,5 +1,8 @@
+import gc
 import itertools
+import json
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,7 @@ from flathg.semiring import (
     subdirect_irreducibility_certificate,
     verify_axioms,
 )
+from flathg.suite import _family_members
 
 BOOL_LATTICE = FiniteSemiring(("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), zero=0)
 
@@ -345,7 +349,7 @@ def test_row_scans_match_dense_scans_on_mutated_families(member, in_add, data):
 
 SPARSE_BASES = {
     m: build_semiring(family(*m)).exported
-    for m in [("beam", 1), ("beam", 2), ("beam", 3), ("fan", 1), ("fan", 2)]
+    for m in [("beam", 1), ("beam", 2), ("beam", 3), ("beam", 4), ("fan", 1), ("fan", 2)]
 }
 
 
@@ -356,14 +360,38 @@ def assert_sparse_scans_agree(s):
         assert is_zero_cancellative(s) == (True if bad is None else bad)
 
 
-def absorbing_mutation(data, table, z):
+def absorbing_mutation(draw, table, z):
     """Up to three changed entries off row z and column z, so z still absorbs."""
     rows = [list(r) for r in table]
     n = len(rows)
     off_z = st.integers(0, n - 1).filter(lambda i: i != z)
-    for _ in range(data.draw(st.integers(0, 3))):
-        rows[data.draw(off_z)][data.draw(off_z)] = data.draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(off_z)][draw(off_z)] = draw(st.integers(0, n - 1))
     return tuple(tuple(r) for r in rows)
+
+
+@st.composite
+def absorbing_mutants(draw):
+    """A sparse base with absorbing_mutation applied to its add or its mul table."""
+    s = SPARSE_BASES[draw(st.sampled_from(sorted(SPARSE_BASES)))]
+    if draw(st.booleans()):
+        return FiniteSemiring(s.elements, absorbing_mutation(draw, s.add, s.zero), s.mul, s.zero)
+    return FiniteSemiring(s.elements, s.add, absorbing_mutation(draw, s.mul, s.zero), s.zero)
+
+
+def _off_row_ab():
+    """Flat addition over e0; e1·e2 = e4, e2·e3 = e5 and e1·e5 = e6 are the
+    only non-zero products. The first failing pair (e1, e2) has a non-zero
+    product e4, and its sides differ only at c = e3, a column of row e2's
+    non-zero entries but not of row e4's: (e1·e2)·e3 = 0 != e1·(e2·e3) = e6."""
+    n = 7
+    mul = [[0] * n for _ in range(n)]
+    mul[1][2], mul[2][3], mul[1][5] = 4, 5, 6
+    add = tuple(tuple(a if a == b else 0 for b in range(n)) for a in range(n))
+    return FiniteSemiring(tuple(f"e{i}" for i in range(n)), add, tuple(map(tuple, mul)), 0)
+
+
+OFF_ROW_AB = _off_row_ab()
 
 
 def relabel(s, new_index, zero):
@@ -384,15 +412,11 @@ def relabel(s, new_index, zero):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(SPARSE_BASES)), st.booleans(), st.data())
-def test_sparse_scans_match_dense_scans_when_the_zero_still_absorbs(member, in_add, data):
+@given(absorbing_mutants())
+@example(OFF_ROW_AB)
+def test_sparse_scans_match_dense_scans_when_the_zero_still_absorbs(s):
     """The zero absorbs in both tables, so every law takes its sparse branch,
     and a wrong product off the zero's row and column fails late, if at all."""
-    s = SPARSE_BASES[member]
-    if in_add:
-        s = FiniteSemiring(s.elements, absorbing_mutation(data, s.add, s.zero), s.mul, s.zero)
-    else:
-        s = FiniteSemiring(s.elements, s.add, absorbing_mutation(data, s.mul, s.zero), s.zero)
     assert_sparse_scans_agree(s)
 
 
@@ -402,7 +426,7 @@ def test_sparse_scans_find_an_absorbing_element_away_from_index_zero(member, dat
     """The absorbing element moves off index 0, and the designated zero is
     another element or none: the scans find the absorbing element themselves."""
     s = SPARSE_BASES[member]
-    s = FiniteSemiring(s.elements, s.add, absorbing_mutation(data, s.mul, s.zero), s.zero)
+    s = FiniteSemiring(s.elements, s.add, absorbing_mutation(data.draw, s.mul, s.zero), s.zero)
     new_index = data.draw(st.permutations(range(s.size)).filter(lambda p: p[s.zero] != 0))
     others = st.integers(0, s.size - 1).filter(lambda i: i != new_index[s.zero])
     s = relabel(s, new_index, data.draw(st.none() | others))
@@ -418,9 +442,74 @@ def test_add_top_away_from_the_mul_zero_takes_the_fallback(member, data):
     s = SPARSE_BASES[member]
     top = data.draw(st.integers(0, s.size - 1).filter(lambda t: t != s.zero))
     add = tuple(tuple(a if a == b else top for b in range(s.size)) for a in range(s.size))
-    s = FiniteSemiring(s.elements, add, absorbing_mutation(data, s.mul, s.zero), s.zero)
+    s = FiniteSemiring(s.elements, add, absorbing_mutation(data.draw, s.mul, s.zero), s.zero)
     assert multiplicative_zero(s) == s.zero != top
     assert_sparse_scans_agree(s)
+
+
+def law_outcomes(s, order):
+    """verify_axioms, is_zero_cancellative and flat_completion on s, run in
+    the given order; the completion's own laws are read back too."""
+    out = {}
+    for step in order:
+        if step == "axioms":
+            out[step] = verify_axioms(s).verdicts
+        elif step == "cancellative":
+            out[step] = is_zero_cancellative(s)
+        else:
+            try:
+                t = flat_completion(s.elements, s.mul, s.zero)
+            except ValueError as exc:
+                out[step] = str(exc)
+            else:
+                out[step] = (t == s, verify_axioms(t).verdicts, is_zero_cancellative(t))
+    return out
+
+
+LAW_STEPS = ("axioms", "cancellative", "completion")
+
+
+FAMILY_MEMBERS = _family_members()
+
+
+@pytest.mark.parametrize("h", [h for _, h in FAMILY_MEMBERS], ids=[m for m, _ in FAMILY_MEMBERS])
+def test_the_law_view_cache_is_invisible(h):
+    """The law view a semiring caches, filled in by flat_completion for a
+    built one, gives the verdicts and counterexamples of a parsed copy with
+    nothing cached, whichever check runs first. Two mutants of each member
+    fail: one keeps the zero absorbing (the sparse scans), one does not (the
+    whole-row fallback)."""
+    base = build_semiring(h).exported
+    top = base.size - 1
+    a, b = next(
+        (a, b) for a, row in enumerate(base.mul) for b, v in enumerate(row) if v not in (0, top)
+    )
+    makers = [lambda: build_semiring(h).exported] + [
+        lambda i=i, j=j, v=v: FiniteSemiring(base.elements, base.add, mutate(base.mul, i, j, v), 0)
+        for i, j, v in ((a, b, top), (0, 1, 1))
+    ]
+    for make in makers:
+        want = law_outcomes(parse_semiring(format_semiring(make())), LAW_STEPS)
+        assert law_outcomes(make(), LAW_STEPS) == want
+        assert law_outcomes(make(), LAW_STEPS[::-1]) == want
+
+
+@pytest.mark.parametrize("absorbing", [True, False])
+def test_the_law_view_makes_no_reference_cycle(absorbing):
+    """Dropping a checked semiring's last reference frees it and its law
+    view at once, with the cycle collector off."""
+    gc.disable()
+    try:
+        s = build_semiring(family("beam", 2)).exported
+        if not absorbing:
+            s = FiniteSemiring(s.elements, s.add, mutate(s.mul, 0, 1, 1), s.zero)
+        verify_axioms(s)
+        is_zero_cancellative(s)
+        refs = [weakref.ref(x) for x in (s, s._laws, s._laws.mul_cols)]
+        del s
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 class TestCertificates:
@@ -457,11 +546,21 @@ class TestCertificates:
 
 class TestSerialization:
     def test_round_trip(self, sc_abcd):
-        parsed = parse_semiring(format_semiring(sc_abcd))
-        assert parsed.elements == sc_abcd.elements
-        assert parsed.add == sc_abcd.add
-        assert parsed.mul == sc_abcd.mul
-        assert parsed.zero == sc_abcd.zero
+        for s in (sc_abcd, build_semiring(family("beam", 2)).exported):
+            text = format_semiring(s)
+            parsed = parse_semiring(text)
+            assert parsed.elements == s.elements
+            assert parsed.add == s.add
+            assert parsed.mul == s.mul
+            assert parsed.zero == s.zero
+            # Each table row is one line of its own.
+            lines = text.splitlines()
+            assert len(lines) == 2 * s.size + 8
+            for name, table in (("add", s.add), ("mul", s.mul)):
+                i = lines.index(f'  "{name}": [') + 1
+                rows = lines[i : i + s.size]
+                assert [tuple(json.loads(line.rstrip(","))) for line in rows] == list(table)
+                assert lines[i + s.size] == "  ],"
 
     def test_flat_row_major_accepted(self):
         doc = '{"elements": ["z", "e"], "add": [0, 1, 1, 1], "mul": [0, 0, 0, 1], "zero": 0}'
