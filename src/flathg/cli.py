@@ -27,6 +27,7 @@ from .hypergraph import (
     HypergraphParseError,
     family,
     format_hypergraph,
+    hypergraph_from_document,
     parse_hypergraph,
     validate,
 )
@@ -35,7 +36,7 @@ from .semiring import (
     SemiringParseError,
     format_semiring,
     is_flat,
-    parse_semiring,
+    semiring_from_document,
     subdirect_irreducibility_certificate,
     verify_axioms,
 )
@@ -205,7 +206,7 @@ def _load_subject(source: str) -> tuple[str, FiniteSemiring, bool]:
         raise CliInputError(f"bad input file {source}: {exc}")
     if isinstance(doc, dict) and "vertices" in doc:
         try:
-            h = parse_hypergraph(text)
+            h = hypergraph_from_document(doc)
         except HypergraphParseError as exc:
             raise CliInputError(f"bad hypergraph file {source}: {exc}")
         try:
@@ -213,7 +214,7 @@ def _load_subject(source: str) -> tuple[str, FiniteSemiring, bool]:
         except ValueError as exc:
             raise CliInputError(str(exc))
     try:
-        s = parse_semiring(text)
+        s = semiring_from_document(doc)
     except SemiringParseError as exc:
         raise CliInputError(f"bad semiring file {source}: {exc}")
     return source, s, verify_axioms(s).all_pass

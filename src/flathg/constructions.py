@@ -18,7 +18,7 @@ from itertools import chain, permutations
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
 from .hypergraph import Hypergraph, family, leaf_edges, sub_hypergraph, validate
-from .semiring import FiniteSemiring, is_commutative, is_flat, multiplicative_zero
+from .semiring import FiniteSemiring, gather, is_commutative, is_flat, multiplicative_zero
 from .terms import check_identity_flat, nested_identity
 from .words import build_sc
 
@@ -211,24 +211,27 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
         # A commutative table's column is its row, so only the row is read.
         lines = zip(table) if is_commutative(table) else zip(table, zip(*table))
         for x, pair in enumerate(lines):
-            # x with every member of J, on the left and then on the right;
-            # each result keeps the first member that produced it.
+            # x with every member of J, on the left and then on the right.
             for line in pair:
-                results = {line[j]: j for j in reversed(j_idx)}
+                results = set(map(line.__getitem__, j_idx))
                 if len(results) > 1 and not j_set.issuperset(results):
+                    # Each result with the first member that produced it.
+                    first = {line[j]: j for j in reversed(j_idx)}
                     r1, r2 = sorted(results)[:2]
                     raise ValueError(
                         "ideal does not induce a congruence: "
-                        f"{op_name}({labels[x]}, .) sends {labels[results[r1]]} "
-                        f"to {labels[r1]} but {labels[results[r2]]} to {labels[r2]}"
+                        f"{op_name}({labels[x]}, .) sends {labels[first[r1]]} "
+                        f"to {labels[r1]} but {labels[first[r2]]} to {labels[r2]}"
                     )
     reps = [zero] + [x for x in range(k) if x not in j_set]
     class_of = [0] * k
     for i, x in enumerate(reps[1:], start=1):
         class_of[x] = i
 
+    pick = gather(reps)
+
     def quotient_table(table):
-        return tuple(tuple(class_of[table[x][y]] for y in reps) for x in reps)
+        return tuple(tuple(map(class_of.__getitem__, pick(table[x]))) for x in reps)
 
     quotient = FiniteSemiring(
         ("J",) + tuple(labels[x] for x in reps[1:]),
@@ -240,39 +243,67 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
 
 
 def _element_signatures(s: FiniteSemiring) -> list[tuple]:
-    z = multiplicative_zero(s)
-    add_fact = Counter(chain.from_iterable(s.add))
-    mul_fact = Counter(chain.from_iterable(s.mul))
+    """Each element's isomorphism invariants, read from the semiring's law
+    view: additive orbit length, annihilation count, factorization counts
+    under · and +, and whether x·x is the zero or x, x + x is x, x is the
+    zero, x absorbs under +."""
+    laws = s._laws
+    n = s.size
+    z, top = laws.mul.zero, laws.add.zero
+
+    def factorizations(table) -> Counter:
+        """How many entries of the table each element is. Without an
+        absorbing element every entry is held as non-zero."""
+        count = Counter(chain.from_iterable(map(dict.values, table.nonzero)))
+        if table.zero is not None:
+            count[table.zero] = n * n - sum(map(len, table.nonzero))
+        return count
+
+    mul_fact, add_fact = factorizations(laws.mul), factorizations(laws.add)
     out = []
-    for x, (mul_row, mul_col) in enumerate(zip(s.mul, zip(*s.mul))):
+    for x, (row, col) in enumerate(zip(laws.mul.nonzero, laws.mul_cols.nonzero)):
         seen: list[int] = []
         y = x
         while y not in seen:
             seen.append(y)
             y = s.add[y][x]
-        ann = 0
-        if z is not None:
-            ann = list(zip(mul_row, mul_col)).count((z, z))
+        ann = 0 if z is None else n - len(row.keys() | col.keys())
+        xx = s.mul[x][x]
         out.append(
             (
                 len(seen),
                 ann,
                 mul_fact[x],
                 add_fact[x],
-                z is not None and mul_row[x] == z,
-                mul_row[x] == x,
+                z is not None and xx == z,
+                xx == x,
                 s.add[x][x] == x,
                 x == z,
+                x == top,
             )
         )
     return out
 
 
+def _supports(s: FiniteSemiring) -> list[set[int]]:
+    """Per element x, the y with x∘y or y∘x not the absorbing element of the
+    table ∘, over both tables; a table without one holds every y."""
+    laws = s._laws
+    near: list[set[int]] = [set() for _ in range(s.size)]
+    for table in (laws.add, laws.mul):
+        for x, entries in enumerate(table.nonzero):
+            near[x].update(entries)
+            for y in entries:
+                near[y].add(x)
+    return near
+
+
 def _preserves(s1: FiniteSemiring, s2: FiniteSemiring, image) -> bool:
     """True when image, a list sending each s1 index to an s2 index, carries
     both tables of s1 into those of s2."""
+    pick = gather(image)
     return all(
-        list(map(image.__getitem__, table1[a])) == list(map(table2[image[a]].__getitem__, image))
+        tuple(map(image.__getitem__, table1[a])) == pick(table2[image[a]])
         for table1, table2 in ((s1.add, s2.add), (s1.mul, s2.mul))
         for a in range(s1.size)
     )
@@ -282,56 +313,77 @@ def find_semiring_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring) -> dict[st
     """Backtracking search for a bijection preserving both tables.
 
     Elements are first profiled (additive orbit length, annihilation counts,
-    factorization counts); only profile-equal images are tried, in element
-    order, so the result is deterministic. A complete map is checked on
-    both tables before it is returned. Absence of an isomorphism is a
-    normal answer, not an error.
+    factorization counts, which element is the zero and which absorbs
+    under +); only profile-equal images are tried, in element order, so the
+    result is the first isomorphism in lexicographic order. The search keeps
+    its choices on an explicit stack, so its depth is not bounded by the
+    recursion limit. A complete map is checked on both tables before it is
+    returned. Absence of an isomorphism is a normal answer, not an error.
+
+    Sending x to y is checked against x itself and the assigned elements a
+    in the supports of x or of y (`_supports`), with b the image of a: where
+    x∘a (or a∘x) is mapped, its image must be y∘b (or b∘y); where it is
+    not, y∘b (or b∘y) must be no other element's image. For any other a,
+    x∘a and a∘x are the absorbing element of ∘ in s1, and y∘b and b∘y that
+    of s2; the profiles pair the absorbing elements, so those products
+    pass. A table without an absorbing element has full supports. On flat
+    semirings like the witness quotients a choice thus costs a few checks
+    per non-zero product.
     """
     if s1.size != s2.size:
         return None
+    if not s1.size:
+        return {}
     sig1 = _element_signatures(s1)
     sig2 = _element_signatures(s2)
     if sorted(sig1) != sorted(sig2):
         return None
     n = s1.size
-    candidates = [[y for y in range(n) if sig2[y] == sig1[x]] for x in range(n)]
+    by_signature: dict[tuple, list[int]] = {}
+    for y, sig in enumerate(sig2):
+        by_signature.setdefault(sig, []).append(y)
+    candidates = [by_signature[sig] for sig in sig1]
+    near1, near2 = _supports(s1), _supports(s2)
     mapping = [-1] * n
-    used = [False] * n
+    inverse = [-1] * n
     tables = ((s1.add, s2.add), (s1.mul, s2.mul))
 
-    def consistent(x: int) -> bool:
-        for a in range(n):
-            if mapping[a] < 0:
-                continue
-            for ta, tb in ((a, x), (x, a)):
-                for table1, table2 in tables:
-                    r1 = table1[ta][tb]
-                    r2 = table2[mapping[ta]][mapping[tb]]
-                    if mapping[r1] >= 0:
-                        if mapping[r1] != r2:
-                            return False
-                    elif used[r2]:
+    def consistent(x: int, y: int) -> bool:
+        assigned = {a for a in near1[x] if mapping[a] >= 0}
+        assigned.update(inverse[b] for b in near2[y] if inverse[b] >= 0)
+        assigned.add(x)
+        for table1, table2 in tables:
+            row1, row2 = table1[x], table2[y]
+            for a in assigned:
+                b = mapping[a]
+                for r1, r2 in ((row1[a], row2[b]), (table1[a][x], table2[b][y])):
+                    image = mapping[r1]
+                    if image != r2 and (image >= 0 or inverse[r2] >= 0):
                         return False
         return True
 
-    def assign(x: int) -> bool:
-        if x == n:
-            # consistent() compares a product only once its result is
-            # mapped; one whose result is mapped later is compared here.
-            return _preserves(s1, s2, mapping)
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            mapping[x] = y
-            used[y] = True
-            if consistent(x) and assign(x + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
-        return False
-
-    if assign(0):
-        return {s1.elements[x]: s2.elements[mapping[x]] for x in range(n)}
+    # tries[x] runs through x's remaining candidates; mapping[x] is the one
+    # being tried.
+    tries = [iter(candidates[0])]
+    while tries:
+        x = len(tries) - 1
+        if mapping[x] >= 0:
+            inverse[mapping[x]] = mapping[x] = -1
+        for y in tries[x]:
+            if inverse[y] < 0:
+                mapping[x], inverse[y] = y, x
+                if consistent(x, y):
+                    break
+                inverse[y] = mapping[x] = -1
+        else:
+            tries.pop()
+            continue
+        if x + 1 < n:
+            tries.append(iter(candidates[x + 1]))
+        # consistent() compares a product only once its result is mapped;
+        # one whose result is mapped later is compared here.
+        elif _preserves(s1, s2, mapping):
+            return {s1.elements[x]: s2.elements[mapping[x]] for x in range(n)}
     return None
 
 

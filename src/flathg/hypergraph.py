@@ -427,15 +427,17 @@ def find_hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> dict[str, str
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Read a hypergraph from its JSON document form.
-
-    The document is an object with a "vertices" list of strings and an
-    "edges" list of lists of strings.
-    """
+    """Read a hypergraph from its JSON document form."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise HypergraphParseError(f"not valid JSON: {exc}") from exc
+    return hypergraph_from_document(data)
+
+
+def hypergraph_from_document(data) -> Hypergraph:
+    """Read a hypergraph from its decoded JSON document: an object with a
+    "vertices" list of strings and an "edges" list of lists of strings."""
     if not isinstance(data, dict):
         raise HypergraphParseError("top level must be an object")
     missing = {"vertices", "edges"} - set(data)

@@ -31,6 +31,8 @@ table's absorbing element, non-zero entries and producers, and each law's
 first counterexample. flat_completion, verify_axioms and
 is_zero_cancellative all read it, so each table is scanned once per
 semiring, and flat_completion hands over its flat addition already known.
+The isomorphism search and the flat identity checker read its non-zero
+entries too.
 """
 
 from __future__ import annotations
@@ -158,13 +160,14 @@ def _producers(nonzero) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
-def _gathers(table) -> list:
-    """One gather per row r of the table: g(seq) == tuple(seq[i] for i in r)."""
-    if len(table) == 1:
+def gather(indices):
+    """g with g(seq) == tuple(seq[i] for i in indices), gathered in C; at
+    least one index."""
+    if len(indices) == 1:
         # itemgetter with one index returns a bare item, not a 1-tuple.
-        (i,), = table
-        return [lambda seq: (seq[i],)]
-    return [itemgetter(*row) for row in table]
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 class _Table:
@@ -200,7 +203,8 @@ class _Table:
 
     @cached_property
     def gathers(self) -> list:
-        return _gathers(self.rows)
+        """One gather per row r: g(seq) == tuple(seq[i] for i in r)."""
+        return list(map(gather, self.rows))
 
 
 class _Columns(_Table):
@@ -550,14 +554,19 @@ def format_semiring(s: FiniteSemiring) -> str:
 
 
 def parse_semiring(text: str) -> FiniteSemiring:
-    """Read a semiring from the exchange document produced by format_semiring.
-
-    Tables may be given either as nested rows or as one flat row-major list.
-    """
+    """Read a semiring from the exchange document produced by format_semiring."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SemiringParseError(f"not valid JSON: {exc}") from exc
+    return semiring_from_document(data)
+
+
+def semiring_from_document(data) -> FiniteSemiring:
+    """Read a semiring from the decoded exchange document.
+
+    Tables may be given either as nested rows or as one flat row-major list.
+    """
     if not isinstance(data, dict):
         raise SemiringParseError("top level must be an object")
     missing = {"elements", "add", "mul"} - set(data)

@@ -513,7 +513,9 @@ class _SideSearch:
             for i, mult in Counter(mono).items():
                 self.touches[i].append((m, mult, i == max(mono)))
         self.nonzero = [v for v in range(s.size) if v != self.zero]
-        self.followers: dict[int, list[int]] = {}
+        # Per p, the non-zero products p·v as v -> p·v, in ascending v; zero
+        # is the table's absorbing element.
+        self.followers = s._laws.mul.nonzero
         self.explored = 0
         self.first = min(map(max, self.monomials))
         # Target -> (prefix nodes passed before it, assignment, partial
@@ -567,21 +569,15 @@ class _SideSearch:
             for m, p in saved:
                 partial[m] = p
 
-    def _candidates(self, touches, partial) -> list[int]:
+    def _candidates(self, touches, partial):
         """Ascending non-zero values that no touched partial product sends to zero."""
         best = self.nonzero
         if not self.commutative:
             return best
         for m, _, _ in touches:
             p = partial[m]
-            if p is None:
-                continue
-            row = self.followers.get(p)
-            if row is None:
-                mul_p, zero = self.s.mul[p], self.zero
-                row = self.followers[p] = [v for v in self.nonzero if mul_p[v] != zero]
-            if len(row) < len(best):
-                best = row
+            if p is not None and len(self.followers[p]) < len(best):
+                best = self.followers[p]
         return best
 
     def _assign(self, slot, target, assignment, partial):

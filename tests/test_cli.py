@@ -117,6 +117,22 @@ class TestExitCodes:
         assert code == 2
         assert err == f"flathg: error: bad semiring file {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        (
+            ([1, 2], "bad semiring file {path}: top level must be an object"),
+            ({"elements": ["0"], "add": [[0]]}, "bad semiring file {path}: missing fields: mul"),
+            ({"vertices": "abc", "edges": []}, "bad hypergraph file {path}: 'vertices' and 'edges' must be lists"),
+        ),
+        ids=("array", "no-mul", "vertices-not-a-list"),
+    )
+    def test_a_malformed_subject_document_is_an_input_error(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "subject.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check", str(path), "eq3.1"])
+        assert (code, out) == (2, "")
+        assert err == f"flathg: error: {message.format(path=path)}\n"
+
 
 class TestValidate:
     def test_families_are_valid(self, capsys):
@@ -158,6 +174,13 @@ class TestCheck:
         assert code == 0
         code, out, _ = run(capsys, ["check", "family:nested:2", "eq4.2"])
         assert code == 1
+
+    def test_hypergraph_file_subject(self, capsys, tmp_path):
+        path = tmp_path / "nested2.json"
+        path.write_text(format_hypergraph(family("nested", 2)))
+        assert run(capsys, ["check", str(path), "eq4.2"]) == run(
+            capsys, ["check", "family:nested:2", "eq4.2"]
+        )
 
     def test_structured_record(self, capsys):
         code, out, _ = run(
