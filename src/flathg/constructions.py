@@ -99,11 +99,11 @@ def generated_subsemiring(
     strided slices. Products are interned per y in the order y+x, x+y, y·x,
     x·y.
 
-    A commutative table (is_commutative) has only the y∘x translations: its
-    x∘y is the same string, and interning it again would always be a hit.
-    Its one product stream per cursor fills both the row entry x∘y and the
-    column entry y∘x, so the elements, their order and the tables are those
-    of the two-sided streams, which non-commutative tables keep.
+    A commutative operation (is_commutative) has only the y∘x translations:
+    its x∘y is the same string, and interning it again would always be a
+    hit. Its one product stream per cursor fills both the row entry x∘y and
+    the column entry y∘x, so the elements, their order and the tables are
+    those of the two-sided streams, which non-commutative tables keep.
     """
     gens = [_power_element(base, g) for g in generators]
     if not gens:
@@ -117,12 +117,11 @@ def generated_subsemiring(
     # coordinate: y∘x from x's column, then x∘y from x's row, or None when
     # the table is commutative.
     translations = []
-    for table in (base.add, base.mul):
+    for op in ("add", "mul"):
+        table = getattr(base, op)
         translations.append([str.maketrans(dict(enumerate(col))) for col in zip(*table)])
         translations.append(
-            None
-            if is_commutative(table)
-            else [str.maketrans(dict(enumerate(row))) for row in table]
+            None if is_commutative(base, op) else [str.maketrans(dict(enumerate(row))) for row in table]
         )
     elements: list[str] = []
     position: dict[str, int] = {}
@@ -208,8 +207,8 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     labels = a.semiring.elements
     k = len(a.elements)
     for op_name, table in (("add", a.semiring.add), ("mul", a.semiring.mul)):
-        # A commutative table's column is its row, so only the row is read.
-        lines = zip(table) if is_commutative(table) else zip(table, zip(*table))
+        # Under a commutative base operation a closure column is its row.
+        lines = zip(table) if is_commutative(a.base, op_name) else zip(table, zip(*table))
         for x, pair in enumerate(lines):
             # x with every member of J, on the left and then on the right.
             for line in pair:

@@ -28,7 +28,7 @@ each non-zero value, so it reads each entry once.
 
 A semiring keeps one law view of its tables, built on first use: each
 table's absorbing element, non-zero entries and producers, and each law's
-first counterexample. flat_completion, verify_axioms and
+first counterexample. flat_completion, verify_axioms, is_commutative and
 is_zero_cancellative all read it, so each table is scanned once per
 semiring, and flat_completion hands over its flat addition already known.
 The isomorphism search and the flat identity checker read its non-zero
@@ -328,14 +328,14 @@ def _distributive_failure(elements, add: _Table, m: _Table) -> tuple[str, str, s
     )
 
 
-def _commutativity_failure(elements, t: _Table) -> tuple[str, str] | None:
+def _commutativity_failure(elements, t: _Table, cols: _Columns) -> tuple[str, str] | None:
     """The first pair (a, b) with ab != ba, as labels, or None: the first row
     a that differs from column a, compared whole, or by their non-zero
     entries where z absorbs."""
     if t.zero is None:
-        pairs, first = zip(t.rows, zip(*t.rows)), _first_difference
+        pairs, first = zip(t.rows, cols.rows), _first_difference
     else:
-        pairs, first = zip(t.nonzero, _Columns(t).nonzero), _first_entry_difference
+        pairs, first = zip(t.nonzero, cols.nonzero), _first_entry_difference
     return next(
         ((elements[a], elements[first(row, col)]) for a, (row, col) in enumerate(pairs) if row != col),
         None,
@@ -357,6 +357,14 @@ class _Laws:
         return _Columns(self.mul)
 
     @cached_property
+    def add_commutative(self) -> tuple[str, str] | None:
+        return _commutativity_failure(self.elements, self.add, _Columns(self.add))
+
+    @cached_property
+    def mul_commutative(self) -> tuple[str, str] | None:
+        return _commutativity_failure(self.elements, self.mul, self.mul_cols)
+
+    @cached_property
     def mul_associative(self) -> tuple[str, str, str] | None:
         return _assoc_failure(self.elements, self.mul)
 
@@ -372,7 +380,7 @@ class _Laws:
         idempotent = next(((lab[x],) for x, row in enumerate(add.rows) if row[x] != x), None)
         return (
             ("add-associative", _assoc_failure(lab, add)),
-            ("add-commutative", _commutativity_failure(lab, add)),
+            ("add-commutative", self.add_commutative),
             ("add-idempotent", idempotent),
             ("mul-associative", self.mul_associative),
             ("left-distributive", _distributive_failure(lab, add, mul)),
@@ -396,9 +404,12 @@ def multiplicative_zero(s: FiniteSemiring) -> int | None:
     return s._laws.mul.zero
 
 
-def is_commutative(table) -> bool:
-    """True when the square table equals its transpose: a∘b == b∘a for all a, b."""
-    return tuple(zip(*table)) == tuple(map(tuple, table))
+def is_commutative(s: FiniteSemiring, op: str) -> bool:
+    """True when a∘b == b∘a for all a, b, where ∘ is s's "add" or "mul";
+    decided once per semiring, in its law view."""
+    if op not in ("add", "mul"):
+        raise ValueError(f"unknown operation {op!r}")
+    return getattr(s._laws, f"{op}_commutative") is None
 
 
 def _flat_row(n: int, z: int, x: int) -> tuple[int, ...]:

@@ -494,13 +494,13 @@ class _SideSearch:
     prefix up to that slot is walked once per side, each surviving state is
     filed under that value, and `search(target)` resumes only from the states
     filed under its target. `explored` advances as if each target walked the
-    prefix again, so it counts the same nodes as a walk from slot 0.
+    prefix again, so it counts the same nodes as a walk from slot 0. Both
+    walks are `_walk`, on an explicit stack, so no recursion limit bounds a
+    side's length.
     """
 
-    def __init__(self, s: FiniteSemiring, side_monomials, all_variables, zero, commutative):
-        self.s = s
-        self.zero = zero
-        self.commutative = commutative
+    def __init__(self, s: FiniteSemiring, side_monomials, all_variables):
+        self.s, self.zero, self.commutative = s, multiplicative_zero(s), is_commutative(s, "mul")
         counts = Counter(itertools.chain.from_iterable(side_monomials))
         position = {v: i for i, v in enumerate(all_variables)}
         side_vars = sorted(counts, key=lambda v: (-counts[v], position[v]))
@@ -516,13 +516,17 @@ class _SideSearch:
         # Per p, the non-zero products p·v as v -> p·v, in ascending v; zero
         # is the table's absorbing element.
         self.followers = s._laws.mul.nonzero
-        self.explored = 0
         self.first = min(map(max, self.monomials))
         # Target -> (prefix nodes passed before it, assignment, partial
-        # products), one state per slot-`first` node, in walk order.
+        # products), one state per slot-`first` node, in walk order. The
+        # walk counts the filed nodes too; each is taken back as it is filed.
         self.frontier: dict[int, list[tuple[int, list[int], list[int | None]]]] = {}
-        self.prefix_nodes = 0
-        self._walk_prefix(0, [0] * len(self.order), [None] * len(self.monomials))
+        assignment, partial = [0] * len(self.order), [None] * len(self.monomials)
+        self.explored = 0
+        for agreed in self._walk(0, self.first, None, assignment, partial):
+            self.explored -= 1
+            self.frontier.setdefault(agreed, []).append((self.explored, assignment[:], partial[:]))
+        self.prefix_nodes, self.explored = self.explored, 0
 
     def search(self, target: int):
         """Yield each hit as a dict from variable name to element index."""
@@ -530,89 +534,80 @@ class _SideSearch:
         for before, assignment, partial in self.frontier.get(target, ()):
             self.explored += before - counted + 1
             counted = before
-            yield from self._assign(self.first + 1, target, assignment, partial)
+            for _ in self._walk(self.first + 1, len(self.order) - 1, target, assignment, partial):
+                yield dict(zip(self.order, assignment))
         self.explored += self.prefix_nodes - counted
 
-    def _walk_prefix(self, slot, assignment, partial):
-        """File each state at slot `first` whose completed monomials agree on
-        one non-zero value under that value; below `first`, prune as `_assign`."""
-        mul = self.s.mul
-        touches = self.touches[slot]
-        saved = [(m, partial[m]) for m, _, _ in touches]
-        for value in self._candidates(touches, partial):
-            assignment[slot] = value
-            agreed = None
-            for m, mult, completes in touches:
-                if self.commutative:
-                    prod = partial[m]
-                    for _ in range(mult):
-                        prod = value if prod is None else mul[prod][value]
-                    partial[m] = prod
-                elif completes:
-                    mono = self.monomials[m]
-                    prod = assignment[mono[0]]
-                    for i in mono[1:]:
-                        prod = mul[prod][assignment[i]]
-                else:
-                    continue
-                if prod == self.zero or (completes and agreed not in (None, prod)):
-                    break
-                if completes:
-                    agreed = prod
-            else:
-                if slot < self.first:
-                    self.prefix_nodes += 1
-                    self._walk_prefix(slot + 1, assignment, partial)
-                else:
-                    state = (self.prefix_nodes, assignment[:], partial[:])
-                    self.frontier.setdefault(agreed, []).append(state)
-            for m, p in saved:
-                partial[m] = p
+    def _walk(self, start, last, target, assignment, partial):
+        """Walk slots `start`..`last` depth first from the given state and
+        yield the agreed value at each passing node of slot `last`.
 
-    def _candidates(self, touches, partial):
-        """Ascending non-zero values that no touched partial product sends to zero."""
-        best = self.nonzero
-        if not self.commutative:
-            return best
-        for m, _, _ in touches:
-            p = partial[m]
-            if p is not None and len(self.followers[p]) < len(best):
-                best = self.followers[p]
-        return best
-
-    def _assign(self, slot, target, assignment, partial):
-        if slot == len(self.order):
-            yield dict(zip(self.order, assignment))
+        A node folds its value into each monomial its slot touches, and is
+        pruned on a zero partial product or on a completed monomial other
+        than `target` (with `target` None, other than the node's first
+        completed one, which is then the agreed value). The outer loop enters
+        a slot, the inner one resumes the deepest unfinished slot. `explored`
+        gains the nodes passed, from a local, before each yield and on exit.
+        With `start` past `last` the given state is the one node, uncounted.
+        """
+        if start > last:
+            yield target
             return
-        if slot < len(self.touches):
-            touches = self.touches[slot]
-            values = self._candidates(touches, partial)
-        else:
-            touches, values = (), range(self.s.size)
-        mul = self.s.mul
-        saved = [(m, partial[m]) for m, _, _ in touches]
-        for value in values:
-            assignment[slot] = value
-            for m, mult, completes in touches:
-                if self.commutative:
-                    prod = partial[m]
-                    for _ in range(mult):
-                        prod = value if prod is None else mul[prod][value]
-                    partial[m] = prod
-                    if (prod != target) if completes else (prod == self.zero):
-                        break
-                elif completes:
-                    mono = self.monomials[m]
-                    prod = assignment[mono[0]]
-                    for i in mono[1:]:
-                        prod = mul[prod][assignment[i]]
-                    if prod != target:
-                        break
+        mul, zero, commutative, monomials = self.s.mul, self.zero, self.commutative, self.monomials
+        nodes, slot, stack = 0, start, []
+        while True:
+            if slot < len(self.touches):
+                touches, values = self.touches[slot], self.nonzero
+                if commutative:
+                    for m, _, _ in touches:
+                        p = partial[m]
+                        if p is not None and len(self.followers[p]) < len(values):
+                            values = self.followers[p]
             else:
-                self.explored += 1
-                yield from self._assign(slot + 1, target, assignment, partial)
-            for m, p in saved:
-                partial[m] = p
+                touches, values = (), range(self.s.size)
+            values, saved = iter(values), [(m, partial[m]) for m, _, _ in touches]
+            while True:
+                for value in values:
+                    for m, p in saved:
+                        partial[m] = p
+                    assignment[slot] = value
+                    agreed = target
+                    for m, mult, completes in touches:
+                        if commutative:
+                            prod = partial[m]
+                            for _ in range(mult):
+                                prod = value if prod is None else mul[prod][value]
+                            partial[m] = prod
+                        elif completes:
+                            mono = monomials[m]
+                            prod = assignment[mono[0]]
+                            for i in mono[1:]:
+                                prod = mul[prod][assignment[i]]
+                        else:
+                            continue
+                        if prod == zero or completes and agreed not in (None, prod):
+                            break
+                        if completes:
+                            agreed = prod
+                    else:
+                        nodes += 1
+                        if slot < last:
+                            stack.append((values, touches, saved))
+                            slot += 1
+                            break
+                        self.explored += nodes
+                        nodes = 0
+                        yield agreed
+                else:
+                    for m, p in saved:
+                        partial[m] = p
+                    if not stack:
+                        self.explored += nodes
+                        return
+                    values, touches, saved = stack.pop()
+                    slot -= 1
+                    continue
+                break
 
 
 def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
@@ -641,15 +636,10 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
                 f"identity side expands to {size} monomials, "
                 f"over the flat checker's cap of {MAX_MONOMIALS}"
             )
-    sides = ((_monomials(ident.lhs), ident.rhs), (_monomials(ident.rhs), ident.lhs))
-    zero = multiplicative_zero(s)
-    commutative = is_commutative(s.mul)
     explored = 0
-    for monomials, other in sides:
-        search = _SideSearch(s, monomials, ident.variables, zero, commutative)
-        for target in range(s.size):
-            if target == zero:
-                continue
+    for side, other in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
+        search = _SideSearch(s, _monomials(side), ident.variables)
+        for target in search.nonzero:
             for values in search.search(target):
                 if _value(other, values, s) != target:
                     return _failure(ident, values, s, explored + search.explored)

@@ -310,16 +310,23 @@ def random_tables(draw):
 @given(random_tables())
 @example(FiniteSemiring(("e0", "e1"), ((0, 1), (1, 1)), ((0, 1), (0, 1))))
 def test_is_commutative_matches_the_pairwise_definition(s):
-    """Rows given as lists read the same as rows given as tuples."""
-    for table in (s.add, s.mul):
+    """The add verdict is also verify_axioms' add-commutative one."""
+    for op in ("add", "mul"):
+        table = getattr(s, op)
         want = all(table[a][b] == table[b][a] for a in range(s.size) for b in range(s.size))
-        assert is_commutative(table) is want
-        assert is_commutative([list(row) for row in table]) is want
+        assert is_commutative(s, op) is want
+    axioms = {name: ok for name, ok, _ in verify_axioms(s).verdicts}
+    assert axioms["add-commutative"] is is_commutative(s, "add")
 
 
 def test_the_builtin_tables_are_commutative(sc_abc, s7, triangle_semiring):
     for s in (sc_abc, s7, triangle_semiring, BOOL_LATTICE):
-        assert is_commutative(s.add) and is_commutative(s.mul)
+        assert is_commutative(s, "add") and is_commutative(s, "mul")
+
+
+def test_is_commutative_names_an_operation():
+    with pytest.raises(ValueError, match="unknown operation 'sub'"):
+        is_commutative(BOOL_LATTICE, "sub")
 
 
 MUTATION_BASES = {m: build_semiring(family(*m)).exported for m in [("beam", 1), ("nested", 2), ("n_cycle", 4)]}

@@ -1,7 +1,9 @@
+import inspect
 import io
 import itertools
 import random
 import re
+import sys
 import tokenize
 from collections import Counter
 
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 from flathg import terms
 from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import family
-from flathg.semiring import FiniteSemiring, is_flat, multiplicative_zero, verify_axioms
+from flathg.semiring import (
+    FiniteSemiring,
+    flat_completion,
+    is_flat,
+    multiplicative_zero,
+    verify_axioms,
+)
 from flathg.suite import random_hyperforest
 from flathg.terms import (
     IdentitySyntaxError,
@@ -716,3 +724,37 @@ def test_shared_prefix_matches_the_per_target_search(differential_carriers, carr
     result = check_identity_flat(s, ident)
     cex = result.counterexample and list(result.counterexample.items())
     assert (result.verdict, cex, result.explored) == _per_target_check(s, ident)
+
+
+# The trivial group with a zero adjoined: e·e = e, so no product of e's
+# vanishes and a long product's prefix walk is never pruned.
+TRIVIAL_GROUP = flat_completion(("0", "e"), ((0, 0), (0, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "carrier, joiner",
+    [
+        # The product side's prefix walk is 400 slots deep.
+        pytest.param("trivial-group", "*", id="product-prefix"),
+        # x0 completes at slot 0; the resumed walk is 400 side slots deep.
+        pytest.param("sc_abc", " + ", id="sum-resumed"),
+        # Every product of four factors vanishes, so the depth is in the
+        # other side's walk over 399 free variables.
+        pytest.param("sc_abc", "*", id="product-free"),
+    ],
+)
+def test_side_search_deeper_than_the_recursion_limit(sc_abc, carrier, joiner):
+    """A 400-variable side against x0: the per-target reference, which takes
+    a frame per slot, runs at the normal limit; the checker then runs with
+    only 100 frames to spare."""
+    s = sc_abc if carrier == "sc_abc" else TRIVIAL_GROUP
+    ident = parse_identity(joiner.join(f"x{i}" for i in range(400)) + " = x0")
+    want = _per_target_check(s, ident)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = check_identity_flat(s, ident)
+    finally:
+        sys.setrecursionlimit(limit)
+    cex = result.counterexample and list(result.counterexample.items())
+    assert (result.verdict, cex, result.explored) == want
