@@ -27,12 +27,18 @@ The cancellation check keeps, per row and per column, the first index of
 each non-zero value, so it reads each entry once.
 
 A semiring keeps one law view of its tables, built on first use: each
-table's absorbing element, non-zero entries and producers, and each law's
-first counterexample. flat_completion, verify_axioms, is_commutative and
-is_zero_cancellative all read it, so each table is scanned once per
-semiring, and flat_completion hands over its flat addition already known.
-The isomorphism search and the flat identity checker read its non-zero
-entries too.
+table's absorbing element, non-zero entries and producers, whether the
+semiring is flat, and each law's first counterexample. Every check here
+reads it, so each table is scanned once per semiring, and flat_completion
+hands over its flat addition already known; the isomorphism search and the
+flat identity checker read its non-zero entries too. On a flat semiring
+(the mul zero z is the top of x + y = z for x != y) the additive laws hold,
+and each distributive law is the cancellation law of its side: for b != c,
+a(b+c) = a·z = z, and ab + ac is ab if ab = ac and z otherwise, so the law
+fails exactly where ab = ac != z (for b = c it holds, + being idempotent).
+The least failing (a, b, c) is the first repeat in the first row (or
+column) with one, which the cancellation scan reports, so a semiring that
+flat_completion built leaves verify_axioms nothing to scan.
 """
 
 from __future__ import annotations
@@ -117,8 +123,10 @@ def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
     n = len(elements)
     if len(table) != n or any(len(row) != n for row in table):
         raise ValueError(f"ragged {name} table: expected {n}x{n}")
+    indices, ints = frozenset(range(n)), {int}
     for row in table:
-        if not set(map(type, row)) - {int} and 0 <= min(row) and max(row) < n:
+        # Types first: issuperset would pass True and 1.0, and raise on a list.
+        if set(map(type, row)) <= ints and indices.issuperset(row):
             continue
         for v in row:
             if type(v) is not int or not 0 <= v < n:
@@ -344,9 +352,9 @@ def _commutativity_failure(elements, t: _Table, cols: _Columns) -> tuple[str, st
 
 class _Laws:
     """One view of a semiring's tables for its law checks: each table's
-    absorbing element, non-zero entries and producers, and each law's first
-    counterexample, each computed once on first use. It holds the tables,
-    not the semiring, so the semiring caching it forms no reference cycle."""
+    absorbing element, non-zero entries and producers, flatness, and each
+    law's first counterexample, each computed once on first use. It holds
+    the tables, not the semiring, so caching it forms no reference cycle."""
 
     def __init__(self, elements, add, mul):
         self.elements = elements
@@ -357,7 +365,18 @@ class _Laws:
         return _Columns(self.mul)
 
     @cached_property
+    def flat(self) -> bool:
+        """is_flat: the mul table's absorbing element z is the top of a flat
+        addition. Each add row is read by counting its z entries, in C."""
+        n, z, rows = len(self.elements), self.mul.zero, self.add.rows
+        if n < 2 or z is None or rows[z].count(z) != n:
+            return False
+        return all(row[x] == x and row.count(z) == n - 1 for x, row in enumerate(rows) if x != z)
+
+    @cached_property
     def add_commutative(self) -> tuple[str, str] | None:
+        if self.flat:
+            return None
         return _commutativity_failure(self.elements, self.add, _Columns(self.add))
 
     @cached_property
@@ -369,22 +388,40 @@ class _Laws:
         return _assoc_failure(self.elements, self.mul)
 
     @cached_property
+    def left_cancellation(self) -> tuple[str, str, str] | None:
+        """The first (a, b, c), b < c, with a·b = a·c != z, as labels, or None."""
+        return _cancellation_failure(self.elements, self.mul.nonzero)
+
+    @cached_property
+    def right_cancellation(self) -> tuple[str, str, str] | None:
+        """The first (a, b, c), b < c, with b·a = c·a != z, as labels, or None."""
+        return _cancellation_failure(self.elements, self.mul_cols.nonzero)
+
+    @property
     def cancellation(self) -> tuple[str, str, str] | None:
-        """The first cancellation failure against the mul table's zero."""
-        return _cancellation_failure(self.elements, self.mul.nonzero, self.mul_cols.nonzero)
+        """The first left cancellation failure, else the first right one."""
+        return self.left_cancellation or self.right_cancellation
 
     @cached_property
     def axioms(self) -> tuple[tuple[str, tuple[str, ...] | None], ...]:
-        """Each axiom of verify_axioms with its first counterexample, or None."""
+        """Each axiom of verify_axioms with its first counterexample, or None,
+        derived from flatness where it holds (see the module docstring)."""
         lab, add, mul = self.elements, self.add, self.mul
-        idempotent = next(((lab[x],) for x, row in enumerate(add.rows) if row[x] != x), None)
+        if self.flat:
+            add_assoc = idempotent = None
+            left, right = self.left_cancellation, self.right_cancellation
+        else:
+            add_assoc = _assoc_failure(lab, add)
+            idempotent = next(((lab[x],) for x, row in enumerate(add.rows) if row[x] != x), None)
+            left = _distributive_failure(lab, add, mul)
+            right = _distributive_failure(lab, add, self.mul_cols)
         return (
-            ("add-associative", _assoc_failure(lab, add)),
+            ("add-associative", add_assoc),
             ("add-commutative", self.add_commutative),
             ("add-idempotent", idempotent),
             ("mul-associative", self.mul_associative),
-            ("left-distributive", _distributive_failure(lab, add, mul)),
-            ("right-distributive", _distributive_failure(lab, add, self.mul_cols)),
+            ("left-distributive", left),
+            ("right-distributive", right),
         )
 
 
@@ -419,22 +456,15 @@ def _flat_row(n: int, z: int, x: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _is_flat_over(s: FiniteSemiring, z: int | None) -> bool:
-    """is_flat, given s's multiplicative zero z (None when it has none)."""
-    if s.size < 2 or z is None:
-        return False
-    return all(row == _flat_row(s.size, z, a) for a, row in enumerate(s.add))
-
-
 def is_flat(s: FiniteSemiring) -> bool:
     """True when a multiplicative zero exists that is the additive top,
     addition is idempotent, and every sum of two distinct elements collapses
-    to the zero.
+    to the zero; decided once per semiring, in its law view.
 
     A one-element carrier is not flat: the defining addition needs at least
     one distinct pair to collapse.
     """
-    return _is_flat_over(s, multiplicative_zero(s))
+    return s._laws.flat
 
 
 def _first_repeat(entries) -> tuple[int, int] | None:
@@ -453,16 +483,15 @@ def _first_repeat(entries) -> tuple[int, int] | None:
     return first[v], second[v]
 
 
-def _cancellation_failure(elements, rows, cols) -> tuple[str, str, str] | None:
-    """The first (a, b, c), b < c, with a·b = a·c != z, else the first with
-    b·a = c·a != z, as labels, or None; rows and cols hold, per row and per
-    column of the mul table, its entries other than z."""
-    for lines in (rows, cols):
-        for a, entries in enumerate(lines):
-            pair = _first_repeat(entries.items())
-            if pair is not None:
-                b, c = pair
-                return (elements[a], elements[b], elements[c])
+def _cancellation_failure(elements, lines) -> tuple[str, str, str] | None:
+    """The first (a, b, c), b < c, whose entries b and c of line a agree, as
+    labels, or None; lines holds, per row (or per column) of the mul table,
+    its entries other than z."""
+    for a, entries in enumerate(lines):
+        pair = _first_repeat(entries.items())
+        if pair is not None:
+            b, c = pair
+            return (elements[a], elements[b], elements[c])
     return None
 
 
@@ -505,7 +534,8 @@ def flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring
     for x in range(n):
         if mul[zero][x] != zero or mul[x][zero] != zero:
             raise ValueError(f"zero is not absorbing: fails at {elements[x]!r}")
-    # zero absorbs, so it is the table's one absorbing element.
+    # zero absorbs, so it is the mul table's absorbing element and add's top.
+    laws.flat = n >= 2
     cancel = laws.cancellation
     if cancel is not None:
         raise ValueError(f"not 0-cancellative: counterexample {cancel}")
@@ -533,19 +563,14 @@ def subdirect_irreducibility_certificate(s: FiniteSemiring) -> IrreducibilityCer
     whose product with anything, on either side, is zero. Without a
     multiplicative zero both predicates are vacuously false.
     """
-    z = multiplicative_zero(s)
-    flat = _is_flat_over(s, z)
+    laws = s._laws
+    z = laws.mul.zero
     if z is None:
-        return IrreducibilityCertificate(flat=flat, two_nil=False, annihilators=())
-    n = s.size
-    zeros = (z,) * n
-    two_nil = all(s.mul[x][x] == z for x in range(n))
-    ann = tuple(
-        s.elements[a]
-        for a, row in enumerate(s.mul)
-        if a != z and row == zeros and all(r[a] == z for r in s.mul)
-    )
-    return IrreducibilityCertificate(flat=flat, two_nil=two_nil, annihilators=ann)
+        return IrreducibilityCertificate(flat=False, two_nil=False, annihilators=())
+    rows, cols = laws.mul.nonzero, laws.mul_cols.nonzero
+    two_nil = not any(x in row for x, row in enumerate(rows))
+    ann = tuple(s.elements[a] for a in range(s.size) if a != z and not rows[a] and not cols[a])
+    return IrreducibilityCertificate(flat=laws.flat, two_nil=two_nil, annihilators=ann)
 
 
 def format_semiring(s: FiniteSemiring) -> str:

@@ -13,6 +13,7 @@ from flathg.hypergraph import family
 from flathg.semiring import (
     FiniteSemiring,
     SemiringParseError,
+    _flat_row,
     flat_completion,
     format_semiring,
     is_commutative,
@@ -189,6 +190,9 @@ class TestFlatCompletion:
             (((0, 0), (0,)), 0, "ragged mul table: expected 2x2"),
             (((0, 0), (0, 2)), 0, "mul table entry 2 is not an element index"),
             (((0, 0), (0, True)), 0, "mul table entry True is not an element index"),
+            (((0, 0), (0, 1.0)), 0, "mul table entry 1.0 is not an element index"),
+            # An unhashable entry is refused, not raised on as a TypeError.
+            (((0, 0), (0, [1])), 0, "mul table entry [1] is not an element index"),
             (((0, 0), (0, 0)), 2, "zero index 2 out of range"),
             (((0, 0), (0, 0)), False, "zero index False out of range"),
             # Both wrong: the zero is refused before the table is read.
@@ -452,6 +456,82 @@ def test_add_top_away_from_the_mul_zero_takes_the_fallback(member, data):
     s = FiniteSemiring(s.elements, add, absorbing_mutation(data.draw, s.mul, s.zero), s.zero)
     assert multiplicative_zero(s) == s.zero != top
     assert_sparse_scans_agree(s)
+
+
+@st.composite
+def flat_semirings(draw):
+    """A flat addition over a zero z anywhere in the carrier and a random
+    z-absorbing mul, so associativity and cancellation can each fail; in
+    about half the draws one add entry is redrawn, which mostly breaks
+    flatness and sends verify_axioms to the general scans."""
+    n = draw(st.integers(2, 7))
+    z = draw(st.integers(0, n - 1))
+    entry = st.just(z) | st.integers(0, n - 1)
+    products = iter(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    mul = tuple(tuple(z if z in (a, b) else next(products) for b in range(n)) for a in range(n))
+    add = tuple(_flat_row(n, z, x) for x in range(n))
+    if draw(st.booleans()):
+        cell = st.integers(0, n - 1)
+        add = mutate(add, draw(cell), draw(cell), draw(cell))
+    return FiniteSemiring(tuple(f"e{i}" for i in range(n)), add, mul, z)
+
+
+def dense_is_flat(s):
+    """Some z absorbs under · and the add table is the flat addition over z."""
+    n = s.size
+    return n >= 2 and any(
+        all(s.mul[z][x] == z == s.mul[x][z] for x in range(n))
+        and s.add == tuple(_flat_row(n, z, x) for x in range(n))
+        for z in range(n)
+    )
+
+
+def dense_certificate(s):
+    """(flat, two_nil, annihilators) by scanning every product."""
+    n, mul = s.size, s.mul
+
+    def annihilates(a, z):
+        return all(mul[a][x] == z == mul[x][a] for x in range(n))
+
+    z = next((z for z in range(n) if annihilates(z, z)), None)
+    if z is None:
+        return (dense_is_flat(s), False, ())
+    two_nil = all(mul[x][x] == z for x in range(n))
+    ann = tuple(s.elements[a] for a in range(n) if a != z and annihilates(a, z))
+    return (dense_is_flat(s), two_nil, ann)
+
+
+FLAT_CHECKS = {
+    "certificate": lambda s: tuple(
+        getattr(subdirect_irreducibility_certificate(s), f) for f in ("flat", "two_nil", "annihilators")
+    ),
+    "axioms": lambda s: verify_axioms(s).verdicts,
+    "flat": is_flat,
+    "cancellative": is_zero_cancellative,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_semirings())
+@example(FiniteSemiring(("z", "a", "b"), ((0, 0, 0), (0, 1, 0), (0, 0, 2)), ((0, 0, 0), (0, 2, 2), (0, 0, 0)), 0))
+def test_flat_axioms_certificate_and_flatness_match_dense_scans(s):
+    """On a flat semiring the view reads the additive laws as holding and
+    each distributive law off the cancellation scan of its side; the
+    certificate reads its non-zero entries. Each check agrees with a dense
+    scan, run first (the certificate, as perfbench does) or last, on a
+    fresh copy each time so that no verdict is cached from the other order.
+    The example fails left-distributivity at (a, a, b), a·a = a·b = b, and
+    holds right-distributive."""
+    bad = dense_cancellation_failure(s.elements, s.mul, s.zero)
+    want = {
+        "certificate": dense_certificate(s),
+        "axioms": dense_verdicts(s),
+        "flat": dense_is_flat(s),
+        "cancellative": True if bad is None else bad,
+    }
+    for order in (list(FLAT_CHECKS), list(FLAT_CHECKS)[::-1]):
+        fresh = FiniteSemiring(s.elements, s.add, s.mul, s.zero)
+        assert {step: FLAT_CHECKS[step](fresh) for step in order} == want
 
 
 def law_outcomes(s, order):
