@@ -190,13 +190,13 @@ class TestFlatCompletion:
             (((0, 0), (0,)), 0, "ragged mul table: expected 2x2"),
             (((0, 0), (0, 2)), 0, "mul table entry 2 is not an element index"),
             (((0, 0), (0, True)), 0, "mul table entry True is not an element index"),
-            (((0, 0), (0, 1.0)), 0, "mul table entry 1.0 is not an element index"),
-            # An unhashable entry is refused, not raised on as a TypeError.
-            (((0, 0), (0, [1])), 0, "mul table entry [1] is not an element index"),
             (((0, 0), (0, 0)), 2, "zero index 2 out of range"),
             (((0, 0), (0, 0)), False, "zero index False out of range"),
             # Both wrong: the zero is refused before the table is read.
             (((0, 0), (0, 2)), 2, "zero index 2 out of range"),
+            (((0, 0), (0, 1.0)), 0, "mul table entry 1.0 is not an element index"),
+            # An unhashable entry is refused, not raised on as a TypeError.
+            (((0, 0), (0, [1])), 0, "mul table entry [1] is not an element index"),
         ],
     )
     def test_table_refusals_are_the_constructors(self, mul, zero, message):
