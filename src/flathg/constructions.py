@@ -44,6 +44,9 @@ def _power_element(base: FiniteSemiring, entries) -> tuple[int, ...]:
     is read as labels, every one of which must be a base label.
     """
     entries = tuple(entries)
+    # Indices all in range, checked in C; the loops below name a bad entry.
+    if set(map(type, entries)) == {int} and 0 <= min(entries) and max(entries) < base.size:
+        return entries
     if any(isinstance(e, str) for e in entries):
         for e in entries:
             if not isinstance(e, str) or e not in base.elements:
@@ -77,6 +80,54 @@ class GeneratedSubsemiring:
         return _power_label(self.base, x)
 
 
+def _homomorphism(base: FiniteSemiring, pairs) -> dict[int, int] | None:
+    """The homomorphism h with h(x) = y for each pair (x, y), on the
+    subsemiring of base that the xs generate, or None if there is none.
+
+    The pairs generate a subsemiring of base × base; h exists exactly when
+    that closure is the graph of a function, and then it is h. The worklist
+    so stops at the first x paired with two values, within |base| + 1 pairs.
+    """
+    h = dict(pairs)
+    if len(h) < len(pairs):
+        return None
+    known = list(h)
+    for i, x in enumerate(known):
+        for y in known[: i + 1]:
+            for table in (base.add, base.mul):
+                for a, b in ((x, y), (y, x)):
+                    z, w = table[a][b], table[h[a]][h[b]]
+                    if z not in h:
+                        known.append(z)
+                    if h.setdefault(z, w) != w:
+                        return None
+    return h
+
+
+def _determined_coordinates(base: FiniteSemiring, gens) -> dict[int, tuple[int, dict[int, int]]]:
+    """Coordinate c' -> (c, h) for each generator coordinate c' that an
+    earlier kept coordinate c determines: h is the _homomorphism of the
+    pairs (g[c], g[c']) over the generators g. The other coordinates are
+    kept."""
+    columns = list(zip(*gens))
+    kept: list[int] = []
+    determined = {}
+    # The pair sets tried so far, with their _homomorphism: colorings that
+    # differ by a letter permutation share one.
+    tried: dict[frozenset, dict[int, int] | None] = {}
+    for c2, column in enumerate(columns):
+        for c in kept:
+            pairs = frozenset(zip(columns[c], column))
+            if pairs not in tried:
+                tried[pairs] = _homomorphism(base, pairs)
+            if tried[pairs] is not None:
+                determined[c2] = (c, tried[pairs])
+                break
+        else:
+            kept.append(c2)
+    return determined
+
+
 def generated_subsemiring(
     base: FiniteSemiring, generators, cap: int = CLOSURE_CAP_DEFAULT
 ) -> GeneratedSubsemiring:
@@ -88,16 +139,25 @@ def generated_subsemiring(
     cap, since a runaway closure means the construction is being fed
     something it was never meant for.
 
+    The fixpoint runs on the kept coordinates only. A coordinate c' is
+    determined by an earlier kept coordinate c when the map g[c] -> g[c']
+    over the generators g extends to a homomorphism h of the subsemiring of
+    base that the g[c] generate (_homomorphism). Then x[c'] = h(x[c]) for
+    every closure element x: x is t(g1, ..., gm) for a term t, and h
+    commutes with t. So two elements are equal exactly when their kept
+    coordinates are, the worklist finds the same elements in the same order,
+    and the full tuples are rebuilt through h once the closure is done.
+
     The fixpoint works column-wise. Each element is held as a str with one
-    character chr(v) per coordinate v; str has no limit on the base size.
-    Each base element x has one translation table per operation and side,
-    sending b to x+b, b+x, x·b and b·x. At cursor x, with n elements known,
-    coordinate column c of those n elements is one strided slice of their
-    concatenation, and one str.translate by x's entry in column c gives
-    that coordinate of x∘y, or of y∘x (∘ being + or ·), for all n elements
-    y at once. The k translated columns, joined, hold the n products as
-    strided slices. Products are interned per y in the order y+x, x+y, y·x,
-    x·y.
+    character chr(v) per kept coordinate v; str has no limit on the base
+    size. Each base element x has one translation table per operation and
+    side, sending b to x+b, b+x, x·b and b·x. At cursor x, with n elements
+    known, coordinate column c of those n elements is one strided slice of
+    their concatenation, and one str.translate by x's entry in column c
+    gives that coordinate of x∘y, or of y∘x (∘ being + or ·), for all n
+    elements y at once. The k translated columns, joined, hold the n
+    products as strided slices. Products are interned per y in the order
+    y+x, x+y, y·x, x·y; one already known is a single dict lookup.
 
     A commutative operation (is_commutative) has only the y∘x translations:
     its x∘y is the same string, and interning it again would always be a
@@ -113,6 +173,9 @@ def generated_subsemiring(
         raise ValueError("power arity must be at least 1")
     if any(len(g) != arity for g in gens):
         raise ValueError(f"generators must all have {arity} coordinates")
+    determined = _determined_coordinates(base, gens)
+    kept = [c for c in range(arity) if c not in determined]
+    width = len(kept)
     # Per operation, translation tables per base element x, indexed by x's
     # coordinate: y∘x from x's column, then x∘y from x's row, or None when
     # the table is commutative.
@@ -125,12 +188,13 @@ def generated_subsemiring(
         )
     elements: list[str] = []
     position: dict[str, int] = {}
+    get = position.get
     # add[i] and mul[i] gain column j when the worklist reaches max(i, j).
     add: list[list[int]] = []
     mul: list[list[int]] = []
 
     def intern(z: str) -> int:
-        k = position.get(z)
+        k = get(z)
         if k is None:
             if len(elements) >= cap:
                 raise ValueError(f"closure exceeded {cap} elements; refusing to continue")
@@ -139,13 +203,13 @@ def generated_subsemiring(
         return k
 
     for g in gens:
-        intern("".join(map(chr, g)))
+        intern("".join([chr(g[c]) for c in kept]))
     cursor = 0
     while cursor < len(elements):
         x = elements[cursor]
         n = cursor + 1
         known = "".join(elements[:n])
-        columns = [known[c::arity] for c in range(arity)]
+        columns = [known[c::width] for c in range(width)]
         yx_add, xy_add, yx_mul, xy_mul = (
             None
             if by_x is None
@@ -155,23 +219,41 @@ def generated_subsemiring(
         add_row: list[int] = []
         mul_row: list[int] = []
         for i in range(n):
-            yx_add_i = intern(yx_add[i::n])
-            add_row.append(yx_add_i if xy_add is None else intern(xy_add[i::n]))
-            yx_mul_i = intern(yx_mul[i::n])
-            mul_row.append(yx_mul_i if xy_mul is None else intern(xy_mul[i::n]))
+            yx_add_i = get(z := yx_add[i::n])
+            if yx_add_i is None:
+                yx_add_i = intern(z)
+            xy_add_i = yx_add_i if xy_add is None else get(z := xy_add[i::n])
+            if xy_add_i is None:
+                xy_add_i = intern(z)
+            yx_mul_i = get(z := yx_mul[i::n])
+            if yx_mul_i is None:
+                yx_mul_i = intern(z)
+            xy_mul_i = yx_mul_i if xy_mul is None else get(z := xy_mul[i::n])
+            if xy_mul_i is None:
+                xy_mul_i = intern(z)
+            add_row.append(xy_add_i)
+            mul_row.append(xy_mul_i)
             if i < cursor:
                 add[i].append(yx_add_i)
                 mul[i].append(yx_mul_i)
         add.append(add_row)
         mul.append(mul_row)
         cursor += 1
-    tuples = tuple(tuple(map(ord, x)) for x in elements)
+    known = "".join(elements)
+    columns = {c: known[i::width] for i, c in enumerate(kept)}
+    for c, (source, h) in determined.items():
+        columns[c] = columns[source].translate(h)
+    tuples = tuple(zip(*(map(ord, columns[c]) for c in range(arity))))
     z = _zero_of(base)
+    zero = None if z is None else position.get(chr(z) * width)
+    # The kept entries of the zero tuple may belong to a non-zero tuple.
+    if zero is not None and tuples[zero] != (z,) * arity:
+        zero = None
     semiring = FiniteSemiring(
         tuple(_power_label(base, x) for x in tuples),
         tuple(map(tuple, add)),
         tuple(map(tuple, mul)),
-        None if z is None else position.get(chr(z) * arity),
+        zero,
     )
     return GeneratedSubsemiring(base, tuple(gens), tuples, semiring)
 

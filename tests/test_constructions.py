@@ -9,7 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flathg.constructions import (
+    COLORINGS_CAP_DEFAULT,
     WITNESS_KINDS,
+    _beam_step,
+    _determined_coordinates,
+    _strongcolor_equiv,
     find_semiring_isomorphism,
     find_subword_embedding,
     format_witness_report,
@@ -38,6 +42,13 @@ BAD_COORDINATES = [
     pytest.param((True,), "coordinate True is not an element index", id="bool"),
     pytest.param(("a", 1), "coordinate 1 is not an element label", id="mixed"),
     pytest.param(("a", "zz"), "coordinate 'zz' is not an element label", id="unknown-label"),
+    # A bad entry after good indices: the all-index fast path must fall
+    # through to the loop that names it.
+    pytest.param((0, 99), "coordinate 99 is not an element index", id="index-then-past-the-end"),
+    pytest.param((1, -1), "coordinate -1 is not an element index", id="index-then-negative"),
+    pytest.param((1, 2.0), "coordinate 2.0 is not an element index", id="index-then-float"),
+    pytest.param((1, True), "coordinate True is not an element index", id="index-then-bool"),
+    pytest.param((1, "a"), "coordinate 1 is not an element label", id="index-then-label"),
 ]
 
 
@@ -214,6 +225,12 @@ def _brandt_left_sum():
     return FiniteSemiring(b.elements, tuple((x,) * b.size for x in range(b.size)), b.mul, b.zero)
 
 
+def _renamed_letters(base, perm):
+    """The automorphism of a subword semiring that renames its letters by
+    the dict perm, as the image of each element index."""
+    return [base.index("".join(sorted(perm.get(ch, ch) for ch in w))) for w in base.elements]
+
+
 @st.composite
 def closure_inputs(draw):
     bases = [build_sc(["abc"]), build_sc(["abcd"]), _brandt(), _brandt_left_sum()]
@@ -227,7 +244,28 @@ def closure_inputs(draw):
     # 4, three generators keep the closures to about 150 elements.
     most = 4 if arity <= 4 else 3
     gens = draw(st.lists(st.tuples(*[coordinate] * arity), min_size=1, max_size=most))
-    return base, gens
+    # Columns that the closure may rebuild from a drawn one: a copy, the
+    # zero, the image under a renaming of the letters, a constant e11 (its
+    # all-zero key stands for a non-zero tuple), and a function of a drawn
+    # column that need not extend to a homomorphism.
+    words = "e11" not in base.elements
+    kinds = ["copy", "zero", "function", "renamed" if words else "e11"]
+    columns = list(zip(*gens))
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        column = draw(st.sampled_from(columns[:arity]))
+        if kind == "copy":
+            image = list(range(base.size))
+        elif kind == "zero":
+            image = [base.zero] * base.size
+        elif kind == "renamed":
+            names = sorted(ch for ch in base.elements if len(ch) == 1 and ch != "0")
+            image = _renamed_letters(base, dict(zip(names, draw(st.permutations(names)))))
+        elif kind == "e11":
+            image = [base.index("e11")] * base.size
+        else:
+            image = draw(st.lists(st.integers(0, base.size - 1), min_size=base.size, max_size=base.size))
+        columns.append(tuple(image[v] for v in column))
+    return base, list(zip(*columns))
 
 
 def assert_closure_matches_reference(base, gens):
@@ -256,19 +294,25 @@ def assert_closure_matches_reference(base, gens):
 _NON_COMMUTATIVE = [("e12", "e21", "e11"), ("e21", "e11", "e12"), ("e11", "e12", "e22")]
 
 
-def _brandt_generators(base, labels):
+def _indexed(base, labels):
     return [tuple(map(base.index, g)) for g in labels]
 
 
 @settings(max_examples=40, deadline=None)
 @given(closure_inputs(), st.lists(st.integers(min_value=0), max_size=4))
 # The left-sum base runs both of the closure's streams two-sided.
-@example((_brandt_left_sum(), _brandt_generators(_brandt_left_sum(), _NON_COMMUTATIVE)), [])
+@example((_brandt_left_sum(), _indexed(_brandt_left_sum(), _NON_COMMUTATIVE)), [])
 # x·J stays in J = {0, (0, 0, e11)} for every x of this closure; only a
 # product J·x leaves it, so a quotient reading rows alone accepts J.
 @example(
-    (_brandt(), _brandt_generators(_brandt(), [*_NON_COMMUTATIVE, ("0", "0", "e11")])), [3]
+    (_brandt(), _indexed(_brandt(), [*_NON_COMMUTATIVE, ("0", "0", "e11")])), [3]
 )
+# b sent to a is a function of the first column but no homomorphism
+# (a + b = 0 goes to a + a = a), so the second column must be kept.
+@example((build_sc(["abc"]), _indexed(build_sc(["abc"]), [("a", "a"), ("b", "a")])), [])
+# The constant e11 column is rebuilt from the first. (e12, e11)·(e12, e11) =
+# (0, e11) has the zero tuple's kept entries, yet the closure has no zero.
+@example((_brandt(), _indexed(_brandt(), [("e12", "e11")])), [])
 def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
     base, gens = inputs
     sub, want = assert_closure_matches_reference(base, gens)
@@ -290,7 +334,7 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
 
 @pytest.mark.parametrize("base", [_brandt(), _brandt_left_sum()], ids=["brandt", "left-sum"])
 def test_a_non_commutative_closure_agrees_with_tuple_arithmetic(base):
-    gens = _brandt_generators(base, _NON_COMMUTATIVE)
+    gens = _indexed(base, _NON_COMMUTATIVE)
     sub, want = assert_closure_matches_reference(base, gens)
     s = sub.semiring
     assert not is_commutative(s, "mul")
@@ -318,6 +362,29 @@ def test_closure_over_a_large_base_agrees_with_tuple_arithmetic(index, floor):
     gens = [(u, v, w), (v, w, u), (w, u, v), (p, q, r), (r, r, p)]
     _, want = assert_closure_matches_reference(base, gens)
     assert max(map(max, want)) >= floor
+
+
+def test_a_coordinate_is_kept_unless_an_earlier_one_determines_it(sc_abc):
+    """After a first column come its copy, its image under swapping a and
+    b, the zero, and a function of the first column that is no
+    homomorphism: a + b = 0 goes to a + a = a, but a·a = 0 to 0."""
+    first = [sc_abc.index(v) for v in ("a", "b", "c", "ab")]
+    swap = _renamed_letters(sc_abc, {"a": "b", "b": "a"})
+    merged = [sc_abc.index(v) for v in ("a", "a", "c", "0")]
+    columns = [first, first, [swap[v] for v in first], [sc_abc.zero] * 4, merged]
+    gens = list(zip(*columns))
+    assert sorted(_determined_coordinates(sc_abc, gens)) == [1, 2, 3]
+    assert_closure_matches_reference(sc_abc, gens)
+
+
+@pytest.mark.parametrize("n, kept", [(3, 1), (4, 3), (5, 5), (6, 11)])
+def test_the_coloring_power_keeps_one_coordinate_per_letter_renaming_orbit(n, kept):
+    """Renaming the letters of sc_abc is an automorphism, so of the six
+    strong 3-colorings that differ by a renaming, the closure keeps one."""
+    plan = _strongcolor_equiv(hypergraph=family("n_cycle", n), colorings_cap=COLORINGS_CAP_DEFAULT)
+    gens = _indexed(plan.base, plan.generators)
+    assert len(gens[0]) == 6 * kept
+    assert len(gens[0]) - len(_determined_coordinates(plan.base, gens)) == kept
 
 
 class TestClosureCap:
@@ -479,6 +546,87 @@ class TestIsomorphism:
         backward = find_semiring_isomorphism(s2, s1)
         assert forward is not None and backward is not None
         assert {v: k for k, v in forward.items()} == backward
+
+
+def _checked_candidates(s1, s2):
+    """find_semiring_isomorphism(s1, s2), and how many candidate pairs
+    (x, y) its search checked: the calls of its inner `consistent`."""
+    search = find_semiring_isomorphism.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "consistent" and frame.f_back.f_code is search:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        iso = find_semiring_isomorphism(s1, s2)
+    finally:
+        sys.setprofile(None)
+    return iso, calls
+
+
+def _beam_step_pair(index):
+    """beam_step(index)'s quotient and its target."""
+    plan = _beam_step(index=index)
+    sub = generated_subsemiring(plan.base, plan.generators)
+    ideal = [x for x in sub.elements if plan.base.zero in x]
+    return quotient_by_ideal(sub, ideal).quotient, plan.target
+
+
+def _supports_pair():
+    """p·a = r and q·b = s, all else 0. The first lists b before p, q and
+    a; sending b to a, p to p passes every product of p with the assigned
+    elements of p's supports, and only the supports of the image p show
+    p·a = r against p·b = 0."""
+    def semiring(labels):
+        mul = [[0] * 7 for _ in range(7)]
+        for x, y, v in (("p", "a", "r"), ("q", "b", "s")):
+            mul[labels.index(x)][labels.index(y)] = labels.index(v)
+        return flat_completion(labels, tuple(map(tuple, mul)), 0)
+
+    return semiring(("0", "b", "p", "q", "a", "r", "s")), semiring(("0", "a", "b", "p", "q", "r", "s"))
+
+
+def _near_top_pair():
+    """t absorbs under +, and u absorbs all but t; a + b = u; every
+    product is z. t and u have the same profile but for absorbing under +,
+    and the second semiring lists u first."""
+    def semiring(labels):
+        def add(x, y):
+            for top in ("t", "u"):
+                if top in (x, y):
+                    return top
+            if {x, y} == {"a", "b"}:
+                return "u"
+            return y if x == "z" else x
+
+        table = tuple(tuple(labels.index(add(x, y)) for y in labels) for x in labels)
+        return FiniteSemiring(labels, table, ((labels.index("z"),) * 5,) * 5)
+
+    return semiring(("t", "u", "z", "a", "b")), semiring(("u", "t", "z", "a", "b"))
+
+
+@pytest.mark.parametrize(
+    "pair, checked",
+    [
+        pytest.param(lambda: _beam_step_pair(12), 174, id="beam_step-12"),
+        # Fails when `consistent` skips the supports of the image y.
+        pytest.param(_supports_pair, 15, id="image-supports"),
+        # Fails without the profile entry "absorbs under +" and the check of
+        # x against itself.
+        pytest.param(_near_top_pair, 5, id="near-top"),
+    ],
+)
+def test_the_isomorphism_search_checks_a_pinned_number_of_candidates(pair, checked):
+    """A search that prunes less still finds the map, since every complete
+    map is checked on both tables; only the candidates it checks show it.
+    A change that prunes more may lower these pins."""
+    s1, s2 = pair()
+    iso, calls = _checked_candidates(s1, s2)
+    assert iso is not None
+    assert calls == checked
 
 
 class TestWitnesses:
