@@ -14,7 +14,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph, degree_order, homomorphisms
+from .hypergraph import Hypergraph, degree_order, homomorphisms, pair_incidence
 
 logger = logging.getLogger(__name__)
 
@@ -44,11 +44,6 @@ class RobustnessReport:
     failure: ExtensionFailure | None
 
 
-def _edge_pairs(h: Hypergraph) -> set[frozenset[str]]:
-    """The vertex pairs in a common edge: they must differ in color."""
-    return {frozenset(p) for e in h.edges for p in itertools.combinations(e, 2)}
-
-
 def enumerate_strong_colorings(h: Hypergraph, cap: int | None = None) -> list[Coloring]:
     """All strong 3-colorings, ordered by vertex order then color order.
 
@@ -76,7 +71,7 @@ def extends(h: Hypergraph, partial: dict[str, int]) -> bool:
             raise ValueError(f"unknown vertex {v!r} in partial assignment")
         if isinstance(color, bool) or color not in COLORS:
             raise ValueError(f"color {color!r} is not one of 0, 1, 2")
-    pairs = _edge_pairs(h)
+    pairs = pair_incidence(h.edges)
     for u, v in itertools.combinations(sorted(partial), 2):
         if partial[u] == partial[v] and frozenset((u, v)) in pairs:
             raise ValueError(
@@ -96,7 +91,7 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
     """
     if any(len(e) != 3 for e in h.edges):
         logger.warning("2-robustness tested on a non-3-uniform hypergraph")
-    pairs = _edge_pairs(h)
+    pairs = pair_incidence(h.edges)
     order = degree_order(h)
     vertices = sorted(h.vertices)
     # Permuting the colors of a strong coloring gives another one. So a

@@ -45,9 +45,8 @@ TOP = HgElement("top")
 
 @dataclass(frozen=True)
 class HypergraphSemiring:
-    """A hypergraph together with its element list and exported tables."""
+    """A hypergraph semiring's element list and exported tables."""
 
-    source: Hypergraph
     elements: tuple[HgElement, ...]
     exported: FiniteSemiring
     degenerate_no_top_triple: bool
@@ -160,7 +159,6 @@ def build_semiring(h: Hypergraph) -> HypergraphSemiring:
     exported = flat_completion(labels, tuple(map(tuple, mul)), 0)
     degenerate = all(len(e) != 3 for e in h.edges)
     return HypergraphSemiring(
-        source=h,
         elements=tuple(elements),
         exported=exported,
         degenerate_no_top_triple=degenerate,

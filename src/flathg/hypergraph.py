@@ -8,14 +8,12 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
-import logging
 import math
 import operator
 from dataclasses import dataclass
-
-logger = logging.getLogger(__name__)
 
 Edge = frozenset[str]
 Pair = frozenset[str]
@@ -40,7 +38,7 @@ class Hypergraph:
 
     def edge_list(self) -> list[tuple[str, ...]]:
         """Edges as sorted tuples, in a single deterministic order."""
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        return sorted(map(_key, self.edges))
 
 
 @dataclass(frozen=True)
@@ -81,36 +79,9 @@ def build_hypergraph(vertices, edges) -> Hypergraph:
     return Hypergraph(tuple(vertex_list), frozenset(edge_set))
 
 
-def validate(h: Hypergraph) -> ValidationReport:
-    """Check every admissibility rule and report all violations at once."""
-    violations: list[tuple[str, tuple]] = []
-    if not h.vertices or not h.edges:
-        violations.append(("empty", ()))
-    bad_size = sorted(tuple(sorted(e)) for e in h.edges if len(e) not in (2, 3))
-    if bad_size:
-        violations.append(("edge-cardinality", tuple(bad_size)))
-    covered = set().union(*h.edges) if h.edges else set()
-    isolated = tuple(v for v in h.vertices if v not in covered)
-    if isolated:
-        violations.append(("isolated-vertex", isolated))
-    nonlinear = []
-    for e, f in itertools.combinations(sorted(h.edges, key=lambda e: tuple(sorted(e))), 2):
-        if len(e & f) >= 2:
-            nonlinear.append((tuple(sorted(e)), tuple(sorted(f))))
-    if nonlinear:
-        violations.append(("linear", tuple(nonlinear)))
-    adjacent_pair_edges = []
-    for e in sorted(h.edges, key=lambda e: tuple(sorted(e))):
-        if len(e) == 2 and any(e & f for f in h.edges if f != e):
-            adjacent_pair_edges.append(tuple(sorted(e)))
-    if adjacent_pair_edges:
-        violations.append(("degree-2-adjacency", tuple(adjacent_pair_edges)))
-    return ValidationReport(valid=not violations, violations=tuple(violations))
-
-
-def is_linear(h: Hypergraph) -> bool:
-    """True when every two distinct edges share at most one vertex."""
-    return all(len(e & f) <= 1 for e, f in itertools.combinations(h.edges, 2))
+def _key(e) -> tuple[str, ...]:
+    """An edge or pair as its sorted vertices: the order of every report."""
+    return tuple(sorted(e))
 
 
 def _incident(h: Hypergraph) -> dict[str, list[Edge]]:
@@ -120,6 +91,57 @@ def _incident(h: Hypergraph) -> dict[str, list[Edge]]:
         for v in e:
             incident.setdefault(v, []).append(e)
     return incident
+
+
+def validate(h: Hypergraph) -> ValidationReport:
+    """Check every admissibility rule and report all violations at once.
+
+    Every rule is read off one incidence count: the edges at each vertex
+    (isolated, unlisted and adjacent vertices) and at each vertex pair
+    (two edges holding one pair are not linear).
+    """
+    edges = h.edge_list()
+    incident = _incident(h)
+    pair_edges = pair_incidence(edges).values()
+    offenders = {
+        "edge-cardinality": [e for e in edges if len(e) not in (2, 3)],
+        "isolated-vertex": [v for v in h.vertices if not incident[v]],
+        "unknown-vertex": sorted(incident.keys() - set(h.vertices)),
+        "linear": sorted({ef for held in pair_edges for ef in itertools.combinations(held, 2)}),
+        "degree-2-adjacency": [
+            e for e in edges if len(e) == 2 and any(len(incident[v]) > 1 for v in e)
+        ],
+    }
+    violations = [("empty", ())] if not h.vertices or not h.edges else []
+    violations += [(rule, tuple(found)) for rule, found in offenders.items() if found]
+    return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+def _pairs(e):
+    """The vertex pairs of an edge."""
+    return map(frozenset, itertools.combinations(e, 2))
+
+
+def pair_incidence(edges) -> dict[Pair, list]:
+    """Each vertex pair in some edge, with the edges that hold it in the
+    order given: the pairs that must differ in any strong coloring."""
+    incidence: dict[Pair, list] = {}
+    for e in edges:
+        for p in _pairs(e):
+            incidence.setdefault(p, []).append(e)
+    return incidence
+
+
+def is_linear(h: Hypergraph) -> bool:
+    """True when no vertex pair lies in two edges, so that every two
+    distinct edges share at most one vertex."""
+    seen: set[Pair] = set()
+    for e in h.edges:
+        for p in _pairs(e):
+            if p in seen:
+                return False
+            seen.add(p)
+    return True
 
 
 def girth(h: Hypergraph) -> int | float:
@@ -163,49 +185,25 @@ def girth(h: Hypergraph) -> int | float:
 def linked_classes(h: Hypergraph) -> dict[Pair, frozenset[Pair]]:
     """Partition the 2-subsets of 3-vertex edges by the completion relation.
 
-    Two distinct pairs are directly linked when a single extra vertex
-    completes both to full edges. Classes are the reflexive-transitive
-    closure of that relation, keyed by their lexicographically least member.
-    Whenever the closure joins two pairs that are not directly linked, the
-    enlargement is logged, since direct linkage alone is expected to already
-    be transitive on admissible inputs.
+    Each 3-edge {u, v, w} completes the pair {u, v} with w, and two pairs
+    are linked when one vertex completes both. In a linear hypergraph each
+    pair lies in one edge, so it has one completer, and the classes are the
+    pairs that each vertex completes, keyed by their least member in sorted
+    order. A pair with two completers means the input is not linear, and is
+    refused with a ValueError that names it.
     """
-    # Each 3-edge {u, v, w} completes {u, v} with w; the pairs a vertex
-    # completes are all directly linked to one another.
-    completers: dict[Pair, set[str]] = {}
-    completed_by: dict[str, set[Pair]] = {}
-    for e in h.edges:
+    completer: dict[Pair, str] = {}
+    completes: dict[str, list[Pair]] = {}
+    for e in sorted(h.edges, key=_key):
         if len(e) == 3:
-            for w in e:
+            for w in sorted(e):
                 p = e - {w}
-                completers.setdefault(p, set()).add(w)
-                completed_by.setdefault(w, set()).add(p)
-    neighbours: dict[Pair, set[Pair]] = {
-        p: set().union(*(completed_by[w] for w in ws)) - {p} for p, ws in completers.items()
-    }
-    classes: list[frozenset[Pair]] = []
-    unvisited = set(completers)
-    while unvisited:
-        seed = next(iter(unvisited))
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            p = frontier.pop()
-            for q in neighbours[p]:
-                if q not in component:
-                    component.add(q)
-                    frontier.append(q)
-        unvisited -= component
-        classes.append(frozenset(component))
-        for p, q in itertools.combinations(component, 2):
-            if q not in neighbours[p]:
-                logger.warning(
-                    "pair class closure joined %s and %s without a direct link",
-                    sorted(p),
-                    sorted(q),
-                )
-    keyed = {min(cls, key=lambda p: tuple(sorted(p))): cls for cls in classes}
-    return dict(sorted(keyed.items(), key=lambda item: tuple(sorted(item[0]))))
+                if completer.setdefault(p, w) != w:
+                    u, v = _key(p)
+                    raise ValueError(f"not linear: the pair {{{u}, {v}}} lies in two edges")
+                completes.setdefault(w, []).append(p)
+    keyed = {min(ps, key=_key): frozenset(ps) for ps in completes.values()}
+    return dict(sorted(keyed.items(), key=lambda item: _key(item[0])))
 
 
 def sub_hypergraph(h: Hypergraph, edges) -> Hypergraph:
@@ -227,16 +225,13 @@ def uniform_core(h: Hypergraph) -> Hypergraph:
 def leaf_edges(edges: frozenset[Edge]) -> list[tuple[Edge, frozenset[str]]]:
     """Each leaf edge with the vertices it shares with the other edges.
 
-    A leaf meets the union of the other edges in at most one vertex. Pairs
-    come sorted by the edge's sorted vertices.
+    A leaf meets the union of the other edges in at most one vertex: it has
+    at most one vertex in two or more edges. Pairs come sorted by the
+    edge's sorted vertices.
     """
-    out = []
-    for e in edges:
-        rest = set().union(*(f for f in edges if f != e), frozenset())
-        shared = e & rest
-        if len(shared) <= 1:
-            out.append((e, shared))
-    return sorted(out, key=lambda pair: tuple(sorted(pair[0])))
+    degree = collections.Counter(itertools.chain.from_iterable(edges))
+    shares = ((e, frozenset(v for v in e if degree[v] > 1)) for e in sorted(edges, key=_key))
+    return [(e, shared) for e, shared in shares if len(shared) <= 1]
 
 
 def leaf_core(h: Hypergraph) -> Hypergraph:

@@ -14,7 +14,7 @@ from functools import reduce
 from .coloring import is_2_robust
 from .constructions import find_subword_embedding, verify_witness
 from .hg_semiring import build_semiring
-from .hypergraph import Hypergraph, build_hypergraph, family
+from .hypergraph import Hypergraph, build_hypergraph, family, girth, is_linear
 from .semiring import (
     FiniteSemiring,
     is_flat,
@@ -22,7 +22,6 @@ from .semiring import (
     subdirect_irreducibility_certificate,
     verify_axioms,
 )
-from .hypergraph import girth, is_linear
 from .terms import (
     builtin_identity,
     check_identity_bruteforce,

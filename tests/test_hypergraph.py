@@ -1,15 +1,20 @@
 import inspect
 import math
+import re
 import sys
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flathg.constructions import verify_witness
+from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import (
     FAMILY_KINDS,
     Hypergraph,
     HypergraphParseError,
+    ValidationReport,
     build_hypergraph,
     family,
     find_hypergraph_isomorphism,
@@ -17,6 +22,7 @@ from flathg.hypergraph import (
     girth,
     is_linear,
     leaf_core,
+    leaf_edges,
     linked_classes,
     parse_hypergraph,
     to_dot,
@@ -316,3 +322,120 @@ class TestSerialization:
         h = build_hypergraph(["a", "b", "c"], [("a", "b", "c")])
         dot = to_dot(h, vertex_colors={"a": 0, "b": 1, "c": 2})
         assert "lightcoral" in dot
+
+
+# Pairwise reference versions of the incidence-count checks: every pair of
+# edges is compared, and linked classes are closed by breadth-first search.
+
+
+def _key(e):
+    return tuple(sorted(e))
+
+
+def reference_validate(h):
+    violations = []
+    if not h.vertices or not h.edges:
+        violations.append(("empty", ()))
+    bad_size = sorted(_key(e) for e in h.edges if len(e) not in (2, 3))
+    if bad_size:
+        violations.append(("edge-cardinality", tuple(bad_size)))
+    covered = set().union(*h.edges)
+    isolated = tuple(v for v in h.vertices if v not in covered)
+    if isolated:
+        violations.append(("isolated-vertex", isolated))
+    ordered = sorted(h.edges, key=_key)
+    nonlinear = [(_key(e), _key(f)) for e, f in combinations(ordered, 2) if len(e & f) >= 2]
+    if nonlinear:
+        violations.append(("linear", tuple(nonlinear)))
+    adjacent = [_key(e) for e in ordered if len(e) == 2 and any(e & f for f in h.edges if f != e)]
+    if adjacent:
+        violations.append(("degree-2-adjacency", tuple(adjacent)))
+    return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+def reference_is_linear(h):
+    return all(len(e & f) <= 1 for e, f in combinations(h.edges, 2))
+
+
+def reference_leaf_edges(edges):
+    out = []
+    for e in edges:
+        shared = e & set().union(*(f for f in edges if f != e))
+        if len(shared) <= 1:
+            out.append((e, shared))
+    return sorted(out, key=lambda pair: _key(pair[0]))
+
+
+def reference_linked_classes(h):
+    completers, completed_by = {}, {}
+    for e in h.edges:
+        if len(e) == 3:
+            for w in e:
+                completers.setdefault(e - {w}, set()).add(w)
+                completed_by.setdefault(w, set()).add(e - {w})
+    classes, unvisited = [], set(completers)
+    while unvisited:
+        component, frontier = set(), [next(iter(unvisited))]
+        while frontier:
+            p = frontier.pop()
+            if p not in component:
+                component.add(p)
+                frontier.extend(q for w in completers[p] for q in completed_by[w])
+        unvisited -= component
+        classes.append(frozenset(component))
+    keyed = {min(cls, key=_key): cls for cls in classes}
+    return dict(sorted(keyed.items(), key=lambda item: _key(item[0])))
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """Up to 7 listed vertices and up to 8 edges of 0 to 4 of them."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=7))))
+    edge = st.sets(st.sampled_from(vertices), max_size=min(4, len(vertices)))
+    return Hypergraph(vertices, frozenset(map(frozenset, draw(st.lists(edge, max_size=8)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_hypergraphs())
+@example(family("beam", 3))
+@example(family("nested", 2))
+@example(family("n_cycle", 5))
+@example(build_hypergraph("abcde", ["abc", "abd", "abe", "cd"]))
+def test_incidence_checks_match_the_pairwise_reference(h):
+    assert validate(h) == reference_validate(h)
+    assert is_linear(h) == reference_is_linear(h)
+    assert leaf_edges(h.edges) == reference_leaf_edges(h.edges)
+    triples = Hypergraph(h.vertices, frozenset(e for e in h.edges if len(e) == 3))
+    if reference_is_linear(triples):
+        assert linked_classes(h) == reference_linked_classes(h)
+    else:
+        with pytest.raises(ValueError, match=r"^not linear: the pair \{") as err:
+            linked_classes(h)
+        u, v = re.fullmatch(r".*\{(\w+), (\w+)\} lies in two edges", str(err.value)).groups()
+        assert sum({u, v} < e for e in triples.edges) >= 2
+
+
+def test_linked_classes_refuses_a_pair_in_two_edges():
+    h = build_hypergraph(["a", "b", "c", "d"], [("a", "b", "c"), ("b", "a", "d")])
+    with pytest.raises(ValueError, match=r"^not linear: the pair \{a, b\} lies in two edges$"):
+        linked_classes(h)
+
+
+def test_an_edge_naming_an_unlisted_vertex_is_reported_and_refused():
+    h = Hypergraph(("a", "b"), frozenset({frozenset({"a", "b", "x"})}))
+    assert validate(h) == ValidationReport(False, (("unknown-vertex", ("x",)),))
+    with pytest.raises(ValueError, match="^hypergraph is not admissible: unknown-vertex$"):
+        build_semiring(h)
+    with pytest.raises(ValueError, match="requires an admissible hypergraph"):
+        verify_witness("strongcolor_equiv", hypergraph=h)
+
+
+def test_leaf_core_strips_a_400_edge_pendant_path():
+    # A hyperpath of 400 edges hangs off u1: each round removes its far end.
+    path = [f"p{i}" for i in range(800)]
+    edges = TRIANGLE_EDGES + [(["u1"] + path)[i : i + 3] for i in range(0, 800, 2)]
+    h = build_hypergraph([f"u{i}" for i in range(1, 7)] + path, edges)
+    assert len(h.edges) == 403
+    core = leaf_core(h)
+    assert core.edges == triangle().edges
+    assert core.vertices == triangle().vertices
