@@ -249,7 +249,7 @@ def generated_subsemiring(
     # The kept entries of the zero tuple may belong to a non-zero tuple.
     if zero is not None and tuples[zero] != (z,) * arity:
         zero = None
-    semiring = FiniteSemiring(
+    semiring = FiniteSemiring._trusted(
         tuple(_power_label(base, x) for x in tuples),
         tuple(map(tuple, add)),
         tuple(map(tuple, mul)),
@@ -279,10 +279,14 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     for x in j_list:
         if x not in position:
             raise ValueError(f"ideal member {a.label(x)} is not in the closure")
+    return IdealQuotient(a, tuple(j_list), _quotient(a, [position[x] for x in j_list]))
+
+
+def _quotient(a: GeneratedSubsemiring, j_idx: list[int]) -> FiniteSemiring:
+    """quotient_by_ideal's quotient, for an ideal given as closure positions."""
     if _zero_of(a.base) is None:
         raise ValueError("base semiring has no zero element")
     zero = a.semiring.zero
-    j_idx = [position[x] for x in j_list]
     j_set = set(j_idx)
     if zero not in j_set:
         raise ValueError("the ideal must contain the zero tuple")
@@ -314,13 +318,12 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     def quotient_table(table):
         return tuple(tuple(map(class_of.__getitem__, pick(table[x]))) for x in reps)
 
-    quotient = FiniteSemiring(
+    return FiniteSemiring._trusted(
         ("J",) + tuple(labels[x] for x in reps[1:]),
         quotient_table(a.semiring.add),
         quotient_table(a.semiring.mul),
         zero=0,
     )
-    return IdealQuotient(a, tuple(j_list), quotient)
 
 
 def _element_signatures(s: FiniteSemiring) -> list[tuple]:
@@ -546,7 +549,7 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
     closure = generated_subsemiring(plan.base, plan.generators, cap=closure_cap)
     zero = _zero_of(plan.base)
     in_ideal = plan.in_ideal or (lambda x: zero in x)
-    ideal = tuple(x for x in closure.elements if in_ideal(x))
+    ideal = [i for i, x in enumerate(closure.elements) if in_ideal(x)]
     stages = [
         WitnessStage("closure", True, f"{len(closure.elements)} elements"),
         WitnessStage("ideal", True, f"{len(ideal)} elements"),
@@ -554,7 +557,7 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
     quotient_size, pairs = 0, None
     target = plan.target
     try:
-        quotient = quotient_by_ideal(closure, ideal).quotient
+        quotient = _quotient(closure, ideal)
     except ValueError as exc:
         stages.append(WitnessStage("quotient", False, str(exc)))
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypergraph import Hypergraph, Pair, linked_classes, validate
-from .semiring import FiniteSemiring, flat_completion
+from .semiring import FiniteSemiring, _flat_completion
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def build_semiring(h: Hypergraph) -> HypergraphSemiring:
                 pair = pair_class[edge - {u}]
                 mul[pair][gen_u] = mul[gen_u][pair] = top
     labels = tuple(e.label for e in elements)
-    exported = flat_completion(labels, tuple(map(tuple, mul)), 0)
+    exported = _flat_completion(labels, tuple(map(tuple, mul)), 0)
     degenerate = all(len(e) != 3 for e in h.edges)
     return HypergraphSemiring(
         elements=tuple(elements),

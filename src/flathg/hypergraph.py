@@ -96,9 +96,10 @@ def _incident(h: Hypergraph) -> dict[str, list[Edge]]:
 def validate(h: Hypergraph) -> ValidationReport:
     """Check every admissibility rule and report all violations at once.
 
-    Every rule is read off one incidence count: the edges at each vertex
-    (isolated, unlisted and adjacent vertices) and at each vertex pair
-    (two edges holding one pair are not linear).
+    Every rule is read off one count: of the vertex labels (repeated
+    vertices), and of the edges at each vertex (isolated, unlisted and
+    adjacent vertices) and at each vertex pair (two edges holding one pair
+    are not linear).
     """
     edges = h.edge_list()
     incident = _incident(h)
@@ -107,6 +108,7 @@ def validate(h: Hypergraph) -> ValidationReport:
         "edge-cardinality": [e for e in edges if len(e) not in (2, 3)],
         "isolated-vertex": [v for v in h.vertices if not incident[v]],
         "unknown-vertex": sorted(incident.keys() - set(h.vertices)),
+        "duplicate-vertex": sorted(v for v, k in collections.Counter(h.vertices).items() if k > 1),
         "linear": sorted({ef for held in pair_edges for ef in itertools.combinations(held, 2)}),
         "degree-2-adjacency": [
             e for e in edges if len(e) == 2 and any(len(incident[v]) > 1 for v in e)

@@ -2,10 +2,14 @@
 
 The FiniteSemiring value is the exchange format every other module builds or
 consumes: an ordered tuple of element labels plus index-valued addition and
-multiplication tables. Its constructor is the one table-entry check, a whole
-row at a time; the builders and the parser all go through it. Law checks
-are exhaustive: a law is decided on every triple of elements, and a failure
-is reported with its first counterexample in lexicographic order (a, b, c).
+multiplication tables. Entries from outside are checked, a row at a time:
+by the constructor, which the parser goes through, and by flat_completion,
+for the caller's zero and mul table. The library's builders (build_semiring,
+build_sc, the subpower closure, the ideal quotient) fill their tables from
+element indices and skip that check through FiniteSemiring._trusted. Law
+checks are exhaustive: a law is decided on every triple of elements, and a
+failure is reported with its first counterexample in lexicographic order
+(a, b, c).
 
 The semirings of this library are flat: the zero absorbs under · and is the
 top for +, so almost every product is the zero. The three-variable scans use
@@ -68,6 +72,14 @@ class FiniteSemiring:
         _check_shape(self.elements, self.mul, "mul")
         if self.zero is not None:
             _check_zero(self.zero, len(self.elements))
+
+    @classmethod
+    def _trusted(cls, elements, add, mul, zero=None) -> FiniteSemiring:
+        """A semiring over tables the library built itself from element
+        indices: the fields are set as given, without the entry check."""
+        s = object.__new__(cls)
+        vars(s).update(elements=elements, add=add, mul=mul, zero=zero)
+        return s
 
     @property
     def size(self) -> int:
@@ -518,12 +530,21 @@ def flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring
 
     The addition is forced: x + x = x and x + y = 0 for x != y. This yields
     a genuine semiring exactly when the table is associative, zero-absorbing
-    and 0-cancellative. The semiring's constructor checks both tables, then
-    those three laws are checked and a violation is refused by name.
+    and 0-cancellative. The caller's zero and then its mul table are checked
+    as the semiring's constructor checks them (the addition is built here
+    from the checked zero, so it is not read again), then those three laws
+    are checked and a violation is refused by name.
     """
+    _check_zero(zero, len(elements))
+    _check_shape(elements, mul, "mul")
+    return _flat_completion(elements, mul, zero)
+
+
+def _flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring:
+    """flat_completion of a mul table that the library built from element
+    indices: the three laws are checked, the table's entries are not."""
     n = len(elements)
-    _check_zero(zero, n)
-    s = FiniteSemiring(elements, tuple(_flat_row(n, zero, x) for x in range(n)), mul, zero)
+    s = FiniteSemiring._trusted(elements, tuple(_flat_row(n, zero, x) for x in range(n)), mul, zero)
     # The flat addition's zero absorbs, and x + x = x is its only other entry.
     laws = s._laws
     laws.add.zero = zero

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .semiring import FiniteSemiring, flat_completion
+from .semiring import FiniteSemiring, _flat_completion
 
 
 def _submultisets(word: Counter[str]) -> list[tuple[str, ...]]:
@@ -56,7 +56,7 @@ def build_sc(words) -> FiniteSemiring:
         for m2, j in index.items():
             union = tuple(sorted(m1 + m2))
             mul[i][j] = index.get(union, 0)
-    return flat_completion(labels, tuple(map(tuple, mul)), 0)
+    return _flat_completion(labels, tuple(map(tuple, mul)), 0)
 
 
 def builtin_s7() -> FiniteSemiring:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flathg import constructions
 from flathg.constructions import (
     COLORINGS_CAP_DEFAULT,
     WITNESS_KINDS,
@@ -282,6 +283,8 @@ def assert_closure_matches_reference(base, gens):
             assert want[s.mul[i][j]] == _componentwise(base.mul, x, y)
     position = {x: i for i, x in enumerate(want)}
     assert s.zero == position.get((base.zero,) * len(gens[0]))
+    # The closure skips the entry check; the public constructor accepts its tables.
+    assert FiniteSemiring(s.elements, s.add, s.mul, s.zero) == s
     # quotient_by_ideal reads only the base's verdict for the closure's table.
     for op in ("add", "mul"):
         assert is_commutative(s, op) or not is_commutative(base, op)
@@ -330,6 +333,7 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
         else:
             q = quotient_by_ideal(sub, ideal).quotient
             assert (q.elements, q.add, q.mul) == expected
+            assert FiniteSemiring(q.elements, q.add, q.mul, q.zero) == q
 
 
 @pytest.mark.parametrize("base", [_brandt(), _brandt_left_sum()], ids=["brandt", "left-sum"])
@@ -627,6 +631,34 @@ def test_the_isomorphism_search_checks_a_pinned_number_of_candidates(pair, check
     iso, calls = _checked_candidates(s1, s2)
     assert iso is not None
     assert calls == checked
+
+
+# The quotient witnesses of `flathg suite`.
+SUITE_QUOTIENT_WITNESSES = {
+    "triangle_in_abcd": dict(kind="triangle_in_abcd"),
+    "strongcolor_equiv": dict(kind="strongcolor_equiv", hypergraph=family("n_cycle", 4)),
+    "uniform_reduction": dict(kind="uniform_reduction", hypergraph=sample_nonuniform()),
+    "leaf_removal": dict(kind="leaf_removal", hypergraph=sample_pendant(), leaf_case="shared"),
+    **{f"beam_step({i})": dict(kind="beam_step", index=i) for i in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("kwargs", SUITE_QUOTIENT_WITNESSES.values(), ids=SUITE_QUOTIENT_WITNESSES)
+def test_a_witness_closure_and_quotient_pass_the_constructors_check(kwargs, monkeypatch):
+    """The closure and the quotient skip the entry check, trusting their
+    tables; the public constructor accepts them unchanged."""
+    built, quotient = [], constructions._quotient
+
+    def recording(closure, ideal):
+        built.append(closure.semiring)
+        built.append(quotient(closure, ideal))
+        return built[-1]
+
+    monkeypatch.setattr(constructions, "_quotient", recording)
+    assert verify_witness(**kwargs).ok
+    assert len(built) == 2
+    for s in built:
+        assert FiniteSemiring(s.elements, s.add, s.mul, s.zero) == s
 
 
 class TestWitnesses:

@@ -430,6 +430,19 @@ def test_an_edge_naming_an_unlisted_vertex_is_reported_and_refused():
         verify_witness("strongcolor_equiv", hypergraph=h)
 
 
+def test_a_repeated_vertex_label_is_reported_once_and_refused():
+    h = Hypergraph(("b", "a", "a", "c", "b", "a"), frozenset({frozenset("abc")}))
+    assert validate(h) == ValidationReport(False, (("duplicate-vertex", ("a", "b")),))
+    # The rule comes after unknown-vertex, so the earlier reports keep their order.
+    h = Hypergraph(("a", "a", "b"), frozenset({frozenset("abx")}))
+    assert [rule for rule, _ in validate(h).violations] == ["unknown-vertex", "duplicate-vertex"]
+    h = Hypergraph(("a", "a", "b", "c"), frozenset({frozenset("abc")}))
+    with pytest.raises(ValueError, match="^hypergraph is not admissible: duplicate-vertex$"):
+        build_semiring(h)
+    with pytest.raises(ValueError, match="requires an admissible hypergraph"):
+        verify_witness("strongcolor_equiv", hypergraph=h)
+
+
 def test_leaf_core_strips_a_400_edge_pendant_path():
     # A hyperpath of 400 edges hangs off u1: each round removes its far end.
     path = [f"p{i}" for i in range(800)]

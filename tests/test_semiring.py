@@ -24,7 +24,8 @@ from flathg.semiring import (
     subdirect_irreducibility_certificate,
     verify_axioms,
 )
-from flathg.suite import _family_members
+from flathg.suite import _family_members, sample_nonuniform, sample_pendant
+from flathg.words import build_sc
 
 BOOL_LATTICE = FiniteSemiring(("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), zero=0)
 
@@ -557,6 +558,26 @@ LAW_STEPS = ("axioms", "cancellative", "completion")
 
 
 FAMILY_MEMBERS = _family_members()
+
+
+BUILT_MEMBERS = FAMILY_MEMBERS + [
+    ("nonuniform-sample", sample_nonuniform()),
+    ("pendant-sample", sample_pendant()),
+]
+
+
+@pytest.mark.parametrize("h", [h for _, h in BUILT_MEMBERS], ids=[m for m, _ in BUILT_MEMBERS])
+def test_a_built_table_passes_the_constructors_check(h):
+    """build_semiring skips the entry check, trusting its tables; the public
+    constructor, which checks every entry, accepts them unchanged."""
+    s = build_semiring(h).exported
+    assert FiniteSemiring(s.elements, s.add, s.mul, s.zero) == s
+
+
+@pytest.mark.parametrize("words", ["ab", "abc", "aab", "abcd"])
+def test_a_subword_table_passes_the_constructors_check(words):
+    s = build_sc([words])
+    assert FiniteSemiring(s.elements, s.add, s.mul, s.zero) == s
 
 
 @pytest.mark.parametrize("h", [h for _, h in FAMILY_MEMBERS], ids=[m for m, _ in FAMILY_MEMBERS])
