@@ -163,6 +163,68 @@ class TestValidate:
         assert target.read_text() == out
 
 
+# Hypergraph files for `flathg semiring`: a 3-edge beside a 2-edge, and a
+# lone 2-edge, whose top is the product of its two generators.
+SEMIRING_FILES = {
+    "mixed": {"vertices": ["u1", "u2", "u3", "u4", "u5"], "edges": [["u1", "u2", "u3"], ["u4", "u5"]]},
+    "two-edge": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+}
+
+CERTIFICATE_LINE = "certificate: granted (annihilators: TOP)\n"
+
+# subject, text report, structured record after its "source" field.
+SEMIRING_PINS = [
+    (
+        "family:beam:1",
+        "14 elements: 6 generators, 6 pair classes, zero and top\n" + CERTIFICATE_LINE,
+        '"size": 14, "generators": 6, "pair_classes": 6, "flat": true, '
+        '"certificate_granted": true, "annihilators": ["TOP"], "degenerate": false}\n',
+    ),
+    (
+        "family:nested:2",
+        "20 elements: 9 generators, 9 pair classes, zero and top\n" + CERTIFICATE_LINE,
+        '"size": 20, "generators": 9, "pair_classes": 9, "flat": true, '
+        '"certificate_granted": true, "annihilators": ["TOP"], "degenerate": false}\n',
+    ),
+    (
+        "mixed",
+        "10 elements: 5 generators, 3 pair classes, zero and top\n" + CERTIFICATE_LINE,
+        '"size": 10, "generators": 5, "pair_classes": 3, "flat": true, '
+        '"certificate_granted": true, "annihilators": ["TOP"], "degenerate": false}\n',
+    ),
+    (
+        "two-edge",
+        "4 elements: 2 generators, 0 pair classes, zero and top\n" + CERTIFICATE_LINE
+        + "note: no 3-edge, top is never a product\n",
+        '"size": 4, "generators": 2, "pair_classes": 0, "flat": true, '
+        '"certificate_granted": true, "annihilators": ["TOP"], "degenerate": true}\n',
+    ),
+]
+
+
+def _semiring_source(tmp_path, subject):
+    if subject.startswith("family:"):
+        return subject
+    path = tmp_path / f"{subject}.json"
+    path.write_text(json.dumps(SEMIRING_FILES[subject]))
+    return str(path)
+
+
+class TestSemiring:
+    @pytest.mark.parametrize("subject,text,record", SEMIRING_PINS, ids=[p[0] for p in SEMIRING_PINS])
+    def test_text_report(self, capsys, tmp_path, subject, text, record):
+        code, out, _ = run(capsys, ["semiring", _semiring_source(tmp_path, subject)])
+        assert code == 0
+        assert out == text
+
+    @pytest.mark.parametrize("subject,text,record", SEMIRING_PINS, ids=[p[0] for p in SEMIRING_PINS])
+    def test_structured_record(self, capsys, tmp_path, subject, text, record):
+        source = _semiring_source(tmp_path, subject)
+        code, out, _ = run(capsys, ["--format", "structured", "semiring", source])
+        assert code == 0
+        assert out == '{"command": "semiring", "source": ' + json.dumps(source) + ", " + record
+
+
 class TestCheck:
     def test_identity_literal(self, capsys):
         code, out, _ = run(capsys, ["check", "builtin:sc_abc", "x1*x2=x2*x1"])
