@@ -280,8 +280,9 @@ def _cmd_semiring(args, out: Reporter) -> int:
         raise CliInputError(str(exc))
     exported = s.exported
     cert = subdirect_irreducibility_certificate(exported)
-    generators = sum(1 for e in s.elements if e.kind == "gen")
-    pairs = sum(1 for e in s.elements if e.kind == "pair")
+    # The carrier is zero, one generator per vertex, the pair classes and top.
+    generators = len(h.vertices)
+    pairs = exported.size - generators - 2
     fields = {
         "command": "semiring",
         "source": args.source,
@@ -299,7 +300,7 @@ def _cmd_semiring(args, out: Reporter) -> int:
         f" (annihilators: {', '.join(cert.annihilators) or 'none'})"
     )
     if s.degenerate_no_top_triple:
-        text += "\nnote: no 3-edge, top is never a product"
+        text += "\nnote: no 3-edge, no product of three generators reaches the top"
     out.record(fields, text)
     out.artifact = format_semiring(exported)
     return 0

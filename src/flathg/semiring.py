@@ -4,12 +4,13 @@ The FiniteSemiring value is the exchange format every other module builds or
 consumes: an ordered tuple of element labels plus index-valued addition and
 multiplication tables. Entries from outside are checked, a row at a time:
 by the constructor, which the parser goes through, and by flat_completion,
-for the caller's zero and mul table. The library's builders (build_semiring,
-build_sc, the subpower closure, the ideal quotient) fill their tables from
-element indices and skip that check through FiniteSemiring._trusted. Law
-checks are exhaustive: a law is decided on every triple of elements, and a
-failure is reported with its first counterexample in lexicographic order
-(a, b, c).
+for the caller's zero and mul table; both store lists as tuples, so equality
+and hashing do not depend on which was given. The library's builders
+(build_semiring, build_sc, the subpower closure, the ideal quotient) fill
+their tables from element indices and skip that check through
+FiniteSemiring._trusted. Law checks are exhaustive: a law is decided on
+every triple of elements, and a failure is reported with its first
+counterexample in lexicographic order (a, b, c).
 
 The semirings of this library are flat: the zero absorbs under · and is the
 top for +, so almost every product is the zero. The three-variable scans use
@@ -72,6 +73,11 @@ class FiniteSemiring:
         _check_shape(self.elements, self.mul, "mul")
         if self.zero is not None:
             _check_zero(self.zero, len(self.elements))
+        # Lists become tuples, so the semiring equals and hashes as the one
+        # given tuples; what is already a tuple is kept, not copied.
+        vars(self).update(
+            elements=_as_tuple(self.elements), add=_as_rows(self.add), mul=_as_rows(self.mul)
+        )
 
     @classmethod
     def _trusted(cls, elements, add, mul, zero=None) -> FiniteSemiring:
@@ -143,6 +149,17 @@ def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
         for v in row:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"{name} table entry {v!r} is not an element index")
+
+
+def _as_tuple(seq) -> tuple:
+    return seq if isinstance(seq, tuple) else tuple(seq)
+
+
+def _as_rows(table) -> tuple[tuple[int, ...], ...]:
+    """The table as a tuple of tuple rows, copying only what is not a tuple."""
+    if isinstance(table, tuple) and all(isinstance(row, tuple) for row in table):
+        return table
+    return tuple(map(_as_tuple, table))
 
 
 def _check_zero(zero, n: int) -> None:
@@ -537,7 +554,7 @@ def flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring
     """
     _check_zero(zero, len(elements))
     _check_shape(elements, mul, "mul")
-    return _flat_completion(elements, mul, zero)
+    return _flat_completion(_as_tuple(elements), _as_rows(mul), zero)
 
 
 def _flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring:

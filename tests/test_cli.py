@@ -195,7 +195,7 @@ SEMIRING_PINS = [
     (
         "two-edge",
         "4 elements: 2 generators, 0 pair classes, zero and top\n" + CERTIFICATE_LINE
-        + "note: no 3-edge, top is never a product\n",
+        + "note: no 3-edge, no product of three generators reaches the top\n",
         '"size": 4, "generators": 2, "pair_classes": 0, "flat": true, '
         '"certificate_granted": true, "annihilators": ["TOP"], "degenerate": true}\n',
     ),

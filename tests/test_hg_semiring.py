@@ -1,23 +1,45 @@
 import pytest
 
 from flathg.constructions import find_semiring_isomorphism
-from flathg.hg_semiring import (
-    TOP,
-    ZERO,
-    HgElement,
-    build_semiring,
-    normal_form_product,
-)
+from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import build_hypergraph, family, linked_classes
 from flathg.semiring import is_flat, subdirect_irreducibility_certificate, verify_axioms
 from flathg.suite import sample_nonuniform, sample_pendant, single_edge
 
 
-def pendant_triangle():
-    return build_hypergraph(
-        [f"u{i}" for i in range(1, 9)],
-        [("u1", "u2", "u3"), ("u3", "u4", "u5"), ("u5", "u6", "u1"), ("u7", "u8", "u1")],
+def reference_kinds(h):
+    """Each carrier label of h's semiring -> its kind and what it stands for:
+    a generator's vertex, or the member pairs of a linked class."""
+    kinds = {"0": ("zero", None), "TOP": ("top", None)}
+    kinds.update((f"a·{v}", ("gen", v)) for v in h.vertices)
+    kinds.update(
+        ("PAIR{" + ",".join(sorted(rep)) + "}", ("pair", members))
+        for rep, members in linked_classes(h).items()
     )
+    return kinds
+
+
+def reference_product(h, kinds, x, y):
+    """The label of x·y, read off h's edges.
+
+    Two generators multiply to the top on a 2-edge, to the class of their
+    pair inside a 3-edge, and to zero otherwise. A generator and a pair
+    class, either way round, multiply to the top when the vertex completes
+    some member of the class to an edge. Every other product is zero.
+    """
+    (kx, vx), (ky, vy) = kinds[x], kinds[y]
+    if kx == ky == "gen":
+        uv = frozenset((vx, vy))
+        if vx == vy:
+            return "0"
+        if uv in h.edges:
+            return "TOP"
+        return next((label for label, (k, members) in kinds.items() if k == "pair" and uv in members), "0")
+    if {kx, ky} == {"gen", "pair"}:
+        w, members = (vx, vy) if kx == "gen" else (vy, vx)
+        if any(w not in pair and pair | {w} in h.edges for pair in members):
+            return "TOP"
+    return "0"
 
 
 class TestSizes:
@@ -68,7 +90,7 @@ class TestTables:
         assert all(s.mul[top][x] == s.zero for x in range(s.size))
 
     def test_linked_pairs_share_one_element(self):
-        s = build_semiring(pendant_triangle()).exported
+        s = build_semiring(sample_pendant()).exported
         assert s.mul_label("a·u7", "a·u8") == s.mul_label("a·u2", "a·u3")
 
     def test_axioms_and_flatness(self):
@@ -78,44 +100,33 @@ class TestTables:
 
 
 class TestNormalForms:
+    """Products of the carrier's labels, read off the built table."""
+
     def test_gen_times_gen_on_subhyperedge(self):
-        h = family("beam", 1)
-        out = normal_form_product(h, HgElement("gen", vertex="u1"), HgElement("gen", vertex="u2"))
-        assert out.kind == "pair"
+        s = build_semiring(family("beam", 1)).exported
+        assert s.mul_label("a·u1", "a·u2") == "PAIR{u1,u2}"
 
     def test_gen_squared_is_zero(self):
-        h = family("beam", 1)
-        g = HgElement("gen", vertex="u1")
-        assert normal_form_product(h, g, g) == ZERO
+        s = build_semiring(family("beam", 1)).exported
+        assert s.mul_label("a·u1", "a·u1") == "0"
 
     def test_pair_times_completer_is_top(self):
-        h = pendant_triangle()
-        pair = HgElement("pair", pair=("u2", "u3"))
-        out = normal_form_product(h, pair, HgElement("gen", vertex="u1"))
-        assert out == TOP
+        s = build_semiring(sample_pendant()).exported
+        assert s.mul_label("PAIR{u2,u3}", "a·u1") == "TOP"
+        assert s.mul_label("a·u1", "PAIR{u2,u3}") == "TOP"
 
     def test_class_member_routes_through_its_representative(self):
         """u7·u8 lands in the class of {u2,u3}, and the class still reaches the top."""
-        s = build_semiring(pendant_triangle()).exported
+        s = build_semiring(sample_pendant()).exported
         pair = s.mul_label("a·u7", "a·u8")
         assert pair == "PAIR{u2,u3}"
         assert s.mul_label(pair, "a·u1") == "TOP"
 
     def test_pair_times_pair_is_zero(self):
-        h = family("beam", 1)
-        pairs = [e for e in build_semiring(h).elements if e.kind == "pair"]
-        assert normal_form_product(h, pairs[0], pairs[1]) == ZERO
-
-    def test_foreign_element_rejected(self):
-        h = family("beam", 1)
-        with pytest.raises(ValueError, match="does not belong"):
-            normal_form_product(h, HgElement("gen", vertex="nope"), ZERO)
-
-    def test_non_representative_pair_rejected(self):
-        """Only class representatives are carrier elements; {u3,u4} canonicalizes away."""
-        h = family("beam", 1)
-        with pytest.raises(ValueError, match="does not belong"):
-            normal_form_product(h, HgElement("pair", pair=("u3", "u4")), ZERO)
+        s = build_semiring(family("beam", 1)).exported
+        pairs = [label for label in s.elements if label.startswith("PAIR{")]
+        assert len(pairs) == 6
+        assert all(s.mul_label(x, y) == "0" for x in pairs for y in pairs)
 
 
 class TestBuildSemiring:
@@ -131,20 +142,21 @@ class TestBuildSemiring:
         + ["nonuniform", "pendant", "single-edge"],
     )
     def test_semigroup_is_the_normal_form_product_table(self, name):
-        """The table filled from the edges equals all n^2 normal-form products."""
+        """The table filled from the edges equals all n^2 products of the reference."""
         samples = {"nonuniform": sample_nonuniform, "pendant": sample_pendant, "single-edge": single_edge}
         if name in samples:
             h = samples[name]()
         else:
             kind, i = name.split(":")
             h = family(kind, int(i))
-        built = build_semiring(h)
-        index = {e: i for i, e in enumerate(built.elements)}
+        built = build_semiring(h).exported
+        kinds = reference_kinds(h)
+        assert sorted(built.elements) == sorted(kinds)
         want = tuple(
-            tuple(index[normal_form_product(h, x, y)] for y in built.elements)
+            tuple(built.index(reference_product(h, kinds, x, y)) for y in built.elements)
             for x in built.elements
         )
-        assert built.exported.mul == want
+        assert built.mul == want
 
     def test_beam_100_builds_and_certifies(self):
         """A 608-element carrier: the table scans read only its non-zero products."""

@@ -90,6 +90,18 @@ class TestAxioms:
         with pytest.raises(ValueError, match=rf"^zero index {re.escape(repr(zero))} out of range$"):
             FiniteSemiring(("a", "b"), ((0, 1), (1, 1)), ((0, 1), (1, 1)), zero=zero)
 
+    def test_list_rows_are_stored_as_tuples(self):
+        """A semiring given lists equals and hashes as the one given tuples."""
+        as_lists = FiniteSemiring(["0", "1"], [[0, 1], [1, 1]], [(0, 0), [0, 1]], zero=0)
+        assert as_lists == BOOL_LATTICE
+        assert hash(as_lists) == hash(BOOL_LATTICE)
+        assert type(as_lists.elements) is type(as_lists.add) is type(as_lists.mul[1]) is tuple
+
+    def test_tuple_tables_are_kept_not_copied(self):
+        elements, add, mul = ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1))
+        s = FiniteSemiring(elements, add, mul, zero=0)
+        assert s.elements is elements and s.add is add and s.mul is mul
+
 
 class TestFlatness:
     def test_subword_semirings_flat(self, sc_abc, sc_abcd):
@@ -203,6 +215,13 @@ class TestFlatCompletion:
     def test_table_refusals_are_the_constructors(self, mul, zero, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             flat_completion(("z", "e"), mul, zero)
+
+    def test_list_rows_are_stored_as_tuples(self):
+        """a·a = t and every other product 0, given as lists and as tuples."""
+        as_lists = flat_completion(["z", "a", "t"], [[0, 0, 0], [0, 2, 0], [0, 0, 0]], 0)
+        as_tuples = flat_completion(("z", "a", "t"), ((0, 0, 0), (0, 2, 0), (0, 0, 0)), 0)
+        assert as_lists == as_tuples
+        assert hash(as_lists) == hash(as_tuples)
 
 
 @settings(max_examples=60, deadline=None)
