@@ -2,12 +2,13 @@
 
 The FiniteSemiring value is the exchange format every other module builds or
 consumes: an ordered tuple of element labels plus index-valued addition and
-multiplication tables. Entries from outside are checked, a row at a time:
-by the constructor, which the parser goes through, and by flat_completion,
-for the caller's zero and mul table; both store lists as tuples, so equality
-and hashing do not depend on which was given. The library's builders
+multiplication tables. What comes from outside is checked: the labels,
+distinct strings, then the entries, a row at a time; by the constructor,
+which the parser goes through, and by flat_completion, for the caller's
+labels, zero and mul table. Both store lists as tuples, so equality and
+hashing do not depend on which was given. The library's builders
 (build_semiring, build_sc, the subpower closure, the ideal quotient) fill
-their tables from element indices and skip that check through
+their tables from element indices and skip those checks through
 FiniteSemiring._trusted. Law checks are exhaustive: a law is decided on
 every triple of elements, and a failure is reported with its first
 counterexample in lexicographic order (a, b, c).
@@ -15,28 +16,26 @@ counterexample in lexicographic order (a, b, c).
 The semirings of this library are flat: the zero absorbs under · and is the
 top for +, so almost every product is the zero. The three-variable scans use
 that, after first checking it. Each looks for an absorbing element z of the
-table it reads, an element whose row and column are all z (for the add table
-of a flat semiring, that is its top). With one, a pair (a, b) with ab = z can
-only fail through the non-zero entries: (ab)c = z, so associativity fails
-only where bc = x for an x with a·x != z. Those (b, c) come from an inverse
-index from each non-zero value to the pairs that produce it, and the two
-distributive laws do the same through the add table, whose absorbing
-element must be the same z. A pair with ab != z compares the two sides only
-on the columns where either can be non-zero: those of row ab and row b for
-associativity, those of sum row b and row a for distributivity. On every
-other column both sides are z. Per a, the smaller (b, c) of the two cases is
-the reported one. Tables without a common absorbing element fall back to
-comparing two whole rows, gathered in C, for every pair. On the tables built
-here a law so costs a few lookups per non-zero product.
+tables it reads, an element whose row and column are all z (for the add table
+of a flat semiring, that is its top). Where one z absorbs every table a law
+reads, the law holds exactly when its two sides have the same non-zero
+triples, built as dicts (a, b, c) -> value, and its first counterexample is
+the least key where they differ. (ab)c is read from row a, then row ab; a(bc)
+from row b, then column bc; a(b+c) from sum row b, then column b+c of mul;
+ab + ac from row a twice, then sum row ab. Each side is counted from line
+lengths first, and built only if neither side has more than n² triples, so
+no dict outgrows a dense table. Otherwise each pair compares two whole rows,
+gathered in C. On the tables built here a law so costs a few lookups per
+non-zero product.
 The cancellation check keeps, per row and per column, the first index of
 each non-zero value, so it reads each entry once.
 
 A semiring keeps one law view of its tables, built on first use: each
-table's absorbing element, non-zero entries and producers, whether the
-semiring is flat, and each law's first counterexample. Every check here
-reads it, so each table is scanned once per semiring, and flat_completion
-hands over its flat addition already known; the isomorphism search and the
-flat identity checker read its non-zero entries too. On a flat semiring
+table's absorbing element and non-zero entries, whether the semiring is
+flat, and each law's first counterexample. Every check here reads it, so
+each table is scanned once per semiring, and flat_completion hands over
+its flat addition already known; the isomorphism search and the flat
+identity checker read its non-zero entries too. On a flat semiring
 (the mul zero z is the top of x + y = z for x != y) the additive laws hold,
 and each distributive law is the cancellation law of its side: for b != c,
 a(b+c) = a·z = z, and ab + ac is ab if ab = ac and z otherwise, so the law
@@ -69,6 +68,7 @@ class FiniteSemiring:
     zero: int | None = None
 
     def __post_init__(self):
+        _check_labels(self.elements)
         _check_shape(self.elements, self.add, "add")
         _check_shape(self.elements, self.mul, "mul")
         if self.zero is not None:
@@ -136,6 +136,15 @@ class AxiomReport:
         return [name for name, ok, _ in self.verdicts if not ok]
 
 
+def _check_labels(elements) -> None:
+    """Each label a string, and no label twice, so a label names one element."""
+    for e in elements:
+        if not isinstance(e, str):
+            raise ValueError(f"element label {e!r} is not a string")
+    if len(set(elements)) != len(elements):
+        raise ValueError("duplicate element labels")
+
+
 def _check_shape(elements: tuple[str, ...], table, name: str) -> None:
     """n rows of n element indices; an index is an int, and a bool is not one."""
     n = len(elements)
@@ -188,15 +197,6 @@ def _nonzero(table, z) -> list[dict[int, int]]:
     ]
 
 
-def _producers(nonzero) -> dict[int, list[tuple[int, int]]]:
-    """Each non-zero value x -> the pairs (b, c) whose entry is x, in (b, c) order."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for b, entries in enumerate(nonzero):
-        for c, x in entries.items():
-            out.setdefault(x, []).append((b, c))
-    return out
-
-
 def gather(indices):
     """g with g(seq) == tuple(seq[i] for i in indices), gathered in C; at
     least one index."""
@@ -225,18 +225,6 @@ class _Table:
     def nonzero(self) -> list[dict[int, int]]:
         """Per row, the entries that are not the absorbing element."""
         return _nonzero(self.rows, self.zero)
-
-    @cached_property
-    def producers(self) -> dict[int, list[tuple[int, int]]]:
-        return _producers(self.nonzero)
-
-    @cached_property
-    def sparse(self) -> bool:
-        """Whether the rows average at most n/8 non-zero entries. Reading a
-        row by its non-zero entries costs about eight times a C gather per
-        column (CPython 3.11), so below that it is the cheaper comparison."""
-        n = len(self.nonzero)
-        return 8 * sum(map(len, self.nonzero)) <= n * n
 
     @cached_property
     def gathers(self) -> list:
@@ -273,95 +261,83 @@ def _first_difference(left, right) -> int:
     return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
-def _first_entry_difference(left: dict[int, int], right: dict[int, int]) -> int:
-    """The first column where two rows, given by their non-zero entries, differ."""
-    return min(c for c in left.keys() | right.keys() if left.get(c) != right.get(c))
+def _first_key_difference(left: dict, right: dict):
+    """The least key where two dicts differ, as a key of one only or in value."""
+    return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
 
 
-def _through(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
-    """The non-zero entries of a row read through another: c -> outer[inner[c]],
-    from the non-zero entries of both rows (the zero reads as the zero)."""
-    return {c: outer[x] for c, x in inner.items() if x in outer}
-
-
-def _law_failure(
-    elements, rows: _Table, inner: _Table, dense, sparse
-) -> tuple[str, str, str] | None:
-    """The first failing triple (a, b, c) of a three-variable law, or None.
-
-    The law reads b from rows[a] and then c through inner, whose entry bc
-    (or b + c) is x; dense(a, b, ab) gives both sides of the law for every
-    c, as two rows gathered in C. If one z absorbs both tables, only the
-    pairs with ab != z compare sides, and, where both tables are sparse,
-    sparse(a, b, ab) gives each side as its non-zero entries, so only the
-    columns where either can be non-zero are read. For ab = z, one side is
-    z and the other is a·x, so for each non-zero entry x of row a only the
-    (b, c) that produce x are visited. Per a, the least (b, c) of the two
-    cases is the first triple. Without such a z every pair compares whole
-    rows.
-    """
-    z = rows.zero
-    if z is None or inner.zero != z:
-        for a, row_a in enumerate(rows.rows):
-            for b, ab in enumerate(row_a):
-                left, right = dense(a, b, ab)
-                if left != right:
-                    return (elements[a], elements[b], elements[_first_difference(left, right)])
-        return None
-    if rows.sparse and inner.sparse:
-        sides, first = sparse, _first_entry_difference
-    else:
-        sides, first = dense, _first_difference
-    producers = inner.producers
-    for a, row_a in enumerate(rows.nonzero):
-        found = []
-        for x in row_a:
-            pair = next(((b, c) for b, c in producers.get(x, ()) if b not in row_a), None)
-            if pair is not None:
-                found.append(pair)
-        for b, ab in row_a.items():
+def _row_failure(elements, rows, sides) -> tuple[str, str, str] | None:
+    """The first failing triple (a, b, c) of a law by whole rows, or None:
+    per pair (a, b), with ab read from rows[a], sides(a, b, ab) gives both
+    sides of the law for every c, as two rows gathered in C."""
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
             left, right = sides(a, b, ab)
             if left != right:
-                found.append((b, first(left, right)))
-                break
-        if found:
-            b, c = min(found)
-            return (elements[a], elements[b], elements[c])
+                return (elements[a], elements[b], elements[_first_difference(left, right)])
     return None
 
 
-def _assoc_failure(elements, t: _Table) -> tuple[str, str, str] | None:
-    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None.
-
-    For a pair (a, b), row ab of the table holds (ab)c for every c, and row a
-    read through row b holds a(bc).
-    """
-    return _law_failure(
-        elements,
-        t,
-        t,
-        lambda a, b, ab: (t.rows[ab], t.gathers[b](t.rows[a])),
-        lambda a, b, ab: (t.nonzero[ab], _through(t.nonzero[a], t.nonzero[b])),
-    )
+def _paths(rows, then) -> int:
+    """How many non-zero triples _row_then_row or _row_then_column builds
+    from rows and then, counted from line lengths alone."""
+    return sum(len(then[x]) for row in rows for x in row.values())
 
 
-def _distributive_failure(elements, add: _Table, m: _Table) -> tuple[str, str, str] | None:
+def _row_then_row(rows, then) -> dict[tuple[int, int, int], int]:
+    """(i, j, k) -> then[x][k], over each non-zero x = rows[i][j] and the
+    non-zero entries of line then[x]."""
+    return {(i, j, k): v for i, r in enumerate(rows) for j, x in r.items() for k, v in then[x].items()}
+
+
+def _row_then_column(rows, cols) -> dict[tuple[int, int, int], int]:
+    """_row_then_row keyed (k, i, j): cols[x][k] is k∘x, so k is the left operand."""
+    return {(k, i, j): v for i, r in enumerate(rows) for j, x in r.items() for k, v in cols[x].items()}
+
+
+def _triple_failure(elements, left, right) -> tuple[str, str, str] | None:
+    """The least triple where two sides, given by their non-zero triples,
+    differ, as labels, or None."""
+    return None if left == right else tuple(elements[i] for i in _first_key_difference(left, right))
+
+
+def _assoc_failure(elements, t: _Table, cols: _Columns) -> tuple[str, str, str] | None:
+    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None:
+    by non-zero triples where t has an absorbing element (see the module
+    docstring), else by whole rows: row ab holds (ab)c for every c, and row
+    a read through row b holds a(bc)."""
+    if t.zero is not None:
+        rows, columns = t.nonzero, cols.nonzero
+        if max(_paths(rows, rows), _paths(rows, columns)) <= len(elements) ** 2:
+            return _triple_failure(elements, _row_then_row(rows, rows), _row_then_column(rows, columns))
+    return _row_failure(elements, t.rows, lambda a, b, ab: (t.rows[ab], t.gathers[b](t.rows[a])))
+
+
+def _distributive_failure(
+    elements, add: _Table, m: _Table, m_cols: _Table
+) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None.
 
-    m[a][x] is a·x for the left law (the mul rows), or x·a for the right law
-    (the mul columns), which checks (b+c)a = ba + ca with the same triple
-    order. For a pair (a, b), row a read through sum row b holds a(b+c) for
-    every c, and sum row ab read through row a holds ab + ac.
+    m[a][x] is a·x for the left law (m the mul rows, m_cols the columns), or
+    x·a for the right law (m the mul columns, m_cols the rows), which checks
+    (b+c)a = ba + ca with the same triple order. By non-zero triples where
+    one z absorbs add and m, else by whole rows: row a read through sum row b
+    holds a(b+c) for every c, and sum row ab read through row a holds ab + ac.
     """
-    return _law_failure(
-        elements,
-        m,
-        add,
-        lambda a, b, ab: (add.gathers[b](m.rows[a]), m.gathers[a](add.rows[ab])),
-        lambda a, b, ab: (
-            _through(m.nonzero[a], add.nonzero[b]),
-            _through(add.nonzero[ab], m.nonzero[a]),
-        ),
+    if m.zero is not None and add.zero == m.zero:
+        sums, lines, columns = add.nonzero, m.nonzero, m_cols.nonzero
+        if max(_paths(sums, columns), sum(len(row) ** 2 for row in lines)) <= len(elements) ** 2:
+            right = {
+                (a, b, c): s[ac]
+                for a, row in enumerate(lines)
+                for b, ab in row.items()
+                for s in (sums[ab],)
+                for c, ac in row.items()
+                if ac in s
+            }
+            return _triple_failure(elements, _row_then_column(sums, columns), right)
+    return _row_failure(
+        elements, m.rows, lambda a, b, ab: (add.gathers[b](m.rows[a]), m.gathers[a](add.rows[ab]))
     )
 
 
@@ -372,7 +348,7 @@ def _commutativity_failure(elements, t: _Table, cols: _Columns) -> tuple[str, st
     if t.zero is None:
         pairs, first = zip(t.rows, cols.rows), _first_difference
     else:
-        pairs, first = zip(t.nonzero, cols.nonzero), _first_entry_difference
+        pairs, first = zip(t.nonzero, cols.nonzero), _first_key_difference
     return next(
         ((elements[a], elements[first(row, col)]) for a, (row, col) in enumerate(pairs) if row != col),
         None,
@@ -381,13 +357,17 @@ def _commutativity_failure(elements, t: _Table, cols: _Columns) -> tuple[str, st
 
 class _Laws:
     """One view of a semiring's tables for its law checks: each table's
-    absorbing element, non-zero entries and producers, flatness, and each
+    absorbing element, non-zero entries and columns, flatness, and each
     law's first counterexample, each computed once on first use. It holds
     the tables, not the semiring, so caching it forms no reference cycle."""
 
     def __init__(self, elements, add, mul):
         self.elements = elements
         self.add, self.mul = _Table(add), _Table(mul)
+
+    @cached_property
+    def add_cols(self) -> _Columns:
+        return _Columns(self.add)
 
     @cached_property
     def mul_cols(self) -> _Columns:
@@ -406,7 +386,7 @@ class _Laws:
     def add_commutative(self) -> tuple[str, str] | None:
         if self.flat:
             return None
-        return _commutativity_failure(self.elements, self.add, _Columns(self.add))
+        return _commutativity_failure(self.elements, self.add, self.add_cols)
 
     @cached_property
     def mul_commutative(self) -> tuple[str, str] | None:
@@ -414,7 +394,7 @@ class _Laws:
 
     @cached_property
     def mul_associative(self) -> tuple[str, str, str] | None:
-        return _assoc_failure(self.elements, self.mul)
+        return _assoc_failure(self.elements, self.mul, self.mul_cols)
 
     @cached_property
     def left_cancellation(self) -> tuple[str, str, str] | None:
@@ -440,10 +420,10 @@ class _Laws:
             add_assoc = idempotent = None
             left, right = self.left_cancellation, self.right_cancellation
         else:
-            add_assoc = _assoc_failure(lab, add)
+            add_assoc = _assoc_failure(lab, add, self.add_cols)
             idempotent = next(((lab[x],) for x, row in enumerate(add.rows) if row[x] != x), None)
-            left = _distributive_failure(lab, add, mul)
-            right = _distributive_failure(lab, add, self.mul_cols)
+            left = _distributive_failure(lab, add, mul, self.mul_cols)
+            right = _distributive_failure(lab, add, self.mul_cols, mul)
         return (
             ("add-associative", add_assoc),
             ("add-commutative", self.add_commutative),
@@ -547,11 +527,12 @@ def flat_completion(elements: tuple[str, ...], mul, zero: int) -> FiniteSemiring
 
     The addition is forced: x + x = x and x + y = 0 for x != y. This yields
     a genuine semiring exactly when the table is associative, zero-absorbing
-    and 0-cancellative. The caller's zero and then its mul table are checked
-    as the semiring's constructor checks them (the addition is built here
-    from the checked zero, so it is not read again), then those three laws
-    are checked and a violation is refused by name.
+    and 0-cancellative. The caller's labels, zero and then its mul table are
+    checked as the semiring's constructor checks them (the addition is built
+    here from the checked zero, so it is not read again), then those three
+    laws are checked and a violation is refused by name.
     """
+    _check_labels(elements)
     _check_zero(zero, len(elements))
     _check_shape(elements, mul, "mul")
     return _flat_completion(_as_tuple(elements), _as_rows(mul), zero)
@@ -649,8 +630,6 @@ def semiring_from_document(data) -> FiniteSemiring:
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SemiringParseError("'elements' must be a list of strings")
-    if len(set(elements)) != len(elements):
-        raise SemiringParseError("duplicate element labels")
     n = len(elements)
 
     def table(field: str) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flathg import semiring
 from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import family
 from flathg.semiring import (
@@ -25,9 +26,19 @@ from flathg.semiring import (
     verify_axioms,
 )
 from flathg.suite import _family_members, sample_nonuniform, sample_pendant
-from flathg.words import build_sc
+from flathg.words import build_sc, builtin_s7
 
 BOOL_LATTICE = FiniteSemiring(("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), zero=0)
+
+
+# Labels the constructor and flat_completion refuse, with the message.
+LABEL_REFUSALS = [
+    pytest.param(("a", "a"), "duplicate element labels", id="duplicate"),
+    pytest.param(["z", "z"], "duplicate element labels", id="duplicate-list"),
+    pytest.param((1, 2), "element label 1 is not a string", id="int"),
+    pytest.param(("z", None), "element label None is not a string", id="none"),
+    pytest.param(("z", ("e",)), "element label ('e',) is not a string", id="tuple"),
+]
 
 
 def mutate(table, i, j, value):
@@ -101,6 +112,14 @@ class TestAxioms:
         elements, add, mul = ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1))
         s = FiniteSemiring(elements, add, mul, zero=0)
         assert s.elements is elements and s.add is add and s.mul is mul
+
+    @pytest.mark.parametrize("add", [((0, 1), (1, 1)), ((0, 1), (1,))], ids=["table-ok", "ragged"])
+    @pytest.mark.parametrize("elements, message", LABEL_REFUSALS)
+    def test_labels_are_refused_before_the_tables(self, elements, message, add):
+        """A label names one element: labels are distinct strings, checked
+        before the tables are read."""
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            FiniteSemiring(elements, add, ((0, 0), (0, 1)), zero=0)
 
 
 class TestFlatness:
@@ -215,6 +234,12 @@ class TestFlatCompletion:
     def test_table_refusals_are_the_constructors(self, mul, zero, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             flat_completion(("z", "e"), mul, zero)
+
+    @pytest.mark.parametrize("zero", [0, 2], ids=["zero-ok", "zero-out-of-range"])
+    @pytest.mark.parametrize("elements, message", LABEL_REFUSALS)
+    def test_labels_are_refused_before_the_zero_and_table(self, elements, message, zero):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            flat_completion(elements, ((0, 0), (0, 0)), zero)
 
     def test_list_rows_are_stored_as_tuples(self):
         """a·a = t and every other product 0, given as lists and as tuples."""
@@ -446,8 +471,9 @@ def relabel(s, new_index, zero):
 @given(absorbing_mutants())
 @example(OFF_ROW_AB)
 def test_sparse_scans_match_dense_scans_when_the_zero_still_absorbs(s):
-    """The zero absorbs in both tables, so every law takes its sparse branch,
-    and a wrong product off the zero's row and column fails late, if at all."""
+    """The zero absorbs in both tables, so every law compares its non-zero
+    triples, and a wrong product off the zero's row and column fails late,
+    if at all."""
     assert_sparse_scans_agree(s)
 
 
@@ -476,6 +502,73 @@ def test_add_top_away_from_the_mul_zero_takes_the_fallback(member, data):
     s = FiniteSemiring(s.elements, add, absorbing_mutation(data.draw, s.mul, s.zero), s.zero)
     assert multiplicative_zero(s) == s.zero != top
     assert_sparse_scans_agree(s)
+
+
+def meet(i, j, n):
+    """The chain lattice's multiplication, min; 0 absorbs."""
+    return min(i, j)
+
+
+def truncated(i, j, n):
+    """i·j = i + j below n, else 0; 0 absorbs: the nilpotent semigroup x, x², …, xⁿ = 0."""
+    return 0 if 0 in (i, j) or i + j >= n else i + j
+
+
+def dense_table(n, add, mul):
+    r = range(n)
+    return FiniteSemiring(
+        tuple(f"e{i}" for i in r),
+        tuple(tuple(add(i, j) for j in r) for i in r),
+        tuple(tuple(mul(i, j, n) for j in r) for i in r),
+        0,
+    )
+
+
+@st.composite
+def dense_absorbing_tables(draw):
+    """A chain lattice's max or min as the addition, and min or truncated
+    addition as the multiplication, over 0..n-1; 0 absorbs under ·, and
+    under + too when + is min. Most products are non-zero, so each law's
+    non-zero triples stay within the n² count only on the small carriers;
+    absorbing_mutation then changes the add or the mul table off row 0."""
+    n = draw(st.integers(2, 12))
+    s = dense_table(n, draw(st.sampled_from([max, min])), draw(st.sampled_from([meet, truncated])))
+    if draw(st.booleans()):
+        return FiniteSemiring(s.elements, absorbing_mutation(draw, s.add, 0), s.mul, 0)
+    return FiniteSemiring(s.elements, s.add, absorbing_mutation(draw, s.mul, 0), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_absorbing_tables())
+def test_dense_tables_with_an_absorbing_zero_match_dense_scans(s):
+    """Both sides of the n² count: the non-zero triples on the small
+    carriers, whole rows on the larger ones."""
+    assert_sparse_scans_agree(s)
+
+
+PATH_TABLES = {
+    "beam(16)": (lambda: build_semiring(family("beam", 16)).exported, False),
+    "sc_abcd": (lambda: build_sc(["abcd"]), False),
+    "s7": (builtin_s7, False),
+    "truncated(11)": (lambda: dense_table(11, max, truncated), False),
+    "chain(32)": (lambda: dense_table(32, max, meet), True),
+    "truncated(12)": (lambda: dense_table(12, max, truncated), True),
+    "truncated(61)": (lambda: dense_table(61, max, truncated), True),
+}
+
+
+@pytest.mark.parametrize("name", list(PATH_TABLES))
+def test_mul_associativity_reads_triples_within_the_count(name, monkeypatch):
+    """A fresh copy, with nothing cached, decides mul-associativity by its
+    non-zero triples, or by whole rows where a side has more than n²:
+    truncated addition has 120 at n = 11 and 165 at n = 12."""
+    make, whole_rows = PATH_TABLES[name]
+    s = make()
+    calls, row_failure = [], semiring._row_failure
+    monkeypatch.setattr(semiring, "_row_failure", lambda *a: calls.append(a) or row_failure(*a))
+    fresh = FiniteSemiring(s.elements, s.add, s.mul, s.zero)
+    assert fresh._laws.mul_associative is None
+    assert len(calls) == whole_rows
 
 
 @st.composite
@@ -604,8 +697,8 @@ def test_the_law_view_cache_is_invisible(h):
     """The law view a semiring caches, filled in by flat_completion for a
     built one, gives the verdicts and counterexamples of a parsed copy with
     nothing cached, whichever check runs first. Two mutants of each member
-    fail: one keeps the zero absorbing (the sparse scans), one does not (the
-    whole-row fallback)."""
+    fail: one keeps the zero absorbing (the non-zero triples), one does not
+    (the whole-row fallback)."""
     base = build_semiring(h).exported
     top = base.size - 1
     a, b = next(
@@ -714,6 +807,20 @@ class TestSerialization:
     )
     def test_refusal_messages(self, add, zero, message):
         doc = f'{{"elements": ["0", "x"], "add": {add}, "mul": [[0, 0], [0, 1]], "zero": {zero}}}'
+        with pytest.raises(SemiringParseError, match=rf"^{re.escape(message)}$"):
+            parse_semiring(doc)
+
+    @pytest.mark.parametrize(
+        "add, message",
+        [
+            ("[[0, 1], [1, 1]]", "duplicate element labels"),
+            # The document's shape is read first, then the constructor's labels.
+            ("[[0, 1], 1]", "'add' rows must be lists"),
+            ("[[0, 1], [1]]", "duplicate element labels"),
+        ],
+    )
+    def test_duplicate_labels_are_refused_by_the_constructor(self, add, message):
+        doc = f'{{"elements": ["x", "x"], "add": {add}, "mul": [[0, 0], [0, 1]], "zero": 0}}'
         with pytest.raises(SemiringParseError, match=rf"^{re.escape(message)}$"):
             parse_semiring(doc)
 
