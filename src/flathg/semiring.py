@@ -19,14 +19,16 @@ that, after first checking it. Each looks for an absorbing element z of the
 tables it reads, an element whose row and column are all z (for the add table
 of a flat semiring, that is its top). Where one z absorbs every table a law
 reads, the law holds exactly when its two sides have the same non-zero
-triples, built as dicts (a, b, c) -> value, and its first counterexample is
-the least key where they differ. (ab)c is read from row a, then row ab; a(bc)
-from row b, then column bc; a(b+c) from sum row b, then column b+c of mul;
-ab + ac from row a twice, then sum row ab. Each side is counted from line
-lengths first, and built only if neither side has more than n² triples, so
-no dict outgrows a dense table. Otherwise each pair compares two whole rows,
-gathered in C. On the tables built here a law so costs a few lookups per
-non-zero product.
+triples, compared per a, in order, as dicts b -> c -> value; the first
+counterexample is the least (b, c) where they differ at the first a that
+does. (ab)c is the rows ab of the non-zero b of row a, read in place; a(bc)
+is row a read through the preimages of its columns (x -> the pairs (b, c)
+with bc = x), a(b+c) through those of the add table, and ab + ac is sum row
+ab read through row a. So, beside the preimages (a pair per non-zero
+product), a check holds one a's sides at a time. It takes this route where
+the non-zero (ab)c, or the pairs of non-zero ab and ac, number at most n²,
+as many lookups as whole rows make pairs; otherwise each pair (a, b)
+compares two whole rows, gathered in C.
 The cancellation check keeps, per row and per column, the first index of
 each non-zero value, so it reads each entry once.
 
@@ -227,6 +229,15 @@ class _Table:
         return _nonzero(self.rows, self.zero)
 
     @cached_property
+    def preimages(self) -> list[list[tuple[int, int]]]:
+        """Per value x, the pairs (b, c) of the non-zero entries equal to x."""
+        out = [[] for _ in self.rows]
+        for b, entries in enumerate(self.nonzero):
+            for c, x in entries.items():
+                out[x].append((b, c))
+        return out
+
+    @cached_property
     def gathers(self) -> list:
         """One gather per row r: g(seq) == tuple(seq[i] for i in r)."""
         return list(map(gather, self.rows))
@@ -278,64 +289,58 @@ def _row_failure(elements, rows, sides) -> tuple[str, str, str] | None:
     return None
 
 
-def _paths(rows, then) -> int:
-    """How many non-zero triples _row_then_row or _row_then_column builds
-    from rows and then, counted from line lengths alone."""
-    return sum(len(then[x]) for row in rows for x in row.values())
+def _triple_failure(elements, sides) -> tuple[str, str, str] | None:
+    """The first failing triple (a, b, c) of a law, or None: sides yields, per
+    a in order, both sides' non-zero entries as dicts b -> c -> value."""
+    for a, (left, right) in enumerate(sides):
+        if left != right:
+            b = _first_key_difference(left, right)
+            c = _first_key_difference(left.get(b, {}), right.get(b, {}))
+            return (elements[a], elements[b], elements[c])
+    return None
 
 
-def _row_then_row(rows, then) -> dict[tuple[int, int, int], int]:
-    """(i, j, k) -> then[x][k], over each non-zero x = rows[i][j] and the
-    non-zero entries of line then[x]."""
-    return {(i, j, k): v for i, r in enumerate(rows) for j, x in r.items() for k, v in then[x].items()}
+def _over_preimages(row: dict[int, int], preimages) -> dict[int, dict[int, int]]:
+    """b -> c -> row[x] for each pair (b, c) whose entry x is a non-zero
+    column of row: a∘(b•c) for row a of ∘ and the preimages of •."""
+    side: dict[int, dict[int, int]] = {}
+    for x, v in row.items():
+        for b, c in preimages[x]:
+            side.setdefault(b, {})[c] = v
+    return side
 
 
-def _row_then_column(rows, cols) -> dict[tuple[int, int, int], int]:
-    """_row_then_row keyed (k, i, j): cols[x][k] is k∘x, so k is the left operand."""
-    return {(k, i, j): v for i, r in enumerate(rows) for j, x in r.items() for k, v in cols[x].items()}
+def _sum_side(row: dict[int, int], sums) -> dict[int, dict[int, int]]:
+    """b -> c -> ab + ac over the non-zero ab and ac of row a, from sum row ab."""
+    side = {}
+    for b, ab in row.items():
+        s = sums[ab]
+        if through := {c: s[ac] for c, ac in row.items() if ac in s}:
+            side[b] = through
+    return side
 
 
-def _triple_failure(elements, left, right) -> tuple[str, str, str] | None:
-    """The least triple where two sides, given by their non-zero triples,
-    differ, as labels, or None."""
-    return None if left == right else tuple(elements[i] for i in _first_key_difference(left, right))
-
-
-def _assoc_failure(elements, t: _Table, cols: _Columns) -> tuple[str, str, str] | None:
-    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None:
-    by non-zero triples where t has an absorbing element (see the module
-    docstring), else by whole rows: row ab holds (ab)c for every c, and row
-    a read through row b holds a(bc)."""
+def _assoc_failure(elements, t: _Table) -> tuple[str, str, str] | None:
+    """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None, per
+    a or by whole rows: row ab holds (ab)c, and row a through row b a(bc)."""
     if t.zero is not None:
-        rows, columns = t.nonzero, cols.nonzero
-        if max(_paths(rows, rows), _paths(rows, columns)) <= len(elements) ** 2:
-            return _triple_failure(elements, _row_then_row(rows, rows), _row_then_column(rows, columns))
+        rows = t.nonzero
+        if sum(len(rows[x]) for row in rows for x in row.values()) <= len(elements) ** 2:
+            left = ({b: rows[x] for b, x in r.items() if rows[x]} for r in rows)
+            right = (_over_preimages(r, t.preimages) for r in rows)
+            return _triple_failure(elements, zip(left, right))
     return _row_failure(elements, t.rows, lambda a, b, ab: (t.rows[ab], t.gathers[b](t.rows[a])))
 
 
-def _distributive_failure(
-    elements, add: _Table, m: _Table, m_cols: _Table
-) -> tuple[str, str, str] | None:
-    """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None.
-
-    m[a][x] is a·x for the left law (m the mul rows, m_cols the columns), or
-    x·a for the right law (m the mul columns, m_cols the rows), which checks
-    (b+c)a = ba + ca with the same triple order. By non-zero triples where
-    one z absorbs add and m, else by whole rows: row a read through sum row b
-    holds a(b+c) for every c, and sum row ab read through row a holds ab + ac.
-    """
+def _distributive_failure(elements, add: _Table, m: _Table) -> tuple[str, str, str] | None:
+    """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None,
+    as for associativity; by whole rows, row a through sum row b against sum
+    row ab through row a. m is the mul rows, or the columns for (b+c)a = ba + ca."""
     if m.zero is not None and add.zero == m.zero:
-        sums, lines, columns = add.nonzero, m.nonzero, m_cols.nonzero
-        if max(_paths(sums, columns), sum(len(row) ** 2 for row in lines)) <= len(elements) ** 2:
-            right = {
-                (a, b, c): s[ac]
-                for a, row in enumerate(lines)
-                for b, ab in row.items()
-                for s in (sums[ab],)
-                for c, ac in row.items()
-                if ac in s
-            }
-            return _triple_failure(elements, _row_then_column(sums, columns), right)
+        lines, sums = m.nonzero, add.nonzero
+        if sum(len(row) ** 2 for row in lines) <= len(elements) ** 2:
+            left = (_over_preimages(r, add.preimages) for r in lines)
+            return _triple_failure(elements, zip(left, (_sum_side(r, sums) for r in lines)))
     return _row_failure(
         elements, m.rows, lambda a, b, ab: (add.gathers[b](m.rows[a]), m.gathers[a](add.rows[ab]))
     )
@@ -357,17 +362,13 @@ def _commutativity_failure(elements, t: _Table, cols: _Columns) -> tuple[str, st
 
 class _Laws:
     """One view of a semiring's tables for its law checks: each table's
-    absorbing element, non-zero entries and columns, flatness, and each
-    law's first counterexample, each computed once on first use. It holds
-    the tables, not the semiring, so caching it forms no reference cycle."""
+    absorbing element, non-zero entries, preimages and columns, flatness, and
+    each law's first counterexample, computed once on first use. It holds the
+    tables, not the semiring, so caching it forms no reference cycle."""
 
     def __init__(self, elements, add, mul):
         self.elements = elements
         self.add, self.mul = _Table(add), _Table(mul)
-
-    @cached_property
-    def add_cols(self) -> _Columns:
-        return _Columns(self.add)
 
     @cached_property
     def mul_cols(self) -> _Columns:
@@ -386,7 +387,7 @@ class _Laws:
     def add_commutative(self) -> tuple[str, str] | None:
         if self.flat:
             return None
-        return _commutativity_failure(self.elements, self.add, self.add_cols)
+        return _commutativity_failure(self.elements, self.add, _Columns(self.add))
 
     @cached_property
     def mul_commutative(self) -> tuple[str, str] | None:
@@ -394,7 +395,7 @@ class _Laws:
 
     @cached_property
     def mul_associative(self) -> tuple[str, str, str] | None:
-        return _assoc_failure(self.elements, self.mul, self.mul_cols)
+        return _assoc_failure(self.elements, self.mul)
 
     @cached_property
     def left_cancellation(self) -> tuple[str, str, str] | None:
@@ -420,10 +421,10 @@ class _Laws:
             add_assoc = idempotent = None
             left, right = self.left_cancellation, self.right_cancellation
         else:
-            add_assoc = _assoc_failure(lab, add, self.add_cols)
+            add_assoc = _assoc_failure(lab, add)
             idempotent = next(((lab[x],) for x, row in enumerate(add.rows) if row[x] != x), None)
-            left = _distributive_failure(lab, add, mul, self.mul_cols)
-            right = _distributive_failure(lab, add, self.mul_cols, mul)
+            left = _distributive_failure(lab, add, mul)
+            right = _distributive_failure(lab, add, self.mul_cols)
         return (
             ("add-associative", add_assoc),
             ("add-commutative", self.add_commutative),

@@ -560,7 +560,7 @@ PATH_TABLES = {
 @pytest.mark.parametrize("name", list(PATH_TABLES))
 def test_mul_associativity_reads_triples_within_the_count(name, monkeypatch):
     """A fresh copy, with nothing cached, decides mul-associativity by its
-    non-zero triples, or by whole rows where a side has more than n²:
+    non-zero triples, or by whole rows where (ab)c has more than n²:
     truncated addition has 120 at n = 11 and 165 at n = 12."""
     make, whole_rows = PATH_TABLES[name]
     s = make()
@@ -569,6 +569,21 @@ def test_mul_associativity_reads_triples_within_the_count(name, monkeypatch):
     fresh = FiniteSemiring(s.elements, s.add, s.mul, s.zero)
     assert fresh._laws.mul_associative is None
     assert len(calls) == whole_rows
+
+
+def test_the_triples_scan_stops_at_the_first_failing_a(monkeypatch):
+    """(e1·e1)·e1 = e3 but e1·(e1·e1) = e0, so mul-associativity fails at
+    a = e1: the scan builds the sides of e0 and e1 and of no later row,
+    though e5's row has a product too."""
+    n = 8
+    mul = [[0] * n for _ in range(n)]
+    mul[1][1], mul[2][1], mul[5][6] = 2, 3, 7
+    lab = tuple(f"e{i}" for i in range(n))
+    s = FiniteSemiring(lab, tuple(_flat_row(n, 0, x) for x in range(n)), tuple(map(tuple, mul)), 0)
+    calls, over = [], semiring._over_preimages
+    monkeypatch.setattr(semiring, "_over_preimages", lambda *a: calls.append(a) or over(*a))
+    assert s._laws.mul_associative == dense_assoc_failure(lab, s.mul) == ("e1", "e1", "e1")
+    assert len(calls) == 2
 
 
 @st.composite
