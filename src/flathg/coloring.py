@@ -97,11 +97,12 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
     # Permuting the colors of a strong coloring gives another one. So a
     # coloring in which u and v are alike (or unlike) shows that every
     # pinning of u and v to equal (or distinct) colors extends.
-    witnessed: set[tuple[str, str, bool]] = set()
+    found: list[Coloring] = []
     for u, v in itertools.combinations(vertices, 2):
         adjacent = frozenset((u, v)) in pairs
+        alike = {coloring[u] == coloring[v] for coloring in found}
         for cu, cv in itertools.product(COLORS, COLORS):
-            if adjacent and cu == cv or (u, v, cu == cv) in witnessed:
+            if adjacent and cu == cv or (cu == cv) in alike:
                 continue
             coloring = next(homomorphisms(h, _SIMPLEX, order, {u: (cu,), v: (cv,)}), None)
             if coloring is None:
@@ -109,6 +110,6 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
                     robust=False,
                     failure=ExtensionFailure(pair=(u, v), assignment=(cu, cv)),
                 )
-            for x, y in itertools.combinations(vertices, 2):
-                witnessed.add((x, y, coloring[x] == coloring[y]))
+            found.append(coloring)
+            alike.add(coloring[u] == coloring[v])
     return RobustnessReport(robust=True, failure=None)

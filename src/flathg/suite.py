@@ -3,13 +3,17 @@
 Both the command line (`flathg suite`) and the acceptance tests run this;
 the records carry no timing or environment data and all randomness is
 seeded, so two runs produce byte-identical structured output.
+
+Each run builds every semiring its sections read once, at the start, and
+hands that table of semirings to the sections; nothing is kept from one run
+to the next. Each of the 10,000 random sums is one `getrandbits` draw.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
 
 from .coloring import is_2_robust
 from .constructions import find_subword_embedding, verify_witness
@@ -113,13 +117,13 @@ def _fmt_assignment(assignment: dict[str, str] | None) -> str:
     return " ".join(f"{k}={assignment[k]}" for k in sorted(assignment))
 
 
-def _identity_records() -> list[SuiteRecord]:
+def _identity_records(tables: dict[str, FiniteSemiring]) -> list[SuiteRecord]:
     recs = []
-    sc3 = build_sc(["abc"])
-    sc4 = build_sc(["abcd"])
-    s7 = builtin_s7()
-    triangle = build_semiring(family("beam", 1)).exported
-    nested = {i: build_semiring(family("nested", i)).exported for i in (1, 2, 3)}
+    sc3 = tables["sc_abc"]
+    sc4 = tables["sc_abcd"]
+    s7 = tables["s7"]
+    triangle = tables["beam(1)"]
+    nested = {i: tables[f"nested({i})"] for i in (1, 2, 3)}
     eq31 = builtin_identity("eq3.1")
     eq42 = builtin_identity("eq4.2")
     eq43 = builtin_identity("eq4.3")
@@ -248,10 +252,33 @@ def _family_members() -> list[tuple[str, Hypergraph]]:
     return members
 
 
-def _certificate_records() -> list[SuiteRecord]:
+def _samples() -> list[tuple[str, Hypergraph]]:
+    return [("nonuniform-sample", sample_nonuniform()), ("pendant-sample", sample_pendant())]
+
+
+def _build_tables() -> dict[str, FiniteSemiring]:
+    """Every semiring the sections read, keyed by name, each built once.
+
+    Names are those of `_family_members` and `_samples` and sc_ab, sc_abc,
+    sc_aab, sc_abcd and s7. Equal hypergraphs (beam(1), fan(1) and
+    n_cycle(3) are one triangle) share one semiring, and so its law view.
+    """
+    built: dict[Hypergraph, FiniteSemiring] = {}
+    tables: dict[str, FiniteSemiring] = {}
+    for name, h in _family_members() + _samples():
+        if h not in built:
+            built[h] = build_semiring(h).exported
+        tables[name] = built[h]
+    for word in ("ab", "abc", "aab", "abcd"):
+        tables[f"sc_{word}"] = build_sc([word])
+    tables["s7"] = builtin_s7()
+    return tables
+
+
+def _certificate_records(tables: dict[str, FiniteSemiring]) -> list[SuiteRecord]:
     recs = []
-    for name, h in _family_members():
-        s = build_semiring(h).exported
+    for name, _ in _family_members():
+        s = tables[name]
         axioms = verify_axioms(s).all_pass
         flat = is_flat(s)
         cancellative = is_zero_cancellative(s) is True
@@ -267,7 +294,53 @@ def _certificate_records() -> list[SuiteRecord]:
     return recs
 
 
-def _property_records() -> list[SuiteRecord]:
+# The pool of the random identities and sums, by table name.
+POOL = ("sc_ab", "sc_abc", "sc_aab", "s7", "single-edge", "beam(1)")
+SUM_COUNT = 10_000
+
+
+def _random_sums(sizes: list[int], rng: random.Random) -> Iterator[tuple[int, list[int]]]:
+    """SUM_COUNT random sums as (pool index, summands), one draw each.
+
+    The pool index is uniform over `sizes`, the length uniform in 1-4 and
+    each summand uniform over that member's carrier. They are read off one
+    `getrandbits` draw as mixed-radix digits; the draw has 32 bits beyond the
+    largest digit product, so any bias from the draw not being a multiple of
+    that product is below 2^-32.
+    """
+    bits = (len(sizes) * 4 * max(sizes) ** 4).bit_length() + 32
+    for _ in range(SUM_COUNT):
+        r, i = divmod(rng.getrandbits(bits), len(sizes))
+        r, extra = divmod(r, 4)
+        n = sizes[i]
+        xs = []
+        for _ in range(extra + 1):
+            r, x = divmod(r, n)
+            xs.append(x)
+        yield i, xs
+
+
+def _flat_sums_record(pool: list[FiniteSemiring], rng: random.Random) -> SuiteRecord:
+    """Fold each random sum through its member's add table; a flat addition
+    gives x for x + ... + x and the zero for anything else."""
+    violations = 0
+    for i, xs in _random_sums([s.size for s in pool], rng):
+        add = pool[i].add
+        total = xs[0]
+        for x in xs[1:]:
+            total = add[total][x]
+        expected = xs[0] if len(set(xs)) == 1 else pool[i].zero
+        if total != expected:
+            violations += 1
+    return SuiteRecord(
+        "properties",
+        f"flat addition law holds on {SUM_COUNT} random sums",
+        violations == 0,
+        f"violations={violations}",
+    )
+
+
+def _property_records(tables: dict[str, FiniteSemiring]) -> list[SuiteRecord]:
     recs = []
     rng = random.Random(SUITE_SEED + 1)
     mismatches = 0
@@ -285,18 +358,11 @@ def _property_records() -> list[SuiteRecord]:
     )
 
     rng = random.Random(SUITE_SEED + 2)
-    pool: list[tuple[str, FiniteSemiring]] = [
-        ("sc_ab", build_sc(["ab"])),
-        ("sc_abc", build_sc(["abc"])),
-        ("sc_aab", build_sc(["aab"])),
-        ("s7", builtin_s7()),
-        ("single-edge", build_semiring(single_edge()).exported),
-        ("triangle", build_semiring(family("beam", 1)).exported),
-    ]
+    pool = [tables[name] for name in POOL]
     disagreements = 0
     bad_counterexamples = 0
     for _ in range(50):
-        name, s = pool[rng.randrange(len(pool))]
+        s = pool[rng.randrange(len(pool))]
         ident = parse_identity(_random_identity_text(rng))
         fast = check_identity_flat(s, ident)
         slow = check_identity_bruteforce(s, ident)
@@ -317,31 +383,12 @@ def _property_records() -> list[SuiteRecord]:
         )
     )
 
-    rng = random.Random(SUITE_SEED + 3)
-    violations = 0
-    for _ in range(10_000):
-        _, s = pool[rng.randrange(len(pool))]
-        xs = [rng.randrange(s.size) for _ in range(rng.randint(1, 4))]
-        total = reduce(lambda a, b: s.add[a][b], xs)
-        expected = xs[0] if len(set(xs)) == 1 else s.zero
-        if total != expected:
-            violations += 1
-    recs.append(
-        SuiteRecord(
-            "properties",
-            "flat addition law holds on 10000 random sums",
-            violations == 0,
-            f"violations={violations}",
-        )
-    )
+    recs.append(_flat_sums_record(pool, random.Random(SUITE_SEED + 3)))
 
     missing = []
-    targets = _family_members() + [
-        ("nonuniform-sample", sample_nonuniform()),
-        ("pendant-sample", sample_pendant()),
-    ]
-    for name, h in targets:
-        if find_subword_embedding(build_semiring(h).exported) is None:
+    targets = _family_members() + _samples()
+    for name, _ in targets:
+        if find_subword_embedding(tables[name]) is None:
             missing.append(name)
     recs.append(
         SuiteRecord(
@@ -356,10 +403,11 @@ def _property_records() -> list[SuiteRecord]:
 
 def run_suite() -> tuple[SuiteRecord, ...]:
     """Run every acceptance section and return the records in fixed order."""
+    tables = _build_tables()
     records: list[SuiteRecord] = []
-    records.extend(_identity_records())
+    records.extend(_identity_records(tables))
     records.extend(_coloring_records())
     records.extend(_witness_records())
-    records.extend(_certificate_records())
-    records.extend(_property_records())
+    records.extend(_certificate_records(tables))
+    records.extend(_property_records(tables))
     return tuple(records)

@@ -20,6 +20,7 @@ from flathg.semiring import (
 )
 from flathg.suite import (
     SUITE_SEED,
+    _build_tables,
     _property_records,
     random_hyperforest,
     single_edge,
@@ -143,7 +144,7 @@ def test_criterion_4_structural_certificates():
 def test_criterion_5_property_suites():
     start = time.monotonic()
 
-    records = _property_records()
+    records = _property_records(_build_tables())
     assert len(records) == 4
     failing = [r for r in records if not r.ok]
     assert failing == []

@@ -6,6 +6,10 @@ recursive alternating-cycle search girth used before its breadth-first one.
 Every public answer must match them exactly: the coloring list in order
 (keys in order too), the first failing pair of is_2_robust, extends on
 every valid pinned pair, the first isomorphism found, and the girth.
+
+is_2_robust is also checked against its earlier bookkeeping, in which each
+coloring found marked every vertex pair as witnessed alike or unlike: the
+report and the sequence of pinned searches must be the same.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import random
 
 import pytest
 
+from flathg import coloring as coloring_module
 from flathg.coloring import (
     COLORS,
     ExtensionFailure,
@@ -22,9 +27,19 @@ from flathg.coloring import (
     extends,
     is_2_robust,
 )
-from flathg.hypergraph import build_hypergraph, family, find_hypergraph_isomorphism, girth
+from flathg.hypergraph import (
+    build_hypergraph,
+    degree_order,
+    family,
+    find_hypergraph_isomorphism,
+    girth,
+    pair_incidence,
+)
 from flathg.suite import (
+    SUITE_SEED,
+    _family_members,
     _random_loopfree,
+    _samples,
     random_hyperforest,
     sample_nonuniform,
     sample_pendant,
@@ -284,3 +299,64 @@ def test_girth_matches():
     hypergraphs += [family(kind, i) for kind in ("beam", "fan", "nested") for i in (4, 6)]
     assert [girth(h) for h in hypergraphs] == [reference_girth(h) for h in hypergraphs]
     assert {2, 3, 4, math.inf} <= {girth(h) for h in hypergraphs}
+
+
+def witnessed_is_2_robust(h):
+    """is_2_robust with its earlier bookkeeping: after each coloring found,
+    every vertex pair is added to one set as witnessed alike or unlike."""
+    pairs = pair_incidence(h.edges)
+    order = degree_order(h)
+    vertices = sorted(h.vertices)
+    witnessed = set()
+    for u, v in itertools.combinations(vertices, 2):
+        adjacent = frozenset((u, v)) in pairs
+        for cu, cv in itertools.product(COLORS, COLORS):
+            if adjacent and cu == cv or (u, v, cu == cv) in witnessed:
+                continue
+            pins = {u: (cu,), v: (cv,)}
+            coloring = next(
+                coloring_module.homomorphisms(h, coloring_module._SIMPLEX, order, pins), None
+            )
+            if coloring is None:
+                return RobustnessReport(False, ExtensionFailure((u, v), (cu, cv)))
+            for x, y in itertools.combinations(vertices, 2):
+                witnessed.add((x, y, coloring[x] == coloring[y]))
+    return RobustnessReport(True, None)
+
+
+def _suite_forests():
+    """The random hyperforests of the suite's coloring section."""
+    rng = random.Random(SUITE_SEED)
+    return [random_hyperforest(rng, max_edges=10) for _ in range(5)]
+
+
+BOOKKEEPING_CASES = dict(_family_members() + _samples())
+BOOKKEEPING_CASES.update({f"suite forest {t}": h for t, h in enumerate(_suite_forests(), 1)})
+BOOKKEEPING_CASES.update({f"n_cycle({n})": family("n_cycle", n) for n in range(3, 31)})
+BOOKKEEPING_CASES.update({f"{kind}({i})": family(kind, i) for kind in ("beam", "fan", "nested")
+                          for i in range(1, 6)})
+BOOKKEEPING_CASES.update({f"hyperforest {seed}": random_hyperforest(random.Random(seed))
+                          for seed in range(50)})
+
+
+def test_the_bookkeeping_case_list_covers_what_it_claims():
+    # n_cycle(3..8) and beam/fan/nested(1..3) are also family members.
+    assert len(BOOKKEEPING_CASES) == 16 + 2 + 5 + (28 - 6) + (15 - 9) + 50
+    assert {is_2_robust(h).robust for h in BOOKKEEPING_CASES.values()} == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(BOOKKEEPING_CASES))
+def test_2_robustness_bookkeeping_matches_the_witnessed_set(name, monkeypatch):
+    searches = []
+    search = coloring_module.homomorphisms
+
+    def counted(h, target, order, pins):
+        searches.append(pins)
+        return search(h, target, order, pins)
+
+    monkeypatch.setattr(coloring_module, "homomorphisms", counted)
+    h = BOOKKEEPING_CASES[name]
+    got = is_2_robust(h)
+    got_searches, searches[:] = list(searches), []
+    assert got == witnessed_is_2_robust(h)
+    assert got_searches == searches
