@@ -302,7 +302,9 @@ def _cmd_semiring(args, out: Reporter) -> int:
     if s.degenerate_no_top_triple:
         text += "\nnote: no 3-edge, no product of three generators reaches the top"
     out.record(fields, text)
-    out.artifact = format_semiring(exported)
+    # The exchange document holds two dense n² tables: build it only to write it.
+    if args.export:
+        out.artifact = format_semiring(exported)
     return 0
 
 

@@ -271,8 +271,9 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     The collapse relation (J x J plus the identity) must be a congruence of
     both operations: combining any element with the members of J must land
     either always inside J or always on one single element. A violation is
-    reported with the operation and the offending pair. Only the closure's
-    tables are read.
+    reported with the operation and the offending pair. A scan of the
+    closure's tables checks J, unless the base's zero absorbs both base
+    tables and J is the closure elements with a zero coordinate (Rees, 1940).
     """
     j_list = [_power_element(a.base, x) for x in ideal]
     position = {x: i for i, x in enumerate(a.elements)}
@@ -283,31 +284,26 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
 
 
 def _quotient(a: GeneratedSubsemiring, j_idx: list[int]) -> FiniteSemiring:
-    """quotient_by_ideal's quotient, for an ideal given as closure positions."""
-    if _zero_of(a.base) is None:
+    """quotient_by_ideal's quotient, for an ideal given as closure positions.
+
+    If the base's zero z absorbs both base tables and J is the closure
+    elements with a z coordinate, a product with a member of J, either way
+    round, has z where that member has: J is a two-sided ideal of both
+    operations, and the collapse a congruence (Rees, "On semi-groups",
+    1940). Any other J is scanned.
+    """
+    z = _zero_of(a.base)
+    if z is None:
         raise ValueError("base semiring has no zero element")
     zero = a.semiring.zero
     j_set = set(j_idx)
     if zero not in j_set:
         raise ValueError("the ideal must contain the zero tuple")
+    absorbing = a.base._laws.mul.zero == z == a.base._laws.add.zero
+    if not (absorbing and j_set == {i for i, x in enumerate(a.elements) if z in x}):
+        _check_congruence(a, j_idx, j_set)
     labels = a.semiring.elements
     k = len(a.elements)
-    for op_name, table in (("add", a.semiring.add), ("mul", a.semiring.mul)):
-        # Under a commutative base operation a closure column is its row.
-        lines = zip(table) if is_commutative(a.base, op_name) else zip(table, zip(*table))
-        for x, pair in enumerate(lines):
-            # x with every member of J, on the left and then on the right.
-            for line in pair:
-                results = set(map(line.__getitem__, j_idx))
-                if len(results) > 1 and not j_set.issuperset(results):
-                    # Each result with the first member that produced it.
-                    first = {line[j]: j for j in reversed(j_idx)}
-                    r1, r2 = sorted(results)[:2]
-                    raise ValueError(
-                        "ideal does not induce a congruence: "
-                        f"{op_name}({labels[x]}, .) sends {labels[first[r1]]} "
-                        f"to {labels[r1]} but {labels[first[r2]]} to {labels[r2]}"
-                    )
     reps = [zero] + [x for x in range(k) if x not in j_set]
     class_of = [0] * k
     for i, x in enumerate(reps[1:], start=1):
@@ -324,6 +320,27 @@ def _quotient(a: GeneratedSubsemiring, j_idx: list[int]) -> FiniteSemiring:
         quotient_table(a.semiring.mul),
         zero=0,
     )
+
+
+def _check_congruence(a: GeneratedSubsemiring, j_idx: list[int], j_set: set[int]) -> None:
+    """Raise unless each element sends J, either way round, into J or onto one element."""
+    labels = a.semiring.elements
+    for op_name, table in (("add", a.semiring.add), ("mul", a.semiring.mul)):
+        # Under a commutative base operation a closure column is its row.
+        lines = zip(table) if is_commutative(a.base, op_name) else zip(table, zip(*table))
+        for x, pair in enumerate(lines):
+            # x with every member of J, on the left and then on the right.
+            for line in pair:
+                results = set(map(line.__getitem__, j_idx))
+                if len(results) > 1 and not j_set.issuperset(results):
+                    # Each result with the first member that produced it.
+                    first = {line[j]: j for j in reversed(j_idx)}
+                    r1, r2 = sorted(results)[:2]
+                    raise ValueError(
+                        "ideal does not induce a congruence: "
+                        f"{op_name}({labels[x]}, .) sends {labels[first[r1]]} "
+                        f"to {labels[r1]} but {labels[first[r2]]} to {labels[r2]}"
+                    )
 
 
 def _element_signatures(s: FiniteSemiring) -> list[tuple]:
@@ -836,7 +853,11 @@ def find_subword_embedding(target: FiniteSemiring) -> dict[str, str] | None:
     word. A triple that is no hyperedge sends abc to the zero, so
     injectivity rules it out. A target without a zero has no embedding.
     """
-    sc = build_sc(["abc"])
+    return _subword_embedding(build_sc(["abc"]), target)
+
+
+def _subword_embedding(sc: FiniteSemiring, target: FiniteSemiring) -> dict[str, str] | None:
+    """find_subword_embedding, given the abc subword semiring sc."""
     zero = _zero_of(target)
     if zero is None:
         return None

@@ -22,8 +22,6 @@ INFINITE: float = math.inf
 
 FAMILY_KINDS = ("n_cycle", "beam", "fan", "nested")
 
-_DOT_FILL = {0: "lightcoral", 1: "lightskyblue", 2: "palegreen"}
-
 
 class HypergraphParseError(ValueError):
     """Structurally malformed input, as opposed to an inadmissible hypergraph."""
@@ -449,25 +447,3 @@ def format_hypergraph(h: Hypergraph) -> str:
     """Serialize to the JSON document form accepted by parse_hypergraph."""
     doc = {"vertices": list(h.vertices), "edges": [list(e) for e in h.edge_list()]}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def to_dot(h: Hypergraph, vertex_colors: dict[str, int] | None = None) -> str:
-    """Render the bipartite incidence graph in DOT form.
-
-    Vertices become circles and edges become boxes; an optional color map
-    (vertex to 0/1/2) fills the vertex nodes.
-    """
-    lines = ["graph incidence {", "  node [fontsize=11];"]
-    for v in h.vertices:
-        attrs = ["shape=circle"]
-        if vertex_colors is not None and v in vertex_colors:
-            attrs.append(f'fillcolor="{_DOT_FILL[vertex_colors[v]]}"')
-            attrs.append("style=filled")
-        lines.append(f'  "{v}" [{", ".join(attrs)}];')
-    for i, members in enumerate(h.edge_list(), start=1):
-        name = f"e{i}"
-        lines.append(f'  "{name}" [shape=box];')
-        for v in members:
-            lines.append(f'  "{name}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

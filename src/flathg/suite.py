@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .coloring import is_2_robust
-from .constructions import find_subword_embedding, verify_witness
+from .constructions import _subword_embedding, verify_witness
 from .hg_semiring import build_semiring
 from .hypergraph import Hypergraph, build_hypergraph, family, girth, is_linear
 from .semiring import (
@@ -388,7 +388,7 @@ def _property_records(tables: dict[str, FiniteSemiring]) -> list[SuiteRecord]:
     missing = []
     targets = _family_members() + _samples()
     for name, _ in targets:
-        if find_subword_embedding(tables[name]) is None:
+        if _subword_embedding(tables["sc_abc"], tables[name]) is None:
             missing.append(name)
     recs.append(
         SuiteRecord(

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from flathg import cli
 from flathg.cli import main
 from flathg.constructions import format_witness_report, verify_witness
+from flathg.hg_semiring import build_semiring
 from flathg.hypergraph import family, format_hypergraph, parse_hypergraph
+from flathg.semiring import format_semiring
 
 BOOL_LATTICE = json.dumps(
     {
@@ -223,6 +226,16 @@ class TestSemiring:
         code, out, _ = run(capsys, ["--format", "structured", "semiring", source])
         assert code == 0
         assert out == '{"command": "semiring", "source": ' + json.dumps(source) + ", " + record
+
+    def test_the_exchange_document_is_built_only_for_export(self, capsys, tmp_path, monkeypatch):
+        formatted = []
+        monkeypatch.setattr(cli, "format_semiring", lambda s: formatted.append(s) or format_semiring(s))
+        code, out, _ = run(capsys, ["semiring", "family:beam:1"])
+        assert (code, formatted) == (0, [])
+        target = tmp_path / "beam1.json"
+        code, exported_out, _ = run(capsys, ["semiring", "family:beam:1", "--export", str(target)])
+        assert (code, exported_out, len(formatted)) == (0, out, 1)
+        assert target.read_text(encoding="utf-8") == format_semiring(build_semiring(family("beam", 1)).exported)
 
 
 class TestCheck:

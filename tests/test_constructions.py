@@ -132,6 +132,17 @@ class TestQuotient:
         with pytest.raises(ValueError, match="does not induce a congruence"):
             quotient_by_ideal(sub, [("0",), ("a",)])
 
+    def test_a_strict_subset_of_the_zero_coordinate_ideal_is_scanned(self, sc_abc, monkeypatch):
+        scans = _spy_on_the_scan(monkeypatch)
+        sub = generated_subsemiring(sc_abc, [("a", "a"), ("a", "b"), ("b", "b")])
+        ideal = [x for x in sub.elements if sc_abc.zero in x and sub.label(x) != "(0,ab)"]
+        with pytest.raises(ValueError) as exc:
+            quotient_by_ideal(sub, ideal)
+        assert str(exc.value) == (
+            "ideal does not induce a congruence: mul((a,a), .) sends (0,0) to (0,0) but (0,b) to (0,ab)"
+        )
+        assert len(scans) == 1
+
     @pytest.mark.parametrize("member, message", BAD_COORDINATES)
     def test_a_bad_ideal_coordinate_is_refused(self, sc_abc, member, message):
         arity = len(member)
@@ -207,6 +218,37 @@ def _reference_quotient(base, elements, ideal):
             for t in (base.add, base.mul)
         ]
     )
+
+
+def _spy_on_the_scan(monkeypatch):
+    """The arguments of each congruence scan that runs from here on."""
+    calls, scan = [], constructions._check_congruence
+
+    def spy(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(constructions, "_check_congruence", spy)
+    return calls
+
+
+def assert_quotient_matches_reference(sub, base, want, ideal):
+    """quotient_by_ideal's quotient, or its refusal, against tuple arithmetic."""
+    expected = _reference_quotient(base, want, ideal)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            quotient_by_ideal(sub, ideal)
+        assert str(exc.value) == expected
+    else:
+        q = quotient_by_ideal(sub, ideal).quotient
+        assert (q.elements, q.add, q.mul) == expected
+        assert FiniteSemiring(q.elements, q.add, q.mul, q.zero) == q
+
+
+def _zero_absorbs_mul_only():
+    """{0, 1} with 0 + 1 = 1: the zero absorbs · but not +, so the tuples
+    with a zero coordinate are no ideal of + ((1, 0) + (0, 1) = (1, 1))."""
+    return FiniteSemiring(("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0)
 
 
 def _brandt():
@@ -316,6 +358,8 @@ def _indexed(base, labels):
 # The constant e11 column is rebuilt from the first. (e12, e11)·(e12, e11) =
 # (0, e11) has the zero tuple's kept entries, yet the closure has no zero.
 @example((_brandt(), _indexed(_brandt(), [("e12", "e11")])), [])
+# The zero absorbs · but not +: the zero-coordinate ideal must be scanned.
+@example((_zero_absorbs_mul_only(), [(1, 0), (0, 1)]), [])
 def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
     base, gens = inputs
     sub, want = assert_closure_matches_reference(base, gens)
@@ -325,15 +369,42 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
     zero_coordinate = [x for x in want if base.zero in x]
     drawn = [zero] + [want[p % len(want)] for p in picks]
     for ideal in (zero_coordinate, drawn):
-        expected = _reference_quotient(base, want, ideal)
-        if isinstance(expected, str):
-            with pytest.raises(ValueError) as exc:
-                quotient_by_ideal(sub, ideal)
-            assert str(exc.value) == expected
-        else:
-            q = quotient_by_ideal(sub, ideal).quotient
-            assert (q.elements, q.add, q.mul) == expected
-            assert FiniteSemiring(q.elements, q.add, q.mul, q.zero) == q
+        assert_quotient_matches_reference(sub, base, want, ideal)
+
+
+def _plan_inputs(plan):
+    """A witness plan's base and its generators as index tuples."""
+    return plan.base, _indexed(plan.base, plan.generators)
+
+
+@pytest.mark.parametrize(
+    "inputs, scanned",
+    [
+        pytest.param(
+            lambda: _plan_inputs(
+                _strongcolor_equiv(hypergraph=family("n_cycle", 3), colorings_cap=COLORINGS_CAP_DEFAULT)
+            ),
+            False,
+            id="sc_abc",
+        ),
+        pytest.param(lambda: _plan_inputs(_beam_step(index=1)), False, id="beam(1)"),
+        pytest.param(lambda: (_zero_absorbs_mul_only(), [(1, 0), (0, 1)]), True, id="zero-absorbs-mul-only"),
+        pytest.param(
+            lambda: (_brandt_left_sum(), _indexed(_brandt_left_sum(), _NON_COMMUTATIVE)), True, id="left-sum"
+        ),
+    ],
+)
+def test_the_zero_coordinate_ideal_is_scanned_unless_the_zero_absorbs_both_tables(
+    inputs, scanned, monkeypatch
+):
+    """Where the base's zero absorbs both tables, the tuples with a zero
+    coordinate are an ideal of both operations by Rees's argument, and the
+    scan is skipped; the quotient is the same either way."""
+    base, gens = inputs()
+    scans = _spy_on_the_scan(monkeypatch)
+    sub, want = assert_closure_matches_reference(base, gens)
+    assert_quotient_matches_reference(sub, base, want, [x for x in want if base.zero in x])
+    assert len(scans) == scanned
 
 
 @pytest.mark.parametrize("base", [_brandt(), _brandt_left_sum()], ids=["brandt", "left-sum"])
@@ -659,6 +730,16 @@ def test_a_witness_closure_and_quotient_pass_the_constructors_check(kwargs, monk
     assert len(built) == 2
     for s in built:
         assert FiniteSemiring(s.elements, s.add, s.mul, s.zero) == s
+
+
+@pytest.mark.parametrize("kwargs", SUITE_QUOTIENT_WITNESSES.values(), ids=SUITE_QUOTIENT_WITNESSES)
+def test_only_triangle_in_abcd_scans_its_ideal(kwargs, monkeypatch):
+    """The other quotient kinds collapse the tuples with a zero coordinate
+    over a flat base, a congruence with no scan; triangle_in_abcd's ideal
+    holds more tuples and is scanned."""
+    scans = _spy_on_the_scan(monkeypatch)
+    assert verify_witness(**kwargs).ok
+    assert len(scans) == (kwargs["kind"] == "triangle_in_abcd")
 
 
 class TestWitnesses:

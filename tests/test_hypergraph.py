@@ -25,7 +25,6 @@ from flathg.hypergraph import (
     leaf_edges,
     linked_classes,
     parse_hypergraph,
-    to_dot,
     uniform_core,
     validate,
 )
@@ -312,16 +311,6 @@ class TestSerialization:
     def test_parse_rejects_missing_keys(self):
         with pytest.raises(HypergraphParseError):
             parse_hypergraph('{"vertices": ["a"]}')
-
-    def test_dot_mentions_every_vertex(self):
-        h = triangle()
-        dot = to_dot(h)
-        assert all(v in dot for v in h.vertices)
-
-    def test_dot_with_coloring(self):
-        h = build_hypergraph(["a", "b", "c"], [("a", "b", "c")])
-        dot = to_dot(h, vertex_colors={"a": 0, "b": 1, "c": 2})
-        assert "lightcoral" in dot
 
 
 # Pairwise reference versions of the incidence-count checks: every pair of

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import flathg.constructions as constructions
 import flathg.suite as suite
 from flathg.semiring import FiniteSemiring, is_flat
 from flathg.suite import (
@@ -77,3 +78,13 @@ def test_each_table_is_built_once_per_run_and_again_next_run(monkeypatch):
     }
     run_suite()
     assert calls == first
+
+
+def test_the_embedding_check_reads_the_run_s_sc_abc(monkeypatch):
+    # Inside constructions only the two witnesses on subword semirings build
+    # one; the 18 embedding checks are handed the run's sc_abc.
+    calls = []
+    real = constructions.build_sc
+    monkeypatch.setattr(constructions, "build_sc", lambda words: calls.append(tuple(words)) or real(words))
+    assert all(r.ok for r in run_suite())
+    assert calls == [("abcd",), ("abc",)]
