@@ -18,7 +18,7 @@ from itertools import chain, permutations
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
 from .hypergraph import Hypergraph, family, leaf_edges, sub_hypergraph, validate
-from .semiring import FiniteSemiring, gather, is_commutative, is_flat, multiplicative_zero
+from .semiring import FiniteSemiring, _flat_row, gather, is_commutative, is_flat, multiplicative_zero
 from .terms import check_identity_flat, nested_identity
 from .words import build_sc
 
@@ -128,25 +128,24 @@ def _determined_coordinates(base: FiniteSemiring, gens) -> dict[int, tuple[int, 
     return determined
 
 
-def generated_subsemiring(
-    base: FiniteSemiring, generators, cap: int = CLOSURE_CAP_DEFAULT
-) -> GeneratedSubsemiring:
-    """Close the generators under componentwise add and mul by worklist
-    fixpoint, filling the closure's tables as the products are found.
+def _worklist(base: FiniteSemiring, generators, cap: int, with_add: bool):
+    """The worklist fixpoint of the generators under componentwise add and
+    mul, or under mul alone with the add streams off.
 
-    Generators may be tuples of base labels or of base indices, all of one
-    length, which is the power arity. The closure refuses to grow past the
-    cap, since a runaway closure means the construction is being fed
-    something it was never meant for.
+    Returns the generators as index tuples, the elements in discovery order
+    as strings of their kept coordinates, the add table (empty with the add
+    streams off) and the mul table over the element positions, and a
+    function that rebuilds the full tuples of such strings. The fixpoint
+    refuses to grow past cap elements.
 
     The fixpoint runs on the kept coordinates only. A coordinate c' is
     determined by an earlier kept coordinate c when the map g[c] -> g[c']
     over the generators g extends to a homomorphism h of the subsemiring of
     base that the g[c] generate (_homomorphism). Then x[c'] = h(x[c]) for
-    every closure element x: x is t(g1, ..., gm) for a term t, and h
-    commutes with t. So two elements are equal exactly when their kept
-    coordinates are, the worklist finds the same elements in the same order,
-    and the full tuples are rebuilt through h once the closure is done.
+    every element x: x is t(g1, ..., gm) for a term t, and h commutes with
+    t. So two elements are equal exactly when their kept coordinates are,
+    the worklist finds the same elements in the same order, and the full
+    tuples are rebuilt through h.
 
     The fixpoint works column-wise. Each element is held as a str with one
     character chr(v) per kept coordinate v; str has no limit on the base
@@ -178,9 +177,9 @@ def generated_subsemiring(
     width = len(kept)
     # Per operation, translation tables per base element x, indexed by x's
     # coordinate: y∘x from x's column, then x∘y from x's row, or None when
-    # the table is commutative.
-    translations = []
-    for op in ("add", "mul"):
+    # the table is commutative. With the add streams off, add has neither.
+    translations: list = [] if with_add else [None, None]
+    for op in ("add", "mul") if with_add else ("mul",):
         table = getattr(base, op)
         translations.append([str.maketrans(dict(enumerate(col))) for col in zip(*table)])
         translations.append(
@@ -219,36 +218,58 @@ def generated_subsemiring(
         add_row: list[int] = []
         mul_row: list[int] = []
         for i in range(n):
-            yx_add_i = get(z := yx_add[i::n])
-            if yx_add_i is None:
-                yx_add_i = intern(z)
-            xy_add_i = yx_add_i if xy_add is None else get(z := xy_add[i::n])
-            if xy_add_i is None:
-                xy_add_i = intern(z)
+            if with_add:
+                yx_add_i = get(z := yx_add[i::n])
+                if yx_add_i is None:
+                    yx_add_i = intern(z)
+                xy_add_i = yx_add_i if xy_add is None else get(z := xy_add[i::n])
+                if xy_add_i is None:
+                    xy_add_i = intern(z)
+                add_row.append(xy_add_i)
+                if i < cursor:
+                    add[i].append(yx_add_i)
             yx_mul_i = get(z := yx_mul[i::n])
             if yx_mul_i is None:
                 yx_mul_i = intern(z)
             xy_mul_i = yx_mul_i if xy_mul is None else get(z := xy_mul[i::n])
             if xy_mul_i is None:
                 xy_mul_i = intern(z)
-            add_row.append(xy_add_i)
             mul_row.append(xy_mul_i)
             if i < cursor:
-                add[i].append(yx_add_i)
                 mul[i].append(yx_mul_i)
-        add.append(add_row)
+        if with_add:
+            add.append(add_row)
         mul.append(mul_row)
         cursor += 1
-    known = "".join(elements)
-    columns = {c: known[i::width] for i, c in enumerate(kept)}
-    for c, (source, h) in determined.items():
-        columns[c] = columns[source].translate(h)
-    tuples = tuple(zip(*(map(ord, columns[c]) for c in range(arity))))
+
+    def rebuild(strings) -> tuple[tuple[int, ...], ...]:
+        """The full tuples of kept-coordinate strings."""
+        known = "".join(strings)
+        columns = {c: known[i::width] for i, c in enumerate(kept)}
+        for c, (source, h) in determined.items():
+            columns[c] = columns[source].translate(h)
+        return tuple(zip(*(map(ord, columns[c]) for c in range(arity))))
+
+    return gens, elements, add, mul, rebuild
+
+
+def generated_subsemiring(
+    base: FiniteSemiring, generators, cap: int = CLOSURE_CAP_DEFAULT
+) -> GeneratedSubsemiring:
+    """Close the generators under componentwise add and mul by worklist
+    fixpoint (_worklist), filling the closure's tables as the products are
+    found.
+
+    Generators may be tuples of base labels or of base indices, all of one
+    length, which is the power arity. The closure refuses to grow past the
+    cap, since a runaway closure means the construction is being fed
+    something it was never meant for.
+    """
+    gens, elements, add, mul, rebuild = _worklist(base, generators, cap, with_add=True)
+    tuples = rebuild(elements)
     z = _zero_of(base)
-    zero = None if z is None else position.get(chr(z) * width)
-    # The kept entries of the zero tuple may belong to a non-zero tuple.
-    if zero is not None and tuples[zero] != (z,) * arity:
-        zero = None
+    zero_tuple = (z,) * len(gens[0])
+    zero = tuples.index(zero_tuple) if z is not None and zero_tuple in tuples else None
     semiring = FiniteSemiring._trusted(
         tuple(_power_label(base, x) for x in tuples),
         tuple(map(tuple, add)),
@@ -256,6 +277,76 @@ def generated_subsemiring(
         zero,
     )
     return GeneratedSubsemiring(base, tuple(gens), tuples, semiring)
+
+
+def _zero_coordinate_quotient(
+    base: FiniteSemiring, generators, cap: int
+) -> tuple[int, int, FiniteSemiring | str]:
+    """The size of the closure C that generated_subsemiring builds, the size
+    of the ideal J of its elements with a zero coordinate, and the quotient
+    C/J that _quotient builds, or its refusal; without C's tables.
+
+    The base must be flat (z absorbs · and is the top of +, x + x = x) with
+    z its zero, and its products must cancel (a·b = a·c != z forces b = c,
+    on either side), which in a flat base is both distributive laws.
+
+    Let P be the closure of the generators under · alone. Every element of
+    C is the sum of a non-empty set of members of P: those sums contain the
+    generators and are closed under +, and under · by distributivity, since
+    (p1 + ... + pk)·(q1 + ... + ql) is the sum of the products pi·qj, all
+    in P. Conversely each such sum is in C. So C is P closed under adding
+    one member of P, which is counted here on the kept-coordinate strings.
+
+    Under the flat +, two different tuples sum to one with z where they
+    differ, so a sum of two or more distinct members of P is in J: the
+    elements of C outside J are the members of P with no z coordinate,
+    determined coordinates included, and |J| = |C| minus their number.
+
+    A product with a member of J is in J, since z absorbs ·, and a sum with
+    one is in J, since z is the top. So each element outside J is found as
+    y·x or x·y of two elements outside J, and C's worklist, which interns
+    y+x, x+y, y·x, x·y for each earlier y at each cursor x, finds them in
+    the order in which P's worklist does: the sums outside J are x + x = x.
+    The quotient is "J" and those elements in that order, with x + x = x,
+    every other sum J, and P's products mapped to their classes. Without
+    the zero tuple in C, _quotient refuses; so does this.
+    """
+    z = base._laws.mul.zero
+    _, products, _, mul, rebuild = _worklist(base, generators, cap, with_add=False)
+    tuples = rebuild(products)
+    m, width = len(products), len(products[0])
+    # C: P closed under adding a member of P; sums grows as it is read.
+    # Flat + commutes, so a cursor in P adds only the members before it,
+    # and x + x = x.
+    known = "".join(products)
+    columns = [known[c::width] for c in range(width)]
+    plus = [str.maketrans(dict(enumerate(col))) for col in zip(*base.add)]
+    # x + p for the i-th member p of P, read off the joined columns.
+    each = [slice(i, None, m) for i in range(m)]
+    sums, seen = list(products), set(products)
+    for cursor, x in enumerate(sums):
+        joined = "".join([col.translate(plus[ord(xc)]) for col, xc in zip(columns, x)])
+        new = set(map(joined.__getitem__, each[:cursor])) - seen
+        if len(seen) + len(new) > cap:
+            raise ValueError(f"closure exceeded {cap} elements; refusing to continue")
+        seen |= new
+        sums += sorted(new)
+    outside = [i for i, x in enumerate(tuples) if z not in x]
+    key = chr(z) * width
+    if key not in seen or rebuild([key])[0] != (z,) * len(tuples[0]):
+        return len(sums), len(sums) - len(outside), "the ideal must contain the zero tuple"
+    class_of = [0] * m
+    for k, i in enumerate(outside, start=1):
+        class_of[i] = k
+    size = len(outside) + 1
+    pick = gather(outside) if outside else None
+    quotient = FiniteSemiring._trusted(
+        ("J",) + tuple(_power_label(base, tuples[i]) for i in outside),
+        tuple(_flat_row(size, 0, k) for k in range(size)),
+        ((0,) * size,) + tuple((0, *map(class_of.__getitem__, pick(mul[i]))) for i in outside),
+        zero=0,
+    )
+    return len(sums), len(sums) - len(outside), quotient
 
 
 @dataclass(frozen=True)
@@ -274,6 +365,9 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     reported with the operation and the offending pair. A scan of the
     closure's tables checks J, unless the base's zero absorbs both base
     tables and J is the closure elements with a zero coordinate (Rees, 1940).
+    The witness pipeline collapses that ideal over a flat base without the
+    closure (_zero_coordinate_quotient); this full closure and the scan run
+    for other ideals, non-flat bases and direct calls.
     """
     j_list = [_power_element(a.base, x) for x in ideal]
     position = {x: i for i, x in enumerate(a.elements)}
@@ -290,7 +384,9 @@ def _quotient(a: GeneratedSubsemiring, j_idx: list[int]) -> FiniteSemiring:
     elements with a z coordinate, a product with a member of J, either way
     round, has z where that member has: J is a two-sided ideal of both
     operations, and the collapse a congruence (Rees, "On semi-groups",
-    1940). Any other J is scanned.
+    1940). Any other J is scanned. The witness pipeline calls this only for
+    other ideals and non-flat bases; _zero_coordinate_quotient builds the
+    same quotient without the closure.
     """
     z = _zero_of(a.base)
     if z is None:
@@ -562,21 +658,37 @@ class _QuotientPlan:
 
 def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> WitnessReport:
     """Closure, ideal, quotient, flatness, isomorphism; stop at the first
-    stage that fails."""
-    closure = generated_subsemiring(plan.base, plan.generators, cap=closure_cap)
-    zero = _zero_of(plan.base)
-    in_ideal = plan.in_ideal or (lambda x: zero in x)
-    ideal = [i for i, x in enumerate(closure.elements) if in_ideal(x)]
+    stage that fails.
+
+    The zero-coordinate ideal over a flat base whose zero absorbs both
+    tables and whose products cancel is counted and collapsed without the
+    closure's tables (_zero_coordinate_quotient). Any other ideal or base
+    builds the closure (generated_subsemiring) and collapses the ideal in
+    it (_quotient).
+    """
+    base = plan.base
+    laws = base._laws
+    zero = _zero_of(base)
+    if plan.in_ideal is None and laws.flat and zero == laws.mul.zero and laws.cancellation is None:
+        closure_size, ideal_size, quotient = _zero_coordinate_quotient(base, plan.generators, closure_cap)
+    else:
+        closure = generated_subsemiring(base, plan.generators, cap=closure_cap)
+        in_ideal = plan.in_ideal or (lambda x: zero in x)
+        ideal = [i for i, x in enumerate(closure.elements) if in_ideal(x)]
+        closure_size, ideal_size = len(closure.elements), len(ideal)
+        try:
+            quotient = _quotient(closure, ideal)
+        except ValueError as exc:
+            quotient = str(exc)
+    gens = [_power_element(base, g) for g in plan.generators]
     stages = [
-        WitnessStage("closure", True, f"{len(closure.elements)} elements"),
-        WitnessStage("ideal", True, f"{len(ideal)} elements"),
+        WitnessStage("closure", True, f"{closure_size} elements"),
+        WitnessStage("ideal", True, f"{ideal_size} elements"),
     ]
     quotient_size, pairs = 0, None
     target = plan.target
-    try:
-        quotient = _quotient(closure, ideal)
-    except ValueError as exc:
-        stages.append(WitnessStage("quotient", False, str(exc)))
+    if isinstance(quotient, str):
+        stages.append(WitnessStage("quotient", False, quotient))
     else:
         stages.append(WitnessStage("quotient", True, f"{quotient.size} classes"))
         if not is_flat(quotient):
@@ -597,10 +709,10 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
         kind=kind,
         stages=tuple(stages),
         notes=plan.notes,
-        generators=tuple(closure.label(g) for g in closure.generators),
-        power_arity=closure.arity,
-        closure_size=len(closure.elements),
-        ideal_size=len(ideal),
+        generators=tuple(_power_label(base, g) for g in gens),
+        power_arity=len(gens[0]),
+        closure_size=closure_size,
+        ideal_size=ideal_size,
         quotient_size=quotient_size,
         isomorphism=pairs,
     )

@@ -28,6 +28,8 @@ from flathg.semiring import (
     FiniteSemiring,
     flat_completion,
     is_commutative,
+    is_flat,
+    is_zero_cancellative,
     multiplicative_zero,
     verify_axioms,
 )
@@ -232,6 +234,18 @@ def _spy_on_the_scan(monkeypatch):
     return calls
 
 
+def _spy_on_the_closures(monkeypatch):
+    """The arguments of each generated_subsemiring call from here on."""
+    calls, close = [], constructions.generated_subsemiring
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "generated_subsemiring", spy)
+    return calls
+
+
 def assert_quotient_matches_reference(sub, base, want, ideal):
     """quotient_by_ideal's quotient, or its refusal, against tuple arithmetic."""
     expected = _reference_quotient(base, want, ideal)
@@ -274,13 +288,21 @@ def _renamed_letters(base, perm):
     return [base.index("".join(sorted(perm.get(ch, ch) for ch in w))) for w in base.elements]
 
 
+def _flat_with_identity():
+    """The flat completion of {1, a} with a·a = 0: the idempotent 1 keeps
+    the zero tuple out of a closure of tuples without a zero coordinate."""
+    return flat_completion(("0", "1", "a"), ((0, 0, 0), (0, 1, 2), (0, 2, 0)), 0)
+
+
 @st.composite
-def closure_inputs(draw):
-    bases = [build_sc(["abc"]), build_sc(["abcd"]), _brandt(), _brandt_left_sum()]
+def closure_inputs(draw, bases=None, max_arity=40):
+    if bases is None:
+        bases = [build_sc(["abc"]), build_sc(["abcd"]), _brandt(), _brandt_left_sum()]
     base = draw(st.sampled_from(bases))
-    arity = draw(st.integers(1, 40))
-    letters = ("a", "b", "c", "d", "e12", "e21")
-    generating = [i for i, lbl in enumerate(base.elements) if lbl in letters]
+    arity = draw(st.integers(1, max_arity))
+    # Letters, matrix units, the identity 1 and hypergraph vertex generators.
+    letters = ("a", "b", "c", "d", "e12", "e21", "1")
+    generating = [i for i, lbl in enumerate(base.elements) if lbl in letters or lbl.startswith("a·")]
     coordinate = st.one_of(st.sampled_from(generating), st.integers(0, base.size - 1))
     # Four generators of arity 40 over the Brandt base close to some 650
     # elements, which the tuple references take 20 s to check; past arity
@@ -291,8 +313,11 @@ def closure_inputs(draw):
     # zero, the image under a renaming of the letters, a constant e11 (its
     # all-zero key stands for a non-zero tuple), and a function of a drawn
     # column that need not extend to a homomorphism.
-    words = "e11" not in base.elements
-    kinds = ["copy", "zero", "function", "renamed" if words else "e11"]
+    kinds = ["copy", "zero", "function"]
+    if "e11" in base.elements:
+        kinds.append("e11")
+    elif "abc" in base.elements:
+        kinds.append("renamed")
     columns = list(zip(*gens))
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
         column = draw(st.sampled_from(columns[:arity]))
@@ -370,6 +395,57 @@ def test_closure_and_quotient_agree_with_tuple_arithmetic(inputs, picks):
     drawn = [zero] + [want[p % len(want)] for p in picks]
     for ideal in (zero_coordinate, drawn):
         assert_quotient_matches_reference(sub, base, want, ideal)
+
+
+# Bases on which the witness pipeline takes _zero_coordinate_quotient: flat,
+# with a zero that absorbs both tables and products that cancel.
+_ZERO_COORDINATE_BASES = [
+    build_sc(["abc"]),
+    build_sc(["abcd"]),
+    _brandt(),
+    _flat_with_identity(),
+    build_semiring(family("beam", 1)).exported,
+    build_semiring(family("n_cycle", 3)).exported,
+]
+
+
+@st.composite
+def zero_coordinate_inputs(draw):
+    # Arity at most 12 keeps each shrink step short.
+    base, gens = draw(closure_inputs(_ZERO_COORDINATE_BASES, max_arity=12))
+    return base, gens + draw(st.lists(st.sampled_from(gens), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_coordinate_inputs())
+# Every element has the idempotent 1 first, so none is the zero tuple.
+@example((_flat_with_identity(), [(1, 1), (1, 2)]))
+# (0, e11) has the zero tuple's kept entries, yet the closure has no zero.
+@example((_brandt(), _indexed(_brandt(), [("e12", "e11")])))
+# A non-commutative product, and a generator given twice.
+@example((_brandt(), _indexed(_brandt(), [*_NON_COMMUTATIVE, _NON_COMMUTATIVE[0]])))
+def test_the_zero_coordinate_quotient_agrees_with_tuple_arithmetic(inputs):
+    """Closure size, ideal size and the quotient, or its refusal, against
+    the tuple closure; the cap refuses one element short of the closure."""
+    base, gens = inputs
+    assert is_flat(base) and is_zero_cancellative(base) is True
+    assert multiplicative_zero(base) == base.zero
+    want = _reference_closure(base, gens)
+    ideal = [x for x in want if base.zero in x]
+    if (base.zero,) * len(gens[0]) in want:
+        expected = _reference_quotient(base, want, ideal)
+    else:
+        expected = "the ideal must contain the zero tuple"
+    size, ideal_size, quotient = constructions._zero_coordinate_quotient(base, gens, len(want))
+    assert (size, ideal_size) == (len(want), len(ideal))
+    if isinstance(expected, str):
+        assert quotient == expected
+    else:
+        assert (quotient.elements, quotient.add, quotient.mul, quotient.zero) == (*expected, 0)
+        assert FiniteSemiring(quotient.elements, quotient.add, quotient.mul, 0) == quotient
+    message = f"closure exceeded {len(want) - 1} elements; refusing to continue"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        constructions._zero_coordinate_quotient(base, gens, len(want) - 1)
 
 
 def _plan_inputs(plan):
@@ -717,17 +793,25 @@ SUITE_QUOTIENT_WITNESSES = {
 @pytest.mark.parametrize("kwargs", SUITE_QUOTIENT_WITNESSES.values(), ids=SUITE_QUOTIENT_WITNESSES)
 def test_a_witness_closure_and_quotient_pass_the_constructors_check(kwargs, monkeypatch):
     """The closure and the quotient skip the entry check, trusting their
-    tables; the public constructor accepts them unchanged."""
-    built, quotient = [], constructions._quotient
+    tables; the public constructor accepts them unchanged. triangle_in_abcd
+    builds both; the zero-coordinate kinds build only the quotient."""
+    built = []
+    quotient, zero_coordinate = constructions._quotient, constructions._zero_coordinate_quotient
 
-    def recording(closure, ideal):
+    def recording_quotient(closure, ideal):
         built.append(closure.semiring)
         built.append(quotient(closure, ideal))
         return built[-1]
 
-    monkeypatch.setattr(constructions, "_quotient", recording)
+    def recording_zero_coordinate(*args):
+        sizes_and_quotient = zero_coordinate(*args)
+        built.append(sizes_and_quotient[2])
+        return sizes_and_quotient
+
+    monkeypatch.setattr(constructions, "_quotient", recording_quotient)
+    monkeypatch.setattr(constructions, "_zero_coordinate_quotient", recording_zero_coordinate)
     assert verify_witness(**kwargs).ok
-    assert len(built) == 2
+    assert len(built) == (2 if kwargs["kind"] == "triangle_in_abcd" else 1)
     for s in built:
         assert FiniteSemiring(s.elements, s.add, s.mul, s.zero) == s
 
@@ -735,11 +819,34 @@ def test_a_witness_closure_and_quotient_pass_the_constructors_check(kwargs, monk
 @pytest.mark.parametrize("kwargs", SUITE_QUOTIENT_WITNESSES.values(), ids=SUITE_QUOTIENT_WITNESSES)
 def test_only_triangle_in_abcd_scans_its_ideal(kwargs, monkeypatch):
     """The other quotient kinds collapse the tuples with a zero coordinate
-    over a flat base, a congruence with no scan; triangle_in_abcd's ideal
-    holds more tuples and is scanned."""
+    over a flat base, a congruence with no scan and no closure tables;
+    triangle_in_abcd's ideal holds more tuples, so it closes and scans."""
     scans = _spy_on_the_scan(monkeypatch)
+    closures = _spy_on_the_closures(monkeypatch)
     assert verify_witness(**kwargs).ok
-    assert len(scans) == (kwargs["kind"] == "triangle_in_abcd")
+    triangle = kwargs["kind"] == "triangle_in_abcd"
+    assert len(scans) == triangle
+    assert len(closures) == triangle
+
+
+def test_a_flat_base_whose_products_do_not_cancel_is_closed_in_full(monkeypatch):
+    """a·a = a·b = b: flat, with an absorbing zero, but a·(a + b) = 0 while
+    a·a + a·b = b. Sums of products miss elements of the closure here, so
+    the witness pipeline closes under both operations."""
+    base = FiniteSemiring(
+        ("0", "a", "b"),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 2)),
+        ((0, 0, 0), (0, 2, 2), (0, 2, 2)),
+        0,
+    )
+    gens = [("a", "a"), ("b", "a")]
+    want = _reference_closure(base, _indexed(base, gens))
+    assert constructions._zero_coordinate_quotient(base, gens, 100)[0] < len(want)
+    closures = _spy_on_the_closures(monkeypatch)
+    plan = constructions._QuotientPlan(claim="non-cancellative", base=base, generators=gens, target=base)
+    report = constructions._run_quotient_plan("test", plan, 100)
+    assert (report.closure_size, report.ideal_size) == (len(want), sum(base.zero in x for x in want))
+    assert len(closures) == 1
 
 
 class TestWitnesses:
