@@ -52,6 +52,14 @@ NON_ASSOCIATIVE = FiniteSemiring(
 # The two-element Boolean semiring: 1 + 1 = 1, not flat.
 BOOLEAN = FiniteSemiring(("0", "x"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), zero=0)
 
+# The cyclic group of order 3 with a zero adjoined: flat and commutative, and
+# no power of a non-zero element vanishes, so a repeated factor prunes nothing.
+CYCLIC_GROUP = flat_completion(
+    ("0", "e", "g", "g2"),
+    tuple(tuple(0 if 0 in (i, j) else 1 + (i + j - 2) % 3 for j in range(4)) for i in range(4)),
+    0,
+)
+
 
 def _chain(n):
     """The chain lattice 0 < 1 < ... < n-1: add is max, mul is min."""
@@ -276,6 +284,7 @@ def pinned_subjects(sc_abc, sc_abcd, s7, triangle_semiring, nested_semirings):
         "n_cycle(4)": build_semiring(family("n_cycle", 4)).exported,
         "n_cycle(12)": build_semiring(family("n_cycle", 12)).exported,
         "brandt": _brandt(),
+        "cyclic-group": CYCLIC_GROUP,
         "sc_ab": build_sc(["ab"]),
         **CARRIERS,
     }
@@ -284,7 +293,10 @@ def pinned_subjects(sc_abc, sc_abcd, s7, triangle_semiring, nested_semirings):
 # The flat checker's exact output: verdict, the first counterexample's values
 # in the identity's variable order, and `explored`. The search order decides
 # all three, so a refactor of the search must leave every row unchanged. The
-# Brandt semiring is not commutative, so its rows run the written-order path.
+# Brandt semiring is not commutative, so its rows run the written-order path;
+# the rows with a repeated factor on a commutative carrier fold it through the
+# running partial products, where squares vanish on the hypergraph and subword
+# tables but never on the cyclic group.
 FLAT_PINS = [
     ("sc_abc", "eq3.1", "holds", None, 350),
     ("triangle", "eq3.1", "fails", "a·u1 a·u2 a·u3 a·u4 a·u5 a·u6", 819),
@@ -306,6 +318,15 @@ FLAT_PINS = [
     ("brandt", "x*y*z = z*y*x", "fails", "e11 e12 e21", 5),
     ("brandt", "x*y*x = x*y*x*y*x", "holds", None, 40),
     ("brandt", "(x+y)*z*(x+y) = x*z*x + y*z*y", "holds", None, 168),
+    ("sc_abc", "x*x*y = y*y*x", "holds", None, 0),
+    ("triangle", "x*x*x = x", "fails", "a·u1", 1),
+    ("n_cycle(4)", "x*x*y*z = x*y*y*z", "holds", None, 0),
+    ("n_cycle(4)", "x*y*z = x*x*y*z", "fails", "a·u1 a·u2 a·u3", 915),
+    ("cyclic-group", "x*x*y*z*z = z*x*y*x*z", "holds", None, 126),
+    ("cyclic-group", "(x+y)*(x+y)*z = x*x*z + y*y*z", "holds", None, 90),
+    ("cyclic-group", "x*x*y + y*y*x = x*y*(x+y)", "holds", None, 24),
+    ("cyclic-group", "x*x*x*y + y*y*y*x = x*y", "fails", "g g", 7),
+    ("cyclic-group", "x*x*y*z = x*y*y*z", "fails", "e g g2", 5),
 ]
 
 
