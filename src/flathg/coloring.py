@@ -96,11 +96,20 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
     vertices = sorted(h.vertices)
     # Permuting the colors of a strong coloring gives another one. So a
     # coloring in which u and v are alike (or unlike) shows that every
-    # pinning of u and v to equal (or distinct) colors extends.
-    found: list[Coloring] = []
+    # pinning of u and v to equal (or distinct) colors extends. Bit i of
+    # masks[w][c] is set when the i-th coloring found gives w the color c,
+    # and `found` has a bit for each coloring found.
+    masks = {w: [0, 0, 0] for w in vertices}
+    found = 0
     for u, v in itertools.combinations(vertices, 2):
         adjacent = frozenset((u, v)) in pairs
-        alike = {coloring[u] == coloring[v] for coloring in found}
+        mu, mv = masks[u], masks[v]
+        same = mu[0] & mv[0] | mu[1] & mv[1] | mu[2] & mv[2]
+        alike = set()
+        if same:
+            alike.add(True)
+        if same != found:
+            alike.add(False)
         for cu, cv in itertools.product(COLORS, COLORS):
             if adjacent and cu == cv or (cu == cv) in alike:
                 continue
@@ -110,6 +119,9 @@ def is_2_robust(h: Hypergraph) -> RobustnessReport:
                     robust=False,
                     failure=ExtensionFailure(pair=(u, v), assignment=(cu, cv)),
                 )
-            found.append(coloring)
+            bit = found + 1  # found's bits are the lowest ones
+            for w, c in coloring.items():
+                masks[w][c] |= bit
+            found |= bit
             alike.add(coloring[u] == coloring[v])
     return RobustnessReport(robust=True, failure=None)

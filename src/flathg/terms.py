@@ -496,7 +496,9 @@ class _SideSearch:
     filed under its target. `explored` advances as if each target walked the
     prefix again, so it counts the same nodes as a walk from slot 0. Both
     walks are `_walk`, on an explicit stack, so no recursion limit bounds a
-    side's length.
+    side's length. Entering a slot saves the partial products it touches
+    once; each value is folded into those saved partials, which are put back
+    only when the slot is exhausted.
     """
 
     def __init__(self, s: FiniteSemiring, side_monomials, all_variables):
@@ -542,13 +544,19 @@ class _SideSearch:
         """Walk slots `start`..`last` depth first from the given state and
         yield the agreed value at each passing node of slot `last`.
 
-        A node folds its value into each monomial its slot touches, and is
-        pruned on a zero partial product or on a completed monomial other
-        than `target` (with `target` None, other than the node's first
-        completed one, which is then the agreed value). The outer loop enters
-        a slot, the inner one resumes the deepest unfinished slot. `explored`
-        gains the nodes passed, from a local, before each yield and on exit.
-        With `start` past `last` the given state is the one node, uncounted.
+        Entering a slot saves `(monomial, partial product, multiplicity,
+        completes here)` once for each monomial it touches. A node computes
+        each product from the saved partial and its value, and is pruned on a
+        zero product or on a completed monomial other than `target` (with
+        `target` None, other than the node's first completed one, which is
+        then the agreed value). A pruned node may leave partials behind, but
+        the next value overwrites each one it reaches before it can descend,
+        so the saved partials are put back only when the slot is exhausted.
+        The stack holds each unfinished slot's value iterator and saved list;
+        the outer loop enters a slot, the inner one resumes the deepest
+        unfinished slot. `explored` gains the nodes passed, from a local,
+        before each yield and on exit. With `start` past `last` the given
+        state is the one node, uncounted.
         """
         if start > last:
             yield target
@@ -557,26 +565,29 @@ class _SideSearch:
         nodes, slot, stack = 0, start, []
         while True:
             if slot < len(self.touches):
-                touches, values = self.touches[slot], self.nonzero
+                saved = [
+                    (m, partial[m], mult, completes) for m, mult, completes in self.touches[slot]
+                ]
+                values = self.nonzero
                 if commutative:
-                    for m, _, _ in touches:
-                        p = partial[m]
+                    for _, p, _, _ in saved:
                         if p is not None and len(self.followers[p]) < len(values):
                             values = self.followers[p]
             else:
-                touches, values = (), range(self.s.size)
-            values, saved = iter(values), [(m, partial[m]) for m, _, _ in touches]
+                values, saved = range(self.s.size), []
+            values = iter(values)
             while True:
                 for value in values:
-                    for m, p in saved:
-                        partial[m] = p
                     assignment[slot] = value
                     agreed = target
-                    for m, mult, completes in touches:
+                    for m, p, mult, completes in saved:
                         if commutative:
-                            prod = partial[m]
-                            for _ in range(mult):
-                                prod = value if prod is None else mul[prod][value]
+                            if mult == 1:
+                                prod = value if p is None else mul[p][value]
+                            else:
+                                prod = p
+                                for _ in range(mult):
+                                    prod = value if prod is None else mul[prod][value]
                             partial[m] = prod
                         elif completes:
                             mono = monomials[m]
@@ -585,26 +596,29 @@ class _SideSearch:
                                 prod = mul[prod][assignment[i]]
                         else:
                             continue
-                        if prod == zero or completes and agreed not in (None, prod):
+                        if prod == zero:
                             break
                         if completes:
-                            agreed = prod
+                            if agreed is None:
+                                agreed = prod
+                            elif agreed != prod:
+                                break
                     else:
                         nodes += 1
                         if slot < last:
-                            stack.append((values, touches, saved))
+                            stack.append((values, saved))
                             slot += 1
                             break
                         self.explored += nodes
                         nodes = 0
                         yield agreed
                 else:
-                    for m, p in saved:
+                    for m, p, _, _ in saved:
                         partial[m] = p
                     if not stack:
                         self.explored += nodes
                         return
-                    values, touches, saved = stack.pop()
+                    values, saved = stack.pop()
                     slot -= 1
                     continue
                 break
