@@ -361,13 +361,9 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
 
     The collapse relation (J x J plus the identity) must be a congruence of
     both operations: combining any element with the members of J must land
-    either always inside J or always on one single element. A violation is
-    reported with the operation and the offending pair. A scan of the
-    closure's tables checks J, unless the base's zero absorbs both base
-    tables and J is the closure elements with a zero coordinate (Rees, 1940).
-    The witness pipeline collapses that ideal over a flat base without the
-    closure (_zero_coordinate_quotient); this full closure and the scan run
-    for other ideals, non-flat bases and direct calls.
+    either always inside J or always on one single element. A scan of the
+    closure's tables checks this for every J, and a violation is reported
+    with the operation and the offending pair.
     """
     j_list = [_power_element(a.base, x) for x in ideal]
     position = {x: i for i, x in enumerate(a.elements)}
@@ -378,26 +374,15 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
 
 
 def _quotient(a: GeneratedSubsemiring, j_idx: list[int]) -> FiniteSemiring:
-    """quotient_by_ideal's quotient, for an ideal given as closure positions.
-
-    If the base's zero z absorbs both base tables and J is the closure
-    elements with a z coordinate, a product with a member of J, either way
-    round, has z where that member has: J is a two-sided ideal of both
-    operations, and the collapse a congruence (Rees, "On semi-groups",
-    1940). Any other J is scanned. The witness pipeline calls this only for
-    other ideals and non-flat bases; _zero_coordinate_quotient builds the
-    same quotient without the closure.
-    """
-    z = _zero_of(a.base)
-    if z is None:
+    """quotient_by_ideal's quotient, for an ideal given as closure
+    positions: scan J (_check_congruence), then collapse it."""
+    if _zero_of(a.base) is None:
         raise ValueError("base semiring has no zero element")
     zero = a.semiring.zero
     j_set = set(j_idx)
     if zero not in j_set:
         raise ValueError("the ideal must contain the zero tuple")
-    absorbing = a.base._laws.mul.zero == z == a.base._laws.add.zero
-    if not (absorbing and j_set == {i for i, x in enumerate(a.elements) if z in x}):
-        _check_congruence(a, j_idx, j_set)
+    _check_congruence(a, j_idx, j_set)
     labels = a.semiring.elements
     k = len(a.elements)
     reps = [zero] + [x for x in range(k) if x not in j_set]
@@ -660,11 +645,11 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
     """Closure, ideal, quotient, flatness, isomorphism; stop at the first
     stage that fails.
 
-    The zero-coordinate ideal over a flat base whose zero absorbs both
-    tables and whose products cancel is counted and collapsed without the
-    closure's tables (_zero_coordinate_quotient). Any other ideal or base
-    builds the closure (generated_subsemiring) and collapses the ideal in
-    it (_quotient).
+    Over a flat base whose zero absorbs both tables and whose products
+    cancel, the ideal of tuples with a zero coordinate is a congruence
+    (Rees, "On semi-groups", 1940) and is collapsed without the closure's
+    tables (_zero_coordinate_quotient). Any other ideal or base is closed
+    (generated_subsemiring) and scanned (_quotient).
     """
     base = plan.base
     laws = base._laws

@@ -440,6 +440,9 @@ def hypergraph_from_document(data) -> Hypergraph:
         raise HypergraphParseError(f"missing fields: {', '.join(sorted(missing))}")
     if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
         raise HypergraphParseError("'vertices' and 'edges' must be lists")
+    for edge in data["edges"]:
+        if not isinstance(edge, list):
+            raise HypergraphParseError(f"edge must be a list of vertex ids, got {edge!r}")
     return build_hypergraph(data["vertices"], data["edges"])
 
 

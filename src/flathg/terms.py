@@ -134,7 +134,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.islower() and ch.isalpha():
+        if "a" <= ch <= "z":
             j = i + 1
             while j < len(text) and text[j] in _TOKEN_CHARS:
                 j += 1

@@ -143,6 +143,14 @@ class TestValidate:
         assert code == 0
         assert out == "valid: 9 vertices, 5 edges\n"
 
+    @pytest.mark.parametrize("edge", ["abc", {"a": 1, "b": 2, "c": 3}, 7], ids=["string", "dict", "int"])
+    def test_an_edge_that_is_not_a_list_is_an_input_error(self, capsys, tmp_path, edge):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]}))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"flathg: error: bad hypergraph file {path}: edge must be a list of vertex ids, got {edge!r}\n"
+
     def test_violations_are_listed(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

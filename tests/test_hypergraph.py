@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import re
 import sys
@@ -311,6 +312,14 @@ class TestSerialization:
     def test_parse_rejects_missing_keys(self):
         with pytest.raises(HypergraphParseError):
             parse_hypergraph('{"vertices": ["a"]}')
+
+    @pytest.mark.parametrize("edge", ["abc", {"a": 1, "b": 2, "c": 3}, 7], ids=["string", "dict", "int"])
+    def test_parse_rejects_an_edge_that_is_not_a_list(self, edge):
+        """A string or dict edge would be read as its characters or keys."""
+        text = json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]})
+        message = f"^edge must be a list of vertex ids, got {re.escape(repr(edge))}$"
+        with pytest.raises(HypergraphParseError, match=message):
+            parse_hypergraph(text)
 
 
 # Pairwise reference versions of the incidence-count checks: every pair of

@@ -121,6 +121,12 @@ class TestParsing:
         with pytest.raises(IdentitySyntaxError, match="unexpected character"):
             parse_identity("x1 ^ x2 = x1")
 
+    @pytest.mark.parametrize("letter", ["é", "ﬁ", "ª"])
+    def test_a_variable_starts_with_an_ascii_letter(self, letter):
+        """Lower-case letters outside a-z do not start a variable."""
+        with pytest.raises(IdentitySyntaxError, match=rf"^unexpected character {letter!r} \(at position 0\)$"):
+            parse_identity(f"{letter}*x = x*{letter}")
+
     def test_two_equals_rejected(self):
         with pytest.raises(IdentitySyntaxError):
             parse_identity("x1 = x2 = x3")
