@@ -225,6 +225,8 @@ def _load_identities(token: str) -> list[tuple[str, object]]:
         return [(token, builtin_identity(token))]
     except KeyError:
         pass
+    except ValueError as exc:
+        raise CliInputError(str(exc))
     if "=" in token:
         try:
             return [(token, parse_identity(token))]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .semiring import (
@@ -115,6 +114,12 @@ MAX_NESTING = 200
 # than this. A product of k binomials has 2^k; at twelve (4,096) a check
 # already takes seconds, and each further binomial doubles time and memory.
 MAX_MONOMIALS = 4096
+
+# The largest i a `nested:i` token may name; a larger one is refused before
+# the identity is built. nested(i)'s binomial side expands to 8i monomials,
+# so this is the largest index the flat checker accepts, and the token has no
+# other bound on the time and memory it takes to build.
+MAX_NESTED_INDEX = MAX_MONOMIALS // 8
 
 # An identity text longer than this is refused before it is tokenized. The
 # parser keeps a token list and a term tree per character, so an identity
@@ -247,7 +252,11 @@ def nested_identity(i: int) -> Identity:
 
 
 def builtin_identity(key: str) -> Identity:
-    """Resolve a registry key: eq3.1, eq4.1 .. eq4.4, or nested:i."""
+    """Resolve a registry key: eq3.1, eq4.1 .. eq4.4, or nested:i.
+
+    Raises KeyError for an unknown key, and ValueError for `nested:i` with i
+    over MAX_NESTED_INDEX, before building anything.
+    """
     fixed = {
         "eq3.1": "x1*x2*x3 + x3*x4*x5 + x5*x6*x1 = (x1+x4)*(x2+x5)*(x3+x6)",
         "eq4.4": "x1*x2*x3*x4 = y1*y2*y3*y4",
@@ -257,10 +266,17 @@ def builtin_identity(key: str) -> Identity:
     if key in ("eq4.1", "eq4.2", "eq4.3"):
         return nested_identity(int(key[-1]))
     if key.startswith("nested:"):
-        suffix = key.split(":", 1)[1]
-        if not suffix.isdigit() or int(suffix) < 1:
+        # ASCII digits only: str.isdigit is also true for '²' and '١'.
+        digits = key.split(":", 1)[1].lstrip("0")
+        if not (digits.isascii() and digits.isdigit()):
             raise KeyError(f"unknown identity {key!r}")
-        return nested_identity(int(suffix))
+        # Lengths first: int() refuses a string of more than 4,300 digits.
+        if len(digits) > len(str(MAX_NESTED_INDEX)) or int(digits) > MAX_NESTED_INDEX:
+            raise ValueError(
+                f"identity {key!r}: index over MAX_NESTED_INDEX ({MAX_NESTED_INDEX}), "
+                "the largest the flat checker accepts"
+            )
+        return nested_identity(int(digits))
     raise KeyError(f"unknown identity {key!r}")
 
 
@@ -462,19 +478,23 @@ def _monomial_count(node: Term) -> int:
 
 
 def _monomials(node: Term) -> list[tuple[str, ...]]:
-    """Expand a normalized term into its sum-of-products monomial list."""
+    """Expand a term into its sum-of-products monomial list, each monomial
+    its variables in written order. Nested sums and products expand as their
+    flattened forms do: a product's monomials come in the order of
+    `itertools.product` over its factors' lists."""
     if isinstance(node, Variable):
         return [(node.name,)]
+    out: list[tuple[str, ...]]
     if isinstance(node, Sum):
-        out: list[tuple[str, ...]] = []
+        out = []
         for t in node.terms:
             out.extend(_monomials(t))
         return out
-    parts = [_monomials(f) for f in node.factors]
-    return [
-        tuple(v for mono in chunk for v in mono)
-        for chunk in itertools.product(*parts)
-    ]
+    out = [()]
+    for f in node.factors:
+        tails = _monomials(f)
+        out = [mono + tail for mono in out for tail in tails]
+    return out
 
 
 class _SideSearch:
@@ -482,38 +502,49 @@ class _SideSearch:
 
     Every monomial of the side must evaluate to the target; remaining
     variables of the identity range free. Variables are assigned slot by
-    slot, so each monomial is complete at its largest slot and checked
-    against the target there. On commutative carriers (all the builtin ones)
-    a running partial product per monomial prunes any branch that already
-    hit zero, and a variable joining a monomial with partial product p only
-    tries the values v with p·v non-zero; otherwise a monomial is folded in
-    its written order where it completes, which is slower but order-faithful.
+    slot, `slot` mapping each variable to its slot in `order`, so each
+    monomial is complete at its largest slot and checked against the target
+    there. On commutative carriers (all the builtin ones) a running partial
+    product per monomial prunes any branch that already hit zero, and a
+    variable joining a monomial with partial product p only tries the values
+    v with p·v non-zero; otherwise a monomial is folded in its written order
+    where it completes, which is slower but order-faithful.
 
     No check below the first completion slot depends on the target, and at
     that slot only the value the completed monomials agree on does. So the
     prefix up to that slot is walked once per side, each surviving state is
-    filed under that value, and `search(target)` resumes only from the states
-    filed under its target. `explored` advances as if each target walked the
-    prefix again, so it counts the same nodes as a walk from slot 0. Both
-    walks are `_walk`, on an explicit stack, so no recursion limit bounds a
-    side's length. Entering a slot saves the partial products it touches
-    once; each value is folded into those saved partials, which are put back
-    only when the slot is exhausted.
+    filed under that value, and `hits()` resumes only from the states filed
+    under each target. `explored` advances as if each target walked the
+    prefix again, so it counts the same nodes as a walk from slot 0; a
+    target with no filed state adds the prefix's nodes and starts no walk.
+    Both walks are `_walk`, on an explicit stack, so no recursion limit
+    bounds a side's length. Entering a slot saves the partial products it
+    touches once; each value is folded into those saved partials, which are
+    put back only when the slot is exhausted.
     """
 
     def __init__(self, s: FiniteSemiring, side_monomials, all_variables):
         self.s, self.zero, self.commutative = s, multiplicative_zero(s), is_commutative(s, "mul")
-        counts = Counter(itertools.chain.from_iterable(side_monomials))
-        position = {v: i for i, v in enumerate(all_variables)}
-        side_vars = sorted(counts, key=lambda v: (-counts[v], position[v]))
+        counts: dict[str, int] = {}
+        for mono in side_monomials:
+            for v in mono:
+                counts[v] = counts.get(v, 0) + 1
+        # Most frequent first; the sort is stable, so ties keep the
+        # identity's variable order.
+        side_vars = [v for v in all_variables if v in counts]
+        side_vars.sort(key=counts.__getitem__, reverse=True)
         self.order = side_vars + [v for v in all_variables if v not in counts]
-        slot = {v: i for i, v in enumerate(self.order)}
-        self.monomials = [tuple(slot[v] for v in mono) for mono in side_monomials]
+        self.slot = slot = {v: i for i, v in enumerate(self.order)}
+        self.monomials = [tuple(map(slot.__getitem__, mono)) for mono in side_monomials]
         # Per side slot: (monomial index, multiplicity, completes at this slot).
         self.touches: list[list[tuple[int, int, bool]]] = [[] for _ in side_vars]
         for m, mono in enumerate(self.monomials):
-            for i, mult in Counter(mono).items():
-                self.touches[i].append((m, mult, i == max(mono)))
+            mults: dict[int, int] = {}
+            for i in mono:
+                mults[i] = mults.get(i, 0) + 1
+            last = max(mono)
+            for i, mult in mults.items():
+                self.touches[i].append((m, mult, i == last))
         self.nonzero = [v for v in range(s.size) if v != self.zero]
         # Per p, the non-zero products p·v as v -> p·v, in ascending v; zero
         # is the table's absorbing element.
@@ -530,15 +561,24 @@ class _SideSearch:
             self.frontier.setdefault(agreed, []).append((self.explored, assignment[:], partial[:]))
         self.prefix_nodes, self.explored = self.explored, 0
 
-    def search(self, target: int):
-        """Yield each hit as a dict from variable name to element index."""
-        counted = 0
-        for before, assignment, partial in self.frontier.get(target, ()):
-            self.explored += before - counted + 1
-            counted = before
-            for _ in self._walk(self.first + 1, len(self.order) - 1, target, assignment, partial):
-                yield dict(zip(self.order, assignment))
-        self.explored += self.prefix_nodes - counted
+    def hits(self):
+        """Yield `(target, assignment)` for each non-zero target in ascending
+        order and each assignment pinning the side to it, the assignment a
+        list of element indices by slot. The list is reused: read it before
+        resuming."""
+        start, last = self.first + 1, len(self.order) - 1
+        for target in self.nonzero:
+            states = self.frontier.get(target)
+            if states is None:
+                self.explored += self.prefix_nodes
+                continue
+            counted = 0
+            for before, assignment, partial in states:
+                self.explored += before - counted + 1
+                counted = before
+                for _ in self._walk(start, last, target, assignment, partial):
+                    yield target, assignment
+            self.explored += self.prefix_nodes - counted
 
     def _walk(self, start, last, target, assignment, partial):
         """Walk slots `start`..`last` depth first from the given state and
@@ -562,19 +602,19 @@ class _SideSearch:
             yield target
             return
         mul, zero, commutative, monomials = self.s.mul, self.zero, self.commutative, self.monomials
+        touches, followers, nonzero, size = self.touches, self.followers, self.nonzero, self.s.size
+        side_slots = len(touches)
         nodes, slot, stack = 0, start, []
         while True:
-            if slot < len(self.touches):
-                saved = [
-                    (m, partial[m], mult, completes) for m, mult, completes in self.touches[slot]
-                ]
-                values = self.nonzero
+            if slot < side_slots:
+                saved = [(m, partial[m], mult, completes) for m, mult, completes in touches[slot]]
+                values = nonzero
                 if commutative:
                     for _, p, _, _ in saved:
-                        if p is not None and len(self.followers[p]) < len(values):
-                            values = self.followers[p]
+                        if p is not None and len(followers[p]) < len(values):
+                            values = followers[p]
             else:
-                values, saved = range(self.s.size), []
+                values, saved = range(size), []
             values = iter(values)
             while True:
                 for value in values:
@@ -629,9 +669,19 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
 
     For each side and each non-zero target value, enumerate the assignments
     making every monomial of that side equal the target (the side then sums
-    to the target), and evaluate the opposite side at each hit. The identity
+    to the target), and check the opposite side at each hit. The identity
     fails precisely when some hit disagrees. A side that expands into more
     than MAX_MONOMIALS monomials is refused with ValueError before any search.
+
+    The identity is prepared once per call: one walk of the trees as given
+    (nested sums and products need no flattening) gives the variables in
+    first-occurrence order, whatever `ident.variables` says, and each side is
+    expanded into monomials once. A side's monomials drive its own search;
+    mapped through that search's slots, they check it at the other side's
+    hits. On a flat semiring a sum equals a non-zero target only when every
+    summand does, so a hit folds the other side's monomials in written order
+    and stops at the first that misses the target. A miss is re-checked on
+    the term trees (`_failure`) before it is reported.
 
     Only is_flat is checked here. The search also relies on the semiring
     axioms (associative multiplication, both distributive laws), so a caller
@@ -640,8 +690,12 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     """
     if not is_flat(s):
         raise ValueError("flat checker requires a flat semiring; use brute force")
-    ident = make_identity(ident.lhs, ident.rhs)
-    for side in (ident.lhs, ident.rhs):
+    lhs, rhs = ident.lhs, ident.rhs
+    names: dict[str, None] = {}
+    _walk_variables(lhs, names)
+    _walk_variables(rhs, names)
+    variables = tuple(names)
+    for side in (lhs, rhs):
         count = _monomial_count(side)
         if count > MAX_MONOMIALS:
             # Python refuses to print an int of more than 4,300 digits.
@@ -650,12 +704,21 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
                 f"identity side expands to {size} monomials, "
                 f"over the flat checker's cap of {MAX_MONOMIALS}"
             )
-    explored = 0
-    for side, other in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
-        search = _SideSearch(s, _monomials(side), ident.variables)
-        for target in search.nonzero:
-            for values in search.search(target):
-                if _value(other, values, s) != target:
-                    return _failure(ident, values, s, explored + search.explored)
+    expanded = (_monomials(lhs), _monomials(rhs))
+    mul, explored = s.mul, 0
+    for side, other in (expanded, expanded[::-1]):
+        search = _SideSearch(s, side, variables)
+        slot = search.slot
+        checks = [(slot[mono[0]], tuple(map(slot.__getitem__, mono[1:]))) for mono in other]
+        for target, assignment in search.hits():
+            for first, rest in checks:
+                prod = assignment[first]
+                for i in rest:
+                    prod = mul[prod][assignment[i]]
+                if prod != target:
+                    values = dict(zip(search.order, assignment))
+                    return _failure(
+                        Identity(lhs, rhs, variables), values, s, explored + search.explored
+                    )
         explored += search.explored
     return CheckResult("holds", None, explored)

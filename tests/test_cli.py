@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flathg import cli
+from flathg import cli, terms
 from flathg.cli import main
 from flathg.constructions import format_witness_report, verify_witness
 from flathg.hg_semiring import build_semiring
@@ -82,6 +82,27 @@ class TestExitCodes:
         assert err == (
             "flathg: error: identity side expands to 8192 monomials, "
             "over the flat checker's cap of 4096\n"
+        )
+
+    @pytest.mark.parametrize("key", ("nested:²", "nested:١"))
+    def test_a_nested_index_of_other_digits_is_an_input_error(self, capsys, key):
+        """Not a traceback ('²'), nor a check of nested:1 (Arabic-Indic one):
+        the key is no builtin, so the token is read as a file."""
+        code, out, err = run(capsys, ["check", "builtin:sc_abc", key])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"flathg: error: cannot read file: {key} ")
+
+    @pytest.mark.parametrize("index", (513, 10**9))
+    def test_a_nested_index_past_the_bound_is_an_input_error(self, capsys, monkeypatch, index):
+        def unreachable(i):
+            raise AssertionError(f"nested_identity({i}) was built")
+
+        monkeypatch.setattr(terms, "nested_identity", unreachable)
+        code, out, err = run(capsys, ["check", "builtin:sc_abc", f"nested:{index}"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"flathg: error: identity 'nested:{index}': index over MAX_NESTED_INDEX (512), "
+            "the largest the flat checker accepts\n"
         )
 
     def test_deep_brackets_are_an_input_error(self, capsys):

@@ -173,6 +173,31 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown identity"):
             builtin_identity("eq9.9")
 
+    @pytest.mark.parametrize("key", ("nested:²", "nested:١", "nested:1١", "nested:", "nested:0"))
+    def test_nested_index_is_ascii_digits(self, key):
+        """str.isdigit is also true for '²', which int() refuses, and for the
+        Arabic-Indic one, which int() reads as 1."""
+        with pytest.raises(KeyError, match="unknown identity"):
+            builtin_identity(key)
+
+    @pytest.mark.parametrize(
+        "index", ("513", "1000000000", "9" * 5000), ids=("513", "10^9", "5000-digits")
+    )
+    def test_nested_index_past_the_bound_is_refused_before_building(self, monkeypatch, index):
+        def unreachable(i):
+            raise AssertionError(f"nested_identity({i}) was built")
+
+        monkeypatch.setattr(terms, "nested_identity", unreachable)
+        message = r"index over MAX_NESTED_INDEX \(512\), the largest the flat checker accepts$"
+        with pytest.raises(ValueError, match=message):
+            builtin_identity(f"nested:{index}")
+
+    def test_the_nested_bound_is_the_flat_checkers_cap(self):
+        assert terms.MAX_NESTED_INDEX == 512
+        assert terms._monomial_count(nested_identity(512).rhs) == terms.MAX_MONOMIALS
+        assert terms._monomial_count(nested_identity(513).rhs) > terms.MAX_MONOMIALS
+        assert builtin_identity("nested:0512") == nested_identity(512)
+
     def test_nested_identity_variable_count(self):
         for i in (1, 2, 3):
             assert len(nested_identity(i).variables) == 3 * i + 3
@@ -751,6 +776,63 @@ def test_shared_prefix_matches_the_per_target_search(differential_carriers, carr
     result = check_identity_flat(s, ident)
     cex = result.counterexample and list(result.counterexample.items())
     assert (result.verdict, cex, result.explored) == _per_target_check(s, ident)
+
+
+@st.composite
+def regrouped(draw, node):
+    """`node` with one more level of nesting drawn into each sum and
+    product: a run of its operands, possibly one operand or all of them,
+    becomes a sum or product of its own."""
+    if isinstance(node, Variable):
+        return node
+    kind, parts = (Sum, node.terms) if isinstance(node, Sum) else (Product, node.factors)
+    parts = [draw(regrouped(t)) for t in parts]
+    i, j = sorted(draw(st.lists(st.integers(0, len(parts)), min_size=2, max_size=2)))
+    if i < j:
+        parts[i:j] = [kind(tuple(parts[i:j]))]
+    return kind(tuple(parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["sc_abc", "sc_abcd", "beam(1)", "n_cycle(3)", "brandt"]),
+    st.data(),
+)
+def test_hand_built_identities_check_as_their_normal_form(differential_carriers, carrier, data):
+    """An Identity built by hand, with nested sums and products and its
+    variables scrambled or missing, checks as make_identity's normal form."""
+    s = differential_carriers[carrier]
+    ident = data.draw(differential_identities())
+    lhs, rhs = data.draw(regrouped(ident.lhs)), data.draw(regrouped(ident.rhs))
+    variables = data.draw(st.one_of(st.just(()), st.permutations(ident.variables)))
+    got, want = (
+        (r.verdict, r.counterexample and list(r.counterexample.items()), r.explored)
+        for r in (check_identity_flat(s, i) for i in (terms.Identity(lhs, rhs, variables), ident))
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "level, verdict, explored, calls", [(3, "holds", 9416, 0), (4, "fails", 8818, 2)]
+)
+def test_hits_are_checked_without_the_tree_walker(monkeypatch, level, verdict, explored, calls):
+    """nested:4 holds on nested(3) and fails on nested(4). A hit is checked
+    by folding monomials, so the tree walker runs only in `_failure`'s
+    re-check of the counterexample, once for each side."""
+    callers = []
+    value = terms._value
+
+    def spy(node, values, s):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_value":
+            callers.append(caller)
+        return value(node, values, s)
+
+    monkeypatch.setattr(terms, "_value", spy)
+    s = build_semiring(family("nested", level)).exported
+    result = check_identity_flat(s, builtin_identity("nested:4"))
+    assert (result.verdict, result.explored) == (verdict, explored)
+    assert callers == ["_failure"] * calls
 
 
 # The trivial group with a zero adjoined: e·e = e, so no product of e's
