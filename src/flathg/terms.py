@@ -481,20 +481,17 @@ def _monomials(node: Term) -> list[tuple[str, ...]]:
     """Expand a term into its sum-of-products monomial list, each monomial
     its variables in written order. Nested sums and products expand as their
     flattened forms do: a product's monomials come in the order of
-    `itertools.product` over its factors' lists."""
+    `itertools.product` over its factors' lists. Each monomial is joined
+    once, so the work is linear in the output."""
     if isinstance(node, Variable):
         return [(node.name,)]
-    out: list[tuple[str, ...]]
     if isinstance(node, Sum):
-        out = []
+        out: list[tuple[str, ...]] = []
         for t in node.terms:
             out.extend(_monomials(t))
         return out
-    out = [()]
-    for f in node.factors:
-        tails = _monomials(f)
-        out = [mono + tail for mono in out for tail in tails]
-    return out
+    parts = [_monomials(f) for f in node.factors]
+    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*parts)]
 
 
 class _SideSearch:
