@@ -18,7 +18,8 @@ from itertools import chain, permutations
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
 from .hypergraph import Hypergraph, family, leaf_edges, sub_hypergraph, validate
-from .semiring import FiniteSemiring, _flat_row, gather, is_commutative, is_flat, multiplicative_zero
+from .semiring import (FiniteSemiring, _flat_row, gather, is_commutative, is_flat, is_flat_semiring,
+                       multiplicative_zero)
 from .terms import check_identity_flat, nested_identity
 from .words import build_sc
 
@@ -284,11 +285,11 @@ def _zero_coordinate_quotient(
 ) -> tuple[int, int, FiniteSemiring | str]:
     """The size of the closure C that generated_subsemiring builds, the size
     of the ideal J of its elements with a zero coordinate, and the quotient
-    C/J that _quotient builds, or its refusal; without C's tables.
+    C/J that quotient_by_ideal builds, or its refusal; without C's tables.
 
-    The base must be flat (z absorbs · and is the top of +, x + x = x) with
-    z its zero, and its products must cancel (a·b = a·c != z forces b = c,
-    on either side), which in a flat base is both distributive laws.
+    The base must be a flat semiring (z absorbs · and is the top of +,
+    x + x = x, and products cancel: a·b = a·c != z forces b = c, on either
+    side, which in a flat base is both distributive laws) with z its zero.
 
     Let P be the closure of the generators under · alone. Every element of
     C is the sum of a non-empty set of members of P: those sums contain the
@@ -309,7 +310,7 @@ def _zero_coordinate_quotient(
     the order in which P's worklist does: the sums outside J are x + x = x.
     The quotient is "J" and those elements in that order, with x + x = x,
     every other sum J, and P's products mapped to their classes. Without
-    the zero tuple in C, _quotient refuses; so does this.
+    the zero tuple in C, quotient_by_ideal refuses; so does this.
     """
     z = base._laws.mul.zero
     _, products, _, mul, rebuild = _worklist(base, generators, cap, with_add=False)
@@ -370,37 +371,25 @@ def quotient_by_ideal(a: GeneratedSubsemiring, ideal) -> IdealQuotient:
     for x in j_list:
         if x not in position:
             raise ValueError(f"ideal member {a.label(x)} is not in the closure")
-    return IdealQuotient(a, tuple(j_list), _quotient(a, [position[x] for x in j_list]))
-
-
-def _quotient(a: GeneratedSubsemiring, j_idx: list[int]) -> FiniteSemiring:
-    """quotient_by_ideal's quotient, for an ideal given as closure
-    positions: scan J (_check_congruence), then collapse it."""
     if _zero_of(a.base) is None:
         raise ValueError("base semiring has no zero element")
-    zero = a.semiring.zero
-    j_set = set(j_idx)
+    j_idx = [position[x] for x in j_list]
+    zero, j_set, k = a.semiring.zero, set(j_idx), len(a.elements)
     if zero not in j_set:
         raise ValueError("the ideal must contain the zero tuple")
     _check_congruence(a, j_idx, j_set)
-    labels = a.semiring.elements
-    k = len(a.elements)
     reps = [zero] + [x for x in range(k) if x not in j_set]
     class_of = [0] * k
     for i, x in enumerate(reps[1:], start=1):
         class_of[x] = i
-
     pick = gather(reps)
 
     def quotient_table(table):
         return tuple(tuple(map(class_of.__getitem__, pick(table[x]))) for x in reps)
 
-    return FiniteSemiring._trusted(
-        ("J",) + tuple(labels[x] for x in reps[1:]),
-        quotient_table(a.semiring.add),
-        quotient_table(a.semiring.mul),
-        zero=0,
-    )
+    labels = ("J",) + tuple(a.semiring.elements[x] for x in reps[1:])
+    add, mul = quotient_table(a.semiring.add), quotient_table(a.semiring.mul)
+    return IdealQuotient(a, tuple(j_list), FiniteSemiring._trusted(labels, add, mul, zero=0))
 
 
 def _check_congruence(a: GeneratedSubsemiring, j_idx: list[int], j_set: set[int]) -> None:
@@ -645,24 +634,23 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
     """Closure, ideal, quotient, flatness, isomorphism; stop at the first
     stage that fails.
 
-    Over a flat base whose zero absorbs both tables and whose products
-    cancel, the ideal of tuples with a zero coordinate is a congruence
-    (Rees, "On semi-groups", 1940) and is collapsed without the closure's
-    tables (_zero_coordinate_quotient). Any other ideal or base is closed
-    (generated_subsemiring) and scanned (_quotient).
+    Over a base that is_flat_semiring, with its multiplicative zero as the
+    zero, the ideal of tuples with a zero coordinate is a congruence (Rees,
+    "On semi-groups", 1940) and is collapsed without the closure's tables
+    (_zero_coordinate_quotient). Any other ideal or base is closed
+    (generated_subsemiring) and scanned (quotient_by_ideal).
     """
     base = plan.base
-    laws = base._laws
     zero = _zero_of(base)
-    if plan.in_ideal is None and laws.flat and zero == laws.mul.zero and laws.cancellation is None:
+    if plan.in_ideal is None and is_flat_semiring(base) and zero == multiplicative_zero(base):
         closure_size, ideal_size, quotient = _zero_coordinate_quotient(base, plan.generators, closure_cap)
     else:
         closure = generated_subsemiring(base, plan.generators, cap=closure_cap)
         in_ideal = plan.in_ideal or (lambda x: zero in x)
-        ideal = [i for i, x in enumerate(closure.elements) if in_ideal(x)]
+        ideal = [x for x in closure.elements if in_ideal(x)]
         closure_size, ideal_size = len(closure.elements), len(ideal)
         try:
-            quotient = _quotient(closure, ideal)
+            quotient = quotient_by_ideal(closure, ideal).quotient
         except ValueError as exc:
             quotient = str(exc)
     gens = [_power_element(base, g) for g in plan.generators]

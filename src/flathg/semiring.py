@@ -44,7 +44,9 @@ a(b+c) = a·z = z, and ab + ac is ab if ab = ac and z otherwise, so the law
 fails exactly where ab = ac != z (for b = c it holds, + being idempotent).
 The least failing (a, b, c) is the first repeat in the first row (or
 column) with one, which the cancellation scan reports, so a semiring that
-flat_completion built leaves verify_axioms nothing to scan.
+flat_completion built leaves verify_axioms nothing to scan. So "flat and a
+semiring" is flatness, associativity and cancellation: is_flat_semiring,
+which every flat fast path (the flat checker, the Rees quotient) reads.
 """
 
 from __future__ import annotations
@@ -475,6 +477,13 @@ def is_flat(s: FiniteSemiring) -> bool:
     one distinct pair to collapse.
     """
     return s._laws.flat
+
+
+def is_flat_semiring(s: FiniteSemiring) -> bool:
+    """is_flat(s) and verify_axioms(s).all_pass, read as flatness first and
+    then the two laws a flat table can break (see the module docstring)."""
+    laws = s._laws
+    return laws.flat and laws.mul_associative is None and laws.cancellation is None
 
 
 def _first_repeat(entries) -> tuple[int, int] | None:

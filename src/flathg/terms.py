@@ -19,7 +19,9 @@ from .semiring import (
     _first_difference,
     is_commutative,
     is_flat,
+    is_flat_semiring,
     multiplicative_zero,
+    verify_axioms,
 )
 
 
@@ -114,6 +116,9 @@ MAX_NESTING = 200
 # than this. A product of k binomials has 2^k; at twelve (4,096) a check
 # already takes seconds, and each further binomial doubles time and memory.
 MAX_MONOMIALS = 4096
+
+# The brute-force checker's default budget of assignments (`--budget-evals`).
+BUDGET_EVALS_DEFAULT = 10_000_000
 
 # The largest i a `nested:i` token may name; a larger one is refused before
 # the identity is built. nested(i)'s binomial side expands to 8i monomials,
@@ -432,7 +437,7 @@ def _failure(
 
 
 def check_identity_bruteforce(
-    s: FiniteSemiring, ident: Identity, budget: int = 10_000_000
+    s: FiniteSemiring, ident: Identity, budget: int = BUDGET_EVALS_DEFAULT
 ) -> CheckResult:
     """Exhaust every assignment; first counterexample in lexicographic order.
 
@@ -680,13 +685,15 @@ def check_identity_flat(s: FiniteSemiring, ident: Identity) -> CheckResult:
     and stops at the first that misses the target. A miss is re-checked on
     the term trees (`_failure`) before it is reported.
 
-    Only is_flat is checked here. The search also relies on the semiring
-    axioms (associative multiplication, both distributive laws), so a caller
-    holding a table of unknown origin must confirm them with verify_axioms
-    first; on a table that breaks them a verdict can be wrong.
+    The search relies on the semiring axioms as well as flatness, so a table
+    that is not is_flat_semiring is refused with ValueError, naming the
+    failing axioms if the table is flat.
     """
-    if not is_flat(s):
-        raise ValueError("flat checker requires a flat semiring; use brute force")
+    if not is_flat_semiring(s):
+        if not is_flat(s):
+            raise ValueError("flat checker requires a flat semiring; use brute force")
+        failing = ", ".join(verify_axioms(s).failing())
+        raise ValueError(f"flat checker requires a semiring; this flat table fails {failing}")
     lhs, rhs = ident.lhs, ident.rhs
     names: dict[str, None] = {}
     _walk_variables(lhs, names)

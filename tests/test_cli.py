@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flathg import cli, terms
+from flathg import cli, semiring, terms
 from flathg.cli import main
 from flathg.constructions import format_witness_report, verify_witness
 from flathg.hg_semiring import build_semiring
@@ -331,6 +331,27 @@ class TestCheck:
         assert record["verdict"] == "fails"
         assert record["method"] == "brute-force"
         assert record["counterexample"] == {"x": "a", "y": "b"}
+
+    def test_a_non_flat_subject_reads_flatness_and_no_law(self, capsys, tmp_path, monkeypatch):
+        """A chain lattice (add = max, mul = min) is not flat, so check
+        sends it to brute force without scanning any semiring law."""
+        scans = []
+        for name in ("_assoc_failure", "_distributive_failure", "_commutativity_failure",
+                     "_cancellation_failure", "verify_axioms"):
+            monkeypatch.setattr(semiring, name, lambda *a, name=name: scans.append(name))
+        r = range(6)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "elements": [str(i) for i in r],
+            "add": [[max(i, j) for j in r] for i in r],
+            "mul": [[min(i, j) for j in r] for i in r],
+            "zero": 0,
+        }))
+        code, out, _ = run(capsys, ["--format", "structured", "check", str(path), "x*(x+y) = x"])
+        assert code == 0
+        record = json.loads(out)
+        assert (record["verdict"], record["method"], record["explored"]) == ("holds", "brute-force", 36)
+        assert scans == []
 
     @pytest.mark.parametrize("fmt", ("text", "structured"))
     def test_export_writes_the_printed_verdicts(self, capsys, tmp_path, fmt):

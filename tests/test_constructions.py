@@ -791,19 +791,20 @@ def test_a_witness_closure_and_quotient_pass_the_constructors_check(kwargs, monk
     tables; the public constructor accepts them unchanged. triangle_in_abcd
     builds both; the zero-coordinate kinds build only the quotient."""
     built = []
-    quotient, zero_coordinate = constructions._quotient, constructions._zero_coordinate_quotient
+    quotient, zero_coordinate = constructions.quotient_by_ideal, constructions._zero_coordinate_quotient
 
     def recording_quotient(closure, ideal):
         built.append(closure.semiring)
-        built.append(quotient(closure, ideal))
-        return built[-1]
+        result = quotient(closure, ideal)
+        built.append(result.quotient)
+        return result
 
     def recording_zero_coordinate(*args):
         sizes_and_quotient = zero_coordinate(*args)
         built.append(sizes_and_quotient[2])
         return sizes_and_quotient
 
-    monkeypatch.setattr(constructions, "_quotient", recording_quotient)
+    monkeypatch.setattr(constructions, "quotient_by_ideal", recording_quotient)
     monkeypatch.setattr(constructions, "_zero_coordinate_quotient", recording_zero_coordinate)
     assert verify_witness(**kwargs).ok
     assert len(built) == (2 if kwargs["kind"] == "triangle_in_abcd" else 1)

@@ -9,7 +9,7 @@ import tokenize
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flathg import terms
@@ -853,6 +853,53 @@ def test_hits_are_checked_without_the_tree_walker(monkeypatch, level, verdict, e
     result = check_identity_flat(s, builtin_identity("nested:4"))
     assert (result.verdict, result.explored) == (verdict, explored)
     assert callers == ["_failure"] * calls
+
+
+@st.composite
+def flat_tables(draw):
+    """A random flat table of 2 to 5 elements: flat addition, an absorbing
+    zero z and random other products, so associativity and cancellation
+    may fail."""
+    n = draw(st.integers(2, 5))
+    z = draw(st.integers(0, n - 1))
+    entry = st.one_of(st.just(z), st.integers(0, n - 1))
+    add = [[x if x == y else z for y in range(n)] for x in range(n)]
+    mul = [[z if z in (x, y) else draw(entry) for y in range(n)] for x in range(n)]
+    return FiniteSemiring(tuple(map(str, range(n))), add, mul, zero=z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_tables(), differential_identities())
+@example(NON_ASSOCIATIVE, parse_identity("x2*x2*x3 = x3*x2*x2 + x2*x3"))
+def test_the_flat_checker_decides_only_flat_semirings(s, ident):
+    """A flat table that breaks a semiring axiom is refused. Any verdict
+    given is brute force's, a counterexample separates the sides, and the
+    table is a semiring."""
+    assert is_flat(s)
+    try:
+        result = check_identity_flat(s, ident)
+    except ValueError as exc:
+        assert str(exc).startswith("flat checker requires a semiring; ")
+        assert not verify_axioms(s).all_pass
+        return
+    assert result.holds == check_identity_bruteforce(s, ident).holds
+    if not result.holds:
+        cex = result.counterexample
+        assert eval_term(ident.lhs, cex, s) != eval_term(ident.rhs, cex, s)
+    assert verify_axioms(s).all_pass
+
+
+def test_a_flat_table_that_is_not_a_semiring_is_refused_by_name():
+    """NON_ASSOCIATIVE is flat, so the message names the axioms it breaks;
+    the message for a table that is not flat is unchanged."""
+    message = (
+        "flat checker requires a semiring; this flat table fails "
+        "mul-associative, left-distributive, right-distributive"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_identity_flat(NON_ASSOCIATIVE, parse_identity("x = x"))
+    with pytest.raises(ValueError, match="^flat checker requires a flat semiring; use brute force$"):
+        check_identity_flat(BOOLEAN, parse_identity("x = x"))
 
 
 # The trivial group with a zero adjoined: e·e = e, so no product of e's
