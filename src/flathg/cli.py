@@ -43,6 +43,7 @@ from .semiring import (
 from .terms import (
     BUDGET_EVALS_DEFAULT,
     IdentitySyntaxError,
+    ascii_index,
     builtin_identity,
     check_identity_bruteforce,
     check_identity_flat,
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("family", "print a family hypergraph")
     p.add_argument("kind")
-    p.add_argument("index", type=int)
+    p.add_argument("index")
 
     subparser("suite", "run the full acceptance battery")
     return parser
@@ -149,18 +150,28 @@ def _read_file(path: str) -> str:
         raise CliInputError(f"cannot read file: {path} ({exc.strerror})") from exc
 
 
+def _index(text: str, what: str) -> int:
+    """An index in ASCII digits (ascii_index), at most sys.maxsize."""
+    index = ascii_index(text, sys.maxsize)
+    if index is None:
+        raise CliInputError(f"{what} must be an integer: {text!r}")
+    if index > sys.maxsize:
+        raise CliInputError(f"{what} must be at most {sys.maxsize}")
+    return index
+
+
+def _family(kind: str, index: int) -> Hypergraph:
+    try:
+        return family(kind, index)
+    except ValueError as exc:
+        raise CliInputError(str(exc))
+
+
 def _family_from_token(token: str) -> Hypergraph:
     parts = token.split(":")
     if len(parts) != 3 or parts[0] != "family":
         raise CliInputError(f"unknown builtin: {token}")
-    try:
-        index = int(parts[2])
-    except ValueError:
-        raise CliInputError(f"family index must be an integer: {parts[2]!r}")
-    try:
-        return family(parts[1], index)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    return _family(parts[1], _index(parts[2], "family index"))
 
 
 def _load_hypergraph(source: str) -> Hypergraph:
@@ -433,10 +444,7 @@ def _cmd_witness(args, out: Reporter) -> int:
     kwargs = {"colorings_cap": args.colorings_cap, "closure_cap": args.closure_cap}
     for name, param in zip(names, args.params):
         if name == "index":
-            try:
-                kwargs[name] = int(param)
-            except ValueError:
-                raise CliInputError(f"{kind} index must be an integer: {param!r}")
+            kwargs[name] = _index(param, f"{kind} index")
         elif name == "hypergraph":
             kwargs[name] = _load_hypergraph(param)
         else:
@@ -466,14 +474,12 @@ def _cmd_witness(args, out: Reporter) -> int:
 
 
 def _cmd_family(args, out: Reporter) -> int:
-    try:
-        h = family(args.kind, args.index)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    index = _index(args.index, "family index")
+    h = _family(args.kind, index)
     fields = {
         "command": "family",
         "kind": args.kind,
-        "index": args.index,
+        "index": index,
         "vertices": list(h.vertices),
         "edges": [list(e) for e in h.edge_list()],
     }

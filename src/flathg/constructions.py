@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain, islice, permutations, zip_longest
 
 from .coloring import enumerate_strong_colorings
 from .hg_semiring import build_semiring
@@ -81,13 +81,14 @@ class GeneratedSubsemiring:
         return _power_label(self.base, x)
 
 
-def _homomorphism(base: FiniteSemiring, pairs) -> dict[int, int] | None:
-    """The homomorphism h with h(x) = y for each pair (x, y), on the
-    subsemiring of base that the xs generate, or None if there is none.
+def _homomorphism(tables, pairs) -> dict[int, int] | None:
+    """The map h with h(x) = y for each pair (x, y) that preserves each of
+    the base's tables, on the closure of the xs under them, or None if
+    there is none.
 
-    The pairs generate a subsemiring of base × base; h exists exactly when
-    that closure is the graph of a function, and then it is h. The worklist
-    so stops at the first x paired with two values, within |base| + 1 pairs.
+    The pairs generate a closure in base × base; h exists exactly when that
+    closure is the graph of a function, and then it is h. The worklist so
+    stops at the first x paired with two values, within |base| + 1 pairs.
     """
     h = dict(pairs)
     if len(h) < len(pairs):
@@ -95,7 +96,7 @@ def _homomorphism(base: FiniteSemiring, pairs) -> dict[int, int] | None:
     known = list(h)
     for i, x in enumerate(known):
         for y in known[: i + 1]:
-            for table in (base.add, base.mul):
+            for table in tables:
                 for a, b in ((x, y), (y, x)):
                     z, w = table[a][b], table[h[a]][h[b]]
                     if z not in h:
@@ -105,11 +106,14 @@ def _homomorphism(base: FiniteSemiring, pairs) -> dict[int, int] | None:
     return h
 
 
-def _determined_coordinates(base: FiniteSemiring, gens) -> dict[int, tuple[int, dict[int, int]]]:
+def _determined_coordinates(
+    base: FiniteSemiring, gens, ops: tuple[str, ...] = ("add", "mul")
+) -> dict[int, tuple[int, dict[int, int]]]:
     """Coordinate c' -> (c, h) for each generator coordinate c' that an
-    earlier kept coordinate c determines: h is the _homomorphism of the
-    pairs (g[c], g[c']) over the generators g. The other coordinates are
-    kept."""
+    earlier kept coordinate c determines under the operations ops: h is the
+    _homomorphism of their tables through the pairs (g[c], g[c']) over the
+    generators g. The other coordinates are kept."""
+    tables = [getattr(base, op) for op in ops]
     columns = list(zip(*gens))
     kept: list[int] = []
     determined = {}
@@ -120,7 +124,7 @@ def _determined_coordinates(base: FiniteSemiring, gens) -> dict[int, tuple[int, 
         for c in kept:
             pairs = frozenset(zip(columns[c], column))
             if pairs not in tried:
-                tried[pairs] = _homomorphism(base, pairs)
+                tried[pairs] = _homomorphism(tables, pairs)
             if tried[pairs] is not None:
                 determined[c2] = (c, tried[pairs])
                 break
@@ -129,41 +133,54 @@ def _determined_coordinates(base: FiniteSemiring, gens) -> dict[int, tuple[int, 
     return determined
 
 
-def _worklist(base: FiniteSemiring, generators, cap: int, with_add: bool):
-    """The worklist fixpoint of the generators under componentwise add and
-    mul, or under mul alone with the add streams off.
+class _Interned(dict):
+    """Element strings to their positions in elements, the discovery order;
+    looking up a new string interns it, up to cap elements."""
+
+    def __init__(self, cap: int):
+        self.cap, self.elements = cap, []
+
+    def __missing__(self, z: str) -> int:
+        if len(self.elements) >= self.cap:
+            raise ValueError(f"closure exceeded {self.cap} elements; refusing to continue")
+        k = self[z] = len(self.elements)
+        self.elements.append(z)
+        return k
+
+
+def _worklist(base: FiniteSemiring, generators, cap: int, ops: tuple[str, ...]):
+    """The worklist fixpoint of the generators under the componentwise base
+    operations named in ops: ("add", "mul"), or ("mul",) for the products
+    alone.
 
     Returns the generators as index tuples, the elements in discovery order
-    as strings of their kept coordinates, the add table (empty with the add
-    streams off) and the mul table over the element positions, and a
-    function that rebuilds the full tuples of such strings. The fixpoint
-    refuses to grow past cap elements.
+    as strings of their kept coordinates, one table per operation in ops
+    over the element positions, and a function that rebuilds the full
+    tuples of such strings. The fixpoint refuses to grow past cap elements.
 
     The fixpoint runs on the kept coordinates only. A coordinate c' is
     determined by an earlier kept coordinate c when the map g[c] -> g[c']
-    over the generators g extends to a homomorphism h of the subsemiring of
-    base that the g[c] generate (_homomorphism). Then x[c'] = h(x[c]) for
-    every element x: x is t(g1, ..., gm) for a term t, and h commutes with
-    t. So two elements are equal exactly when their kept coordinates are,
-    the worklist finds the same elements in the same order, and the full
-    tuples are rebuilt through h.
+    over the generators g extends to a map h that preserves the operations
+    in ops on the closure of the g[c] under them (_homomorphism). Then
+    x[c'] = h(x[c]) for every element x: x is t(g1, ..., gm) for a term t
+    in those operations, and h commutes with t. So two elements are equal
+    exactly when their kept coordinates are, the worklist finds the same
+    elements in the same order, and the full tuples are rebuilt through h.
 
     The fixpoint works column-wise. Each element is held as a str with one
     character chr(v) per kept coordinate v; str has no limit on the base
-    size. Each base element x has one translation table per operation and
-    side, sending b to x+b, b+x, x·b and b·x. At cursor x, with n elements
-    known, coordinate column c of those n elements is one strided slice of
-    their concatenation, and one str.translate by x's entry in column c
-    gives that coordinate of x∘y, or of y∘x (∘ being + or ·), for all n
-    elements y at once. The k translated columns, joined, hold the n
-    products as strided slices. Products are interned per y in the order
-    y+x, x+y, y·x, x·y; one already known is a single dict lookup.
-
-    A commutative operation (is_commutative) has only the y∘x translations:
-    its x∘y is the same string, and interning it again would always be a
-    hit. Its one product stream per cursor fills both the row entry x∘y and
-    the column entry y∘x, so the elements, their order and the tables are
-    those of the two-sided streams, which non-commutative tables keep.
+    size. Each operation ∘ gives a product stream y∘x and, unless ∘ is
+    commutative (is_commutative), x∘y; a commutative x∘y is the string y∘x,
+    and interning it again would always be a hit. At cursor x, with n
+    elements known, column c of their strings, each written once per
+    stream with the s-th copy shifted by s·|base| (folded), is one strided
+    slice, and one str.translate by x's entry in column c gives that
+    coordinate of every product in every stream. The k translated columns,
+    joined, hold the products as strided slices, per y in the order y+x,
+    x+y, y·x, x·y, and one comprehension interns them in that order; a
+    product already known is a single dict lookup. Row x of an operation's
+    table is its x∘y stream (y∘x when ∘ commutes) up to the diagonal, then
+    its y∘x products at the later cursors.
     """
     gens = [_power_element(base, g) for g in generators]
     if not gens:
@@ -173,75 +190,46 @@ def _worklist(base: FiniteSemiring, generators, cap: int, with_add: bool):
         raise ValueError("power arity must be at least 1")
     if any(len(g) != arity for g in gens):
         raise ValueError(f"generators must all have {arity} coordinates")
-    determined = _determined_coordinates(base, gens)
+    determined = _determined_coordinates(base, gens, ops)
     kept = [c for c in range(arity) if c not in determined]
     width = len(kept)
-    # Per operation, translation tables per base element x, indexed by x's
-    # coordinate: y∘x from x's column, then x∘y from x's row, or None when
-    # the table is commutative. With the add streams off, add has neither.
-    translations: list = [] if with_add else [None, None]
-    for op in ("add", "mul") if with_add else ("mul",):
+    # Per stream, its base table's line through each x: x's column for y∘x,
+    # x's row for x∘y. Per operation, its y∘x and x∘y streams.
+    lines, pairs = [], []
+    for op in ops:
         table = getattr(base, op)
-        translations.append([str.maketrans(dict(enumerate(col))) for col in zip(*table)])
-        translations.append(
-            None if is_commutative(base, op) else [str.maketrans(dict(enumerate(row))) for row in table]
-        )
-    elements: list[str] = []
-    position: dict[str, int] = {}
-    get = position.get
-    # add[i] and mul[i] gain column j when the worklist reaches max(i, j).
-    add: list[list[int]] = []
-    mul: list[list[int]] = []
-
-    def intern(z: str) -> int:
-        k = get(z)
-        if k is None:
-            if len(elements) >= cap:
-                raise ValueError(f"closure exceeded {cap} elements; refusing to continue")
-            k = position[z] = len(elements)
-            elements.append(z)
-        return k
-
+        yx = len(lines)
+        lines.append(list(zip(*table)))
+        if not is_commutative(base, op):
+            lines.append(table)
+        pairs.append((yx, len(lines) - 1))
+    streams, size = len(lines), base.size
+    # shifts[s - 1] folds a string into stream s; by_x[x] sends b folded
+    # into stream s to b's product with x in stream s.
+    shifts = [str.maketrans({b: b + s * size for b in range(size)}) for s in range(1, streams)]
+    by_x = [
+        str.maketrans(dict(zip(range(streams * size), chain.from_iterable(line[x] for line in lines))))
+        for x in range(size)
+    ]
+    position = _Interned(cap)
+    elements = position.elements
     for g in gens:
-        intern("".join([chr(g[c]) for c in kept]))
-    cursor = 0
-    while cursor < len(elements):
-        x = elements[cursor]
-        n = cursor + 1
-        known = "".join(elements[:n])
-        columns = [known[c::width] for c in range(width)]
-        yx_add, xy_add, yx_mul, xy_mul = (
-            None
-            if by_x is None
-            else "".join([col.translate(by_x[ord(xc)]) for col, xc in zip(columns, x)])
-            for by_x in translations
-        )
-        add_row: list[int] = []
-        mul_row: list[int] = []
-        for i in range(n):
-            if with_add:
-                yx_add_i = get(z := yx_add[i::n])
-                if yx_add_i is None:
-                    yx_add_i = intern(z)
-                xy_add_i = yx_add_i if xy_add is None else get(z := xy_add[i::n])
-                if xy_add_i is None:
-                    xy_add_i = intern(z)
-                add_row.append(xy_add_i)
-                if i < cursor:
-                    add[i].append(yx_add_i)
-            yx_mul_i = get(z := yx_mul[i::n])
-            if yx_mul_i is None:
-                yx_mul_i = intern(z)
-            xy_mul_i = yx_mul_i if xy_mul is None else get(z := xy_mul[i::n])
-            if xy_mul_i is None:
-                xy_mul_i = intern(z)
-            mul_row.append(xy_mul_i)
-            if i < cursor:
-                mul[i].append(yx_mul_i)
-        if with_add:
-            add.append(add_row)
-        mul.append(mul_row)
-        cursor += 1
+        position["".join([chr(g[c]) for c in kept])]
+    # Per cursor x, x's products with each y up to x, per y in stream order.
+    folded, hits = [], []
+    while len(hits) < len(elements):
+        x = elements[len(hits)]
+        folded.append(x + "".join([x.translate(t) for t in shifts]))
+        known = "".join(folded)
+        products = "".join([known[c::width].translate(by_x[ord(xc)]) for c, xc in enumerate(x)])
+        step = streams * len(folded)
+        hits.append([position[products[q::step]] for q in range(step)])
+
+    def table(yx: int, xy: int) -> tuple[tuple[int, ...], ...]:
+        """Row x: x∘y up to the diagonal, then column x of the later y∘x."""
+        rows = (tuple(islice(h, xy, None, streams)) for h in hits)
+        later = zip_longest(*(islice(h, yx, None, streams) for h in hits))
+        return tuple(row + col[i + 1 :] for i, (row, col) in enumerate(zip(rows, later)))
 
     def rebuild(strings) -> tuple[tuple[int, ...], ...]:
         """The full tuples of kept-coordinate strings."""
@@ -251,7 +239,7 @@ def _worklist(base: FiniteSemiring, generators, cap: int, with_add: bool):
             columns[c] = columns[source].translate(h)
         return tuple(zip(*(map(ord, columns[c]) for c in range(arity))))
 
-    return gens, elements, add, mul, rebuild
+    return gens, elements, [table(yx, xy) for yx, xy in pairs], rebuild
 
 
 def generated_subsemiring(
@@ -266,17 +254,12 @@ def generated_subsemiring(
     cap, since a runaway closure means the construction is being fed
     something it was never meant for.
     """
-    gens, elements, add, mul, rebuild = _worklist(base, generators, cap, with_add=True)
+    gens, elements, (add, mul), rebuild = _worklist(base, generators, cap, ("add", "mul"))
     tuples = rebuild(elements)
     z = _zero_of(base)
     zero_tuple = (z,) * len(gens[0])
     zero = tuples.index(zero_tuple) if z is not None and zero_tuple in tuples else None
-    semiring = FiniteSemiring._trusted(
-        tuple(_power_label(base, x) for x in tuples),
-        tuple(map(tuple, add)),
-        tuple(map(tuple, mul)),
-        zero,
-    )
+    semiring = FiniteSemiring._trusted(tuple(_power_label(base, x) for x in tuples), add, mul, zero)
     return GeneratedSubsemiring(base, tuple(gens), tuples, semiring)
 
 
@@ -295,13 +278,22 @@ def _zero_coordinate_quotient(
     C is the sum of a non-empty set of members of P: those sums contain the
     generators and are closed under +, and under · by distributivity, since
     (p1 + ... + pk)·(q1 + ... + ql) is the sum of the products pi·qj, all
-    in P. Conversely each such sum is in C. So C is P closed under adding
-    one member of P, which is counted here on the kept-coordinate strings.
+    in P. Conversely each such sum is in C.
 
-    Under the flat +, two different tuples sum to one with z where they
-    differ, so a sum of two or more distinct members of P is in J: the
-    elements of C outside J are the members of P with no z coordinate,
-    determined coordinates included, and |J| = |C| minus their number.
+    Under the flat +, x + p keeps the coordinates where x and p agree and
+    is z at the others: the support of x + p, its (coordinate, value) pairs
+    with a value other than z, is the meet of theirs. So C is counted as
+    the ANDs of non-empty sets of P's supports, as ints: per member p of P
+    in turn, the ANDs so far gain p and their ANDs with p. Two pairs held
+    by the same members of P are in every such AND together, so a support
+    has one bit per set of members holding a pair. The base's add table is
+    never read: the precondition fixes the flat +, and P's worklist drops
+    the coordinates that · alone determines.
+
+    Two different tuples sum to one with z where they differ, so a sum of
+    two or more distinct members of P is in J: the elements of C outside J
+    are the members of P with no z coordinate, determined coordinates
+    included, and |J| = |C| minus their number.
 
     A product with a member of J is in J, since z absorbs ·, and a sum with
     one is in J, since z is the top. So each element outside J is found as
@@ -313,28 +305,32 @@ def _zero_coordinate_quotient(
     the zero tuple in C, quotient_by_ideal refuses; so does this.
     """
     z = base._laws.mul.zero
-    _, products, _, mul, rebuild = _worklist(base, generators, cap, with_add=False)
+    _, products, (mul,), rebuild = _worklist(base, generators, cap, ("mul",))
     tuples = rebuild(products)
-    m, width = len(products), len(products[0])
-    # C: P closed under adding a member of P; sums grows as it is read.
-    # Flat + commutes, so a cursor in P adds only the members before it,
-    # and x + x = x.
-    known = "".join(products)
-    columns = [known[c::width] for c in range(width)]
-    plus = [str.maketrans(dict(enumerate(col))) for col in zip(*base.add)]
-    # x + p for the i-th member p of P, read off the joined columns.
-    each = [slice(i, None, m) for i in range(m)]
-    sums, seen = list(products), set(products)
-    for cursor, x in enumerate(sums):
-        joined = "".join([col.translate(plus[ord(xc)]) for col, xc in zip(columns, x)])
-        new = set(map(joined.__getitem__, each[:cursor])) - seen
-        if len(seen) + len(new) > cap:
-            raise ValueError(f"closure exceeded {cap} elements; refusing to continue")
-        seen |= new
-        sums += sorted(new)
+    m = len(products)
+    # One bit per set of members of P that hold one value other than z at
+    # one coordinate: a member's support has the bits of the sets it is in.
+    supports, bits = [0] * m, {}
+    for column in zip(*tuples):
+        holders: dict[int, list[int]] = {}
+        for i, v in enumerate(column):
+            holders.setdefault(v, []).append(i)
+        holders.pop(z, None)
+        for group in map(tuple, holders.values()):
+            if group not in bits:
+                bits[group] = bit = 1 << len(bits)
+                for i in group:
+                    supports[i] |= bit
+    sums: set[int] = set()
+    for p in supports:
+        # The ANDs so far are closed under AND; one that p already is gains nothing.
+        if p not in sums:
+            sums.update([x & p for x in sums])
+            sums.add(p)
+            if len(sums) > cap:
+                raise ValueError(f"closure exceeded {cap} elements; refusing to continue")
     outside = [i for i, x in enumerate(tuples) if z not in x]
-    key = chr(z) * width
-    if key not in seen or rebuild([key])[0] != (z,) * len(tuples[0]):
+    if 0 not in sums:
         return len(sums), len(sums) - len(outside), "the ideal must contain the zero tuple"
     class_of = [0] * m
     for k, i in enumerate(outside, start=1):
@@ -638,14 +634,17 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
     zero, the ideal of tuples with a zero coordinate is a congruence (Rees,
     "On semi-groups", 1940) and is collapsed without the closure's tables
     (_zero_coordinate_quotient). Any other ideal or base is closed
-    (generated_subsemiring) and scanned (quotient_by_ideal).
+    (generated_subsemiring) and scanned (quotient_by_ideal). The label
+    generators are read once, as index tuples that either route and the
+    report share.
     """
     base = plan.base
+    gens = [_power_element(base, g) for g in plan.generators]
     zero = _zero_of(base)
     if plan.in_ideal is None and is_flat_semiring(base) and zero == multiplicative_zero(base):
-        closure_size, ideal_size, quotient = _zero_coordinate_quotient(base, plan.generators, closure_cap)
+        closure_size, ideal_size, quotient = _zero_coordinate_quotient(base, gens, closure_cap)
     else:
-        closure = generated_subsemiring(base, plan.generators, cap=closure_cap)
+        closure = generated_subsemiring(base, gens, cap=closure_cap)
         in_ideal = plan.in_ideal or (lambda x: zero in x)
         ideal = [x for x in closure.elements if in_ideal(x)]
         closure_size, ideal_size = len(closure.elements), len(ideal)
@@ -653,7 +652,6 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
             quotient = quotient_by_ideal(closure, ideal).quotient
         except ValueError as exc:
             quotient = str(exc)
-    gens = [_power_element(base, g) for g in plan.generators]
     stages = [
         WitnessStage("closure", True, f"{closure_size} elements"),
         WitnessStage("ideal", True, f"{ideal_size} elements"),

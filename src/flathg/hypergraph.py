@@ -273,8 +273,11 @@ def _beam_edges(index: int) -> list[tuple[str, ...]]:
 def family(kind: str, index: int) -> Hypergraph:
     """Build a named family member on vertices u1, u2, ...
 
-    Kinds: n_cycle (index >= 3), beam, fan, nested (index >= 1).
+    Kinds: n_cycle (index >= 3), beam, fan, nested (index >= 1). The index
+    is an int, and a bool is not one.
     """
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError(f"family index must be an integer, not {index!r}")
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unsupported kind/index combination: {kind!r}, {index}")
     if kind == "n_cycle":

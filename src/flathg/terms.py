@@ -256,6 +256,22 @@ def nested_identity(i: int) -> Identity:
     return make_identity(Sum(tuple(monomials)), Sum(tuple(binomial_products)))
 
 
+def ascii_index(text: str, most: int) -> int | None:
+    """The index that text writes in ASCII digits alone, or None for any
+    other text; an index over most reads as most + 1.
+
+    str.isdigit is also true for '²' and '١', and int() reads '١' as 1 and
+    '1_0' as 10, and skips a sign and spaces. Lengths are compared before
+    int() runs, since it refuses a string of more than 4,300 digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(most)):
+        return most + 1
+    return min(int(digits), most + 1)
+
+
 def builtin_identity(key: str) -> Identity:
     """Resolve a registry key: eq3.1, eq4.1 .. eq4.4, or nested:i.
 
@@ -271,17 +287,15 @@ def builtin_identity(key: str) -> Identity:
     if key in ("eq4.1", "eq4.2", "eq4.3"):
         return nested_identity(int(key[-1]))
     if key.startswith("nested:"):
-        # ASCII digits only: str.isdigit is also true for '²' and '١'.
-        digits = key.split(":", 1)[1].lstrip("0")
-        if not (digits.isascii() and digits.isdigit()):
+        index = ascii_index(key.split(":", 1)[1], MAX_NESTED_INDEX)
+        if index is None or index < 1:
             raise KeyError(f"unknown identity {key!r}")
-        # Lengths first: int() refuses a string of more than 4,300 digits.
-        if len(digits) > len(str(MAX_NESTED_INDEX)) or int(digits) > MAX_NESTED_INDEX:
+        if index > MAX_NESTED_INDEX:
             raise ValueError(
                 f"identity {key!r}: index over MAX_NESTED_INDEX ({MAX_NESTED_INDEX}), "
                 "the largest the flat checker accepts"
             )
-        return nested_identity(int(digits))
+        return nested_identity(index)
     raise KeyError(f"unknown identity {key!r}")
 
 

@@ -444,6 +444,12 @@ class TestWitness:
         assert code == 2
         assert "index must be an integer" in err
 
+    def test_an_index_in_other_digits_is_an_input_error(self, capsys):
+        """int() reads the Arabic-Indic one as 1; beam_step(1) must not run."""
+        code, out, err = run(capsys, ["witness", "beam_step", "١"])
+        assert (code, out) == (2, "")
+        assert err == "flathg: error: beam_step index must be an integer: '١'\n"
+
     @pytest.mark.parametrize(
         "argv",
         (["triangle_in_abcd", "extra"], ["leaf_removal", "family:beam:2"], ["beam_step"]),
@@ -452,6 +458,38 @@ class TestWitness:
         code, _, err = run(capsys, ["witness", *argv])
         assert code == 2
         assert f"{argv[0]} takes" in err
+
+
+# Texts that int() reads (as 1, 10, 1, 1, 1) or that str.isdigit accepts,
+# none of which is an index in ASCII digits.
+NOT_INDICES = ("١", "1_0", " 1", "+1", "1١", "²", "")
+
+
+class TestIndexTokens:
+    @pytest.mark.parametrize("text", NOT_INDICES)
+    def test_a_family_token_index_is_ascii_digits(self, capsys, text):
+        code, out, err = run(capsys, ["semiring", f"family:beam:{text}"])
+        assert (code, out) == (2, "")
+        assert err == f"flathg: error: family index must be an integer: {text!r}\n"
+
+    @pytest.mark.parametrize("text", NOT_INDICES)
+    def test_a_family_command_index_is_ascii_digits(self, capsys, text):
+        code, out, err = run(capsys, ["family", "beam", text])
+        assert (code, out) == (2, "")
+        assert err == f"flathg: error: family index must be an integer: {text!r}\n"
+
+    def test_leading_zeros_are_digits(self, capsys):
+        assert run(capsys, ["family", "beam", "010"]) == run(capsys, ["family", "beam", "10"])
+
+    def test_an_index_past_sys_maxsize_is_refused_before_building(self, capsys, monkeypatch):
+        def unreachable(kind, index):
+            raise AssertionError(f"family({kind!r}, {index}) was built")
+
+        monkeypatch.setattr(cli, "family", unreachable)
+        for argv in (["family", "beam", "9" * 5000], ["semiring", f"family:beam:{2**63}"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err == f"flathg: error: family index must be at most {2**63 - 1}\n"
 
 
 class TestFamily:

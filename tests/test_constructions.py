@@ -510,6 +510,23 @@ def test_closure_over_a_large_base_agrees_with_tuple_arithmetic(index, floor):
     assert max(map(max, want)) >= floor
 
 
+def test_the_zero_coordinate_quotient_over_a_base_past_latin_1():
+    """beam_step(42)'s generators over the 260-element beam(42): values past
+    255 in the strings of P's worklist, and 289 members of P whose supports
+    hold 290 bits, past a machine word. The counts, the quotient's tables
+    and the cap's refusal one element short agree with tuple arithmetic."""
+    base, gens = _plan_inputs(_beam_step(index=42))
+    want = _reference_closure(base, gens)
+    assert max(map(max, want)) >= 256
+    ideal = [x for x in want if base.zero in x]
+    size, ideal_size, quotient = constructions._zero_coordinate_quotient(base, gens, len(want))
+    assert (size, ideal_size) == (len(want), len(ideal)) == (311, 46)
+    assert (quotient.elements, quotient.add, quotient.mul) == _reference_quotient(base, want, ideal)
+    message = f"closure exceeded {len(want) - 1} elements; refusing to continue"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        constructions._zero_coordinate_quotient(base, gens, len(want) - 1)
+
+
 def test_a_coordinate_is_kept_unless_an_earlier_one_determines_it(sc_abc):
     """After a first column come its copy, its image under swapping a and
     b, the zero, and a function of the first column that is no

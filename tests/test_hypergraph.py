@@ -131,6 +131,11 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unsupported kind/index"):
             family("wheel", 3)
 
+    @pytest.mark.parametrize("index", (True, 2.0, "2"))
+    def test_the_index_is_an_int_and_not_a_bool(self, index):
+        with pytest.raises(ValueError, match=f"^family index must be an integer, not {re.escape(repr(index))}$"):
+            family("beam", index)
+
     def test_s7_marker_is_an_unknown_kind(self):
         with pytest.raises(ValueError, match=r"^unsupported kind/index combination: 's7_marker', 1$"):
             family("s7_marker", 1)

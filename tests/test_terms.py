@@ -193,6 +193,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match=message):
             builtin_identity(f"nested:{index}")
 
+    @pytest.mark.parametrize(
+        "text, index",
+        [("0", 0), ("7", 7), ("0512", 512), ("513", 513), ("514", 513)]
+        + [pytest.param("9" * 5000, 513, id="5000-nines"), pytest.param("0" * 5000 + "1", 1, id="5000-zeros-1")]
+        + [(text, None) for text in ("", "١", "1١", "²", "1_0", " 1", "1 ", "+1", "-1", "1.0")],
+    )
+    def test_ascii_index(self, text, index):
+        """ASCII digits alone; past the bound, the bound plus one."""
+        assert terms.ascii_index(text, 512) == index
+
     def test_the_nested_bound_is_the_flat_checkers_cap(self):
         assert terms.MAX_NESTED_INDEX == 512
         assert terms._monomial_count(nested_identity(512).rhs) == terms.MAX_MONOMIALS
