@@ -3,8 +3,12 @@
 Exit codes: 0 when every claim checked out, 1 when some claim failed
 (an identity fails, a coloring is stuck, a witness does not verify),
 2 on usage or input problems (unknown subcommand, unreadable file,
-exceeded budget). Output is plain text by default; `--format structured`
-switches to line-delimited JSON records with stable field order.
+exceeded budget). The library refuses an input by raising ValueError;
+`main` is the one place that turns it, a CliInputError or an OSError into
+`flathg: error: ...` and exit 2, and lets any other exception propagate.
+Every number on the command line (index, cap, color) is ASCII digits, read
+by `terms.ascii_index`. Output is plain text by default; `--format
+structured` switches to line-delimited JSON records with stable field order.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .words import build_sc, builtin_s7
 
 
 class CliInputError(Exception):
-    """Anything that should stop the run with exit code 2."""
+    """An input the command line itself refuses, with exit code 2."""
 
 
 class Reporter:
@@ -73,12 +77,14 @@ class Reporter:
 
 
 def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    """A cap in ASCII digits (ascii_index), from 1 to sys.maxsize."""
+    value = ascii_index(text, sys.maxsize)
+    if value is None:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}")
     return value
 
 
@@ -148,10 +154,12 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read file: {path} ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot read file: {path} (not UTF-8 at byte {exc.start})") from exc
 
 
 def _index(text: str, what: str) -> int:
-    """An index in ASCII digits (ascii_index), at most sys.maxsize."""
+    """An index or a color in ASCII digits (ascii_index), at most sys.maxsize."""
     index = ascii_index(text, sys.maxsize)
     if index is None:
         raise CliInputError(f"{what} must be an integer: {text!r}")
@@ -160,18 +168,11 @@ def _index(text: str, what: str) -> int:
     return index
 
 
-def _family(kind: str, index: int) -> Hypergraph:
-    try:
-        return family(kind, index)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
-
-
 def _family_from_token(token: str) -> Hypergraph:
     parts = token.split(":")
     if len(parts) != 3 or parts[0] != "family":
         raise CliInputError(f"unknown builtin: {token}")
-    return _family(parts[1], _index(parts[2], "family index"))
+    return family(parts[1], _index(parts[2], "family index"))
 
 
 def _load_hypergraph(source: str) -> Hypergraph:
@@ -214,10 +215,7 @@ def _load_subject(source: str) -> tuple[str, FiniteSemiring]:
             h = hypergraph_from_document(doc)
         except HypergraphParseError as exc:
             raise CliInputError(f"bad hypergraph file {source}: {exc}")
-        try:
-            return source, build_semiring(h).exported
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        return source, build_semiring(h).exported
     try:
         s = semiring_from_document(doc)
     except SemiringParseError as exc:
@@ -230,8 +228,6 @@ def _load_identities(token: str) -> list[tuple[str, object]]:
         return [(token, builtin_identity(token))]
     except KeyError:
         pass
-    except ValueError as exc:
-        raise CliInputError(str(exc))
     if "=" in token:
         try:
             return [(token, parse_identity(token))]
@@ -281,10 +277,7 @@ def _cmd_validate(args, out: Reporter) -> int:
 
 def _cmd_semiring(args, out: Reporter) -> int:
     h = _load_hypergraph(args.source)
-    try:
-        s = build_semiring(h)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    s = build_semiring(h)
     exported = s.exported
     cert = subdirect_irreducibility_certificate(exported)
     # The carrier is zero, one generator per vertex, the pair classes and top.
@@ -321,13 +314,10 @@ def _cmd_check(args, out: Reporter) -> int:
     method = "flat" if is_flat_semiring(s) else "brute-force"
     worst = 0
     for label, ident in idents:
-        try:
-            if method == "flat":
-                result = check_identity_flat(s, ident)
-            else:
-                result = check_identity_bruteforce(s, ident, budget=args.budget_evals)
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        if method == "flat":
+            result = check_identity_flat(s, ident)
+        else:
+            result = check_identity_bruteforce(s, ident, budget=args.budget_evals)
         fields = {
             "command": "check",
             "subject": name,
@@ -356,11 +346,10 @@ def _parse_partial(text: str) -> dict[str, int]:
             continue
         if "=" not in chunk:
             raise CliInputError(f"bad partial assignment entry: {chunk!r}")
-        vertex, _, color = chunk.partition("=")
-        try:
-            partial[vertex.strip()] = int(color)
-        except ValueError:
-            raise CliInputError(f"bad color in partial assignment: {chunk!r}")
+        vertex, _, color = (part.strip() for part in chunk.partition("="))
+        if vertex in partial:
+            raise CliInputError(f"vertex {vertex!r} named twice in partial assignment")
+        partial[vertex] = _index(color, f"color of {vertex}")
     if not partial:
         raise CliInputError("empty partial assignment")
     return partial
@@ -387,10 +376,7 @@ def _cmd_color(args, out: Reporter) -> int:
         return 1
     if args.extend is not None:
         partial = _parse_partial(args.extend)
-        try:
-            okay = extends(h, partial)
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        okay = extends(h, partial)
         fields = {
             "command": "color",
             "source": args.source,
@@ -400,10 +386,7 @@ def _cmd_color(args, out: Reporter) -> int:
         }
         out.record(fields, "extends" if okay else "does not extend")
         return 0 if okay else 1
-    try:
-        colorings = enumerate_strong_colorings(h, cap=args.colorings_cap)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    colorings = enumerate_strong_colorings(h, cap=args.colorings_cap)
     if args.enumerate:
         for phi in colorings:
             fields = {
@@ -449,10 +432,7 @@ def _cmd_witness(args, out: Reporter) -> int:
             kwargs[name] = _load_hypergraph(param)
         else:
             kwargs[name] = param
-    try:
-        report = verify_witness(kind, **kwargs)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    report = verify_witness(kind, **kwargs)
     fields = {
         "command": "witness",
         "kind": report.kind,
@@ -475,7 +455,7 @@ def _cmd_witness(args, out: Reporter) -> int:
 
 def _cmd_family(args, out: Reporter) -> int:
     index = _index(args.index, "family index")
-    h = _family(args.kind, index)
+    h = family(args.kind, index)
     fields = {
         "command": "family",
         "kind": args.kind,
@@ -537,10 +517,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.export, "w", encoding="utf-8") as fh:
                 fh.write("".join(out.printed) if out.artifact is None else out.artifact)
         return code
-    except CliInputError as exc:
-        print(f"flathg: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliInputError, OSError, ValueError) as exc:
         print(f"flathg: error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,6 +207,10 @@ def parse_identity(text: str) -> Identity:
     """Parse "lhs = rhs" where each side is a sum of '*'-separated products.
 
     Variables match [a-z][a-z0-9]*; juxtaposition is not multiplication.
+    Both sides are read as flattened words (make_identity): a product
+    bracketed inside a product, or a sum inside a sum, is merged into it.
+    So "x*(y*z) = (x*y)*z" has identical sides and holds even in a table
+    that is not associative.
     Text longer than MAX_IDENTITY_CHARS is refused.
     """
     if len(text) > MAX_IDENTITY_CHARS:

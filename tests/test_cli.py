@@ -120,6 +120,14 @@ class TestExitCodes:
             "identity longer than 1000000 characters (at position 1000000)\n"
         )
 
+    @pytest.mark.parametrize("argv", (["validate", "{path}"], ["check", "builtin:sc_abc", "{path}"]))
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfex\x00")
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        assert (code, out) == (2, "")
+        assert err == f"flathg: error: cannot read file: {path} (not UTF-8 at byte 0)\n"
+
     @pytest.mark.parametrize("argv", (["validate"], ["check", "eq3.1"]))
     def test_deep_json_is_an_input_error(self, capsys, tmp_path, argv):
         path = tmp_path / "deep.json"
@@ -156,6 +164,69 @@ class TestExitCodes:
         code, out, err = run(capsys, ["check", str(path), "eq3.1"])
         assert (code, out) == (2, "")
         assert err == f"flathg: error: {message.format(path=path)}\n"
+
+
+# Two edges share the pair {a, b}, so the hypergraph parses but is not linear.
+NON_LINEAR = json.dumps({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b", "c"], ["a", "b", "d"]]})
+
+# Each site where a library call refuses its input with ValueError, driven
+# through main. Arguments ending in .json name the files the test writes.
+LIBRARY_REFUSALS = [
+    pytest.param(["family", "zigzag", "3"], "unsupported kind/index combination: 'zigzag', 3",
+                 id="family-command"),
+    pytest.param(["semiring", "family:n_cycle:2"], "unsupported kind/index combination: n_cycle, 2",
+                 id="family-token"),
+    pytest.param(["semiring", "nonlinear.json"], "hypergraph is not admissible: linear",
+                 id="semiring-non-linear"),
+    pytest.param(["check", "nonlinear.json", "eq3.1"], "hypergraph is not admissible: linear",
+                 id="check-non-linear-subject"),
+    pytest.param(["check", "builtin:sc_abc", "nested:513"],
+                 "identity 'nested:513': index over MAX_NESTED_INDEX (512), "
+                 "the largest the flat checker accepts",
+                 id="nested-index"),
+    pytest.param(["check", "builtin:sc_abc", "*".join(f"(x{i}+y{i})" for i in range(13)) + "=x0"],
+                 "identity side expands to 8192 monomials, over the flat checker's cap of 4096",
+                 id="monomial-cap"),
+    pytest.param(["--budget-evals", "3", "check", "bool.json", "x1*x2=x2*x1"],
+                 "budget exceeded: 2^2 = 4 evaluations > 3; use the flat checker",
+                 id="brute-force-budget"),
+    pytest.param(["--colorings-cap", "5", "color", "family:beam:1"],
+                 "more than 5 strong colorings; raise the cap", id="colorings-cap-count"),
+    pytest.param(["--colorings-cap", "5", "color", "family:beam:1", "--enumerate"],
+                 "more than 5 strong colorings; raise the cap", id="colorings-cap-enumerate"),
+    pytest.param(["--colorings-cap", "5", "witness", "strongcolor_equiv", "family:n_cycle:4"],
+                 "more than 5 strong colorings; raise the cap", id="colorings-cap-witness"),
+    pytest.param(["color", "family:beam:1", "--extend", "u1=0,u2=0"],
+                 "invalid partial assignment: {u1, u2} is a subhyperedge but both are colored 0",
+                 id="extend-subhyperedge"),
+    pytest.param(["color", "family:beam:1", "--extend", "zz=0"],
+                 "unknown vertex 'zz' in partial assignment", id="extend-unknown-vertex"),
+    pytest.param(["color", "family:beam:1", "--extend", "u1=5"],
+                 "color 5 is not one of 0, 1, 2", id="extend-color-5"),
+    pytest.param(["--closure-cap", "1", "witness", "beam_step", "1"],
+                 "closure exceeded 1 elements; refusing to continue", id="closure-cap"),
+    pytest.param(["witness", "strongcolor_equiv", "nonlinear.json"],
+                 "strongcolor_equiv requires an admissible hypergraph", id="witness-inadmissible"),
+    pytest.param(["witness", "leaf_removal", "family:beam:2", "bogus"],
+                 "leaf_case must be 'disjoint' or 'shared'", id="witness-leaf-case"),
+]
+
+
+class TestLibraryRefusals:
+    @pytest.mark.parametrize("argv, message", LIBRARY_REFUSALS)
+    def test_a_refusal_exits_two_with_its_message(self, capsys, tmp_path, argv, message):
+        (tmp_path / "nonlinear.json").write_text(NON_LINEAR)
+        (tmp_path / "bool.json").write_text(BOOL_LATTICE)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run(capsys, argv) == (2, "", f"flathg: error: {message}\n")
+
+    def test_an_internal_error_is_not_a_refusal(self, monkeypatch):
+        def broken(h):
+            raise RuntimeError("internal error")
+
+        monkeypatch.setattr(cli, "is_2_robust", broken)
+        with pytest.raises(RuntimeError, match="internal error"):
+            main(["color", "family:beam:1", "--robust"])
 
 
 class TestValidate:
@@ -407,6 +478,22 @@ class TestColor:
         code, out, _ = run(capsys, ["color", "family:beam:330", *extra])
         assert (code, out) == (0, expected)
 
+    @pytest.mark.parametrize("text", ("١", "+1", "0_0", "²", ""))
+    def test_a_color_is_ascii_digits(self, capsys, text):
+        """int() reads all but the last two as 1 or 0 and pins that color."""
+        code, out, err = run(capsys, ["color", "family:beam:1", "--extend", f"u1={text}"])
+        assert (code, out) == (2, "")
+        assert err == f"flathg: error: color of u1 must be an integer: {text!r}\n"
+
+    def test_spaces_around_a_pin_are_ignored(self, capsys):
+        assert run(capsys, ["color", "family:beam:1", "--extend", " u1 = 01 , u2= 2"]) == (0, "extends\n", "")
+
+    @pytest.mark.parametrize("partial", ("u1=1,u1=2", "u1=1, u1 =1"))
+    def test_a_vertex_named_twice_is_an_input_error(self, capsys, partial):
+        code, out, err = run(capsys, ["--format", "structured", "color", "family:beam:1", "--extend", partial])
+        assert (code, out) == (2, "")
+        assert err == "flathg: error: vertex 'u1' named twice in partial assignment\n"
+
     def test_enumerate_lists_then_counts(self, capsys):
         code, out, _ = run(capsys, ["color", "family:beam:1", "--enumerate"])
         assert code == 0
@@ -477,6 +564,29 @@ class TestIndexTokens:
         code, out, err = run(capsys, ["family", "beam", text])
         assert (code, out) == (2, "")
         assert err == f"flathg: error: family index must be an integer: {text!r}\n"
+
+    @pytest.mark.parametrize("flag", ("--budget-evals", "--closure-cap", "--colorings-cap"))
+    @pytest.mark.parametrize("text", NOT_INDICES)
+    def test_a_cap_is_ascii_digits(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, text, "witness", "beam_step", "1"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"flathg: error: argument {flag}: not an integer: {text!r}"
+
+    @pytest.mark.parametrize("text, message", (("0", "must be positive"), (str(2**63), f"must be at most {2**63 - 1}")))
+    def test_a_cap_is_from_one_to_sys_maxsize(self, capsys, text, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--closure-cap", text, "witness", "beam_step", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"flathg: error: argument --closure-cap: {message}"
+
+    def test_a_cap_may_have_leading_zeros(self, capsys):
+        """beam_step(1)'s closure has 54 elements."""
+        assert run(capsys, ["--closure-cap", "0054", "witness", "beam_step", "1"])[0] == 0
+        assert run(capsys, ["--closure-cap", "0053", "witness", "beam_step", "1"]) == (
+            2, "", "flathg: error: closure exceeded 53 elements; refusing to continue\n"
+        )
 
     def test_leading_zeros_are_digits(self, capsys):
         assert run(capsys, ["family", "beam", "010"]) == run(capsys, ["family", "beam", "10"])

@@ -145,6 +145,12 @@ class TestParsing:
         ident = parse_identity("(x1) = x1")
         assert isinstance(ident.lhs, Variable)
 
+    def test_brackets_in_a_product_are_flattened(self):
+        """Identities are read as flattened words: both groupings of x*y*z
+        parse to the same product, whatever a table's multiplication does."""
+        ident = parse_identity("x*(y*z) = (x*y)*z")
+        assert ident.lhs == ident.rhs == Product((Variable("x"), Variable("y"), Variable("z")))
+
     @pytest.mark.parametrize("opening", ("(", "(x+", "(x*y+"))
     def test_nesting_limit(self, sc_abc, opening):
         """The deepest text the parser takes still checks; one more bracket
