@@ -20,7 +20,7 @@ from .hg_semiring import build_semiring
 from .hypergraph import Hypergraph, family, leaf_edges, sub_hypergraph, validate
 from .semiring import (FiniteSemiring, _flat_row, gather, is_commutative, is_flat, is_flat_semiring,
                        multiplicative_zero)
-from .terms import check_identity_flat, nested_identity
+from .terms import MAX_NESTED_INDEX, check_identity_flat, nested_identity
 from .words import build_sc
 
 CLOSURE_CAP_DEFAULT = 100_000
@@ -840,8 +840,15 @@ def _beam_step(index: int, **_) -> _QuotientPlan:
 
 def _nested_chain(index: int, **_) -> WitnessReport:
     """An identity separation, not a quotient: identity i+1 holds in the
-    nested(i) semiring and fails in the nested(i+1) one."""
+    nested(i) semiring and fails in the nested(i+1) one. Identity i+1 has
+    8(i+1) monomials, so an i past MAX_NESTED_INDEX - 1 is refused before
+    either semiring is built."""
     i = index
+    if i >= MAX_NESTED_INDEX:
+        raise ValueError(
+            f"nested_chain index over MAX_NESTED_INDEX - 1 ({MAX_NESTED_INDEX - 1}): "
+            "identity i+1 would expand past the flat checker's cap"
+        )
     lower = build_semiring(family("nested", i)).exported
     upper = build_semiring(family("nested", i + 1)).exported
     ident = nested_identity(i + 1)

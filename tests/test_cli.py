@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flathg import cli, semiring, terms
+from flathg import cli, constructions, semiring, terms
 from flathg.cli import main
 from flathg.constructions import format_witness_report, verify_witness
 from flathg.hg_semiring import build_semiring
@@ -403,6 +403,21 @@ class TestCheck:
         assert record["method"] == "brute-force"
         assert record["counterexample"] == {"x": "a", "y": "b"}
 
+    def test_brackets_are_read_as_written(self, capsys, tmp_path):
+        """q·(p·q) = q but (q·p)·q = p: brute force separates the groupings."""
+        path = tmp_path / "grouping.json"
+        path.write_text(json.dumps(
+            {"elements": ["p", "q"], "add": [[0, 0], [0, 1]], "mul": [[0, 0], [1, 0]]}
+        ))
+        grouped = "x*(y*z) = (x*y)*z"
+        code, out, _ = run(capsys, ["--format", "structured", "check", str(path), grouped])
+        assert code == 1
+        record = json.loads(out)
+        assert (record["verdict"], record["method"], record["explored"]) == ("fails", "brute-force", 6)
+        assert list(record["counterexample"].items()) == [("x", "q"), ("y", "p"), ("z", "q")]
+        assert run(capsys, ["check", str(path), grouped]) == (1, "fails: x=q y=p z=q\n", "")
+        assert run(capsys, ["check", str(path), "x*y*z = (x*y)*z"]) == (0, "holds\n", "")
+
     def test_a_non_flat_subject_reads_flatness_and_no_law(self, capsys, tmp_path, monkeypatch):
         """A chain lattice (add = max, mul = min) is not flat, so check
         sends it to brute force without scanning any semiring law."""
@@ -536,6 +551,17 @@ class TestWitness:
         code, out, err = run(capsys, ["witness", "beam_step", "١"])
         assert (code, out) == (2, "")
         assert err == "flathg: error: beam_step index must be an integer: '١'\n"
+
+    def test_nested_chain_past_the_cap_exits_two_before_building(self, capsys, monkeypatch):
+        def unreachable(h):
+            raise AssertionError("a semiring was built")
+
+        monkeypatch.setattr(constructions, "build_semiring", unreachable)
+        message = (
+            "flathg: error: nested_chain index over MAX_NESTED_INDEX - 1 (511): "
+            "identity i+1 would expand past the flat checker's cap\n"
+        )
+        assert run(capsys, ["witness", "nested_chain", "512"]) == (2, "", message)
 
     @pytest.mark.parametrize(
         "argv",

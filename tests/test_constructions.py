@@ -992,6 +992,26 @@ class TestWitnesses:
         expected = ", ".join(f"{k}={v}" for k, v in sorted(pins.items()))
         assert rep.notes == (f"separating assignment: {expected}",)
 
+    @pytest.mark.parametrize("index", (512, 100_000))
+    def test_nested_chain_past_the_cap_builds_nothing(self, monkeypatch, index):
+        """Identity i+1 has 8(i+1) monomials, past MAX_MONOMIALS from i = 512."""
+
+        def unreachable(h):
+            raise AssertionError("a semiring was built")
+
+        monkeypatch.setattr(constructions, "build_semiring", unreachable)
+        message = r"^nested_chain index over MAX_NESTED_INDEX - 1 \(511\): "
+        with pytest.raises(ValueError, match=message):
+            verify_witness("nested_chain", index=index)
+
+    def test_nested_chain_511_goes_on_to_build(self, monkeypatch):
+        def spy(h):
+            raise LookupError("a semiring was built")
+
+        monkeypatch.setattr(constructions, "build_semiring", spy)
+        with pytest.raises(LookupError, match="a semiring was built"):
+            verify_witness("nested_chain", index=511)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown witness kind 'bogus'"):
             verify_witness("bogus")

@@ -145,11 +145,14 @@ class TestParsing:
         ident = parse_identity("(x1) = x1")
         assert isinstance(ident.lhs, Variable)
 
-    def test_brackets_in_a_product_are_flattened(self):
-        """Identities are read as flattened words: both groupings of x*y*z
-        parse to the same product, whatever a table's multiplication does."""
+    def test_brackets_in_a_product_are_kept(self):
+        """Identities are read as written: each grouping of x*y*z is its own
+        tree, and the unbracketed product is one node folded left to right."""
+        x, y, z = map(Variable, "xyz")
         ident = parse_identity("x*(y*z) = (x*y)*z")
-        assert ident.lhs == ident.rhs == Product((Variable("x"), Variable("y"), Variable("z")))
+        assert ident.lhs == Product((x, Product((y, z))))
+        assert ident.rhs == Product((Product((x, y)), z))
+        assert parse_identity("x*y*z = x").lhs == Product((x, y, z))
 
     @pytest.mark.parametrize("opening", ("(", "(x+", "(x*y+"))
     def test_nesting_limit(self, sc_abc, opening):
@@ -219,6 +222,16 @@ class TestRegistry:
         for i in (1, 2, 3):
             assert len(nested_identity(i).variables) == 3 * i + 3
 
+    @pytest.mark.parametrize("i", (1, 2, 3, 4))
+    def test_nested_identity_is_its_text_parsed(self, i):
+        """Three triple products and a product of three binomials per level."""
+        monomials, binomials = [], []
+        for j in range(1, i + 1):
+            a, b, c = 3 * j - 2, 3 * j - 1, 3 * j
+            monomials += [f"x{b}*x{c + 3}*x{a}", f"x{a}*x{c + 2}*x{c}", f"x{c}*x{c + 1}*x{b}"]
+            binomials.append(f"(x{b} + x{c + 2})*(x{a} + x{c + 1})*(x{c} + x{c + 3})")
+        assert nested_identity(i) == parse_identity(" + ".join(monomials) + " = " + " + ".join(binomials))
+
     def test_nested_identity_needs_positive_index(self):
         with pytest.raises(ValueError):
             nested_identity(0)
@@ -263,6 +276,33 @@ class TestBruteForce:
         lhs = eval_term(ident.lhs, result.counterexample, s7)
         rhs = eval_term(ident.rhs, result.counterexample, s7)
         assert lhs != rhs
+
+
+# Two tables with one operation that is not associative: in the first
+# q·(p·q) = q but (q·p)·q = p, in the second q + (p + q) = q but
+# (q + p) + q = p.
+MUL_NOT_ASSOCIATIVE = FiniteSemiring(("p", "q"), ((0, 0), (0, 1)), ((0, 0), (1, 0)))
+ADD_NOT_ASSOCIATIVE = FiniteSemiring(("p", "q"), ((0, 0), (1, 0)), ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "s, text, values, explored",
+    [
+        (MUL_NOT_ASSOCIATIVE, "x*(y*z) = (x*y)*z", "q p q", 6),
+        (ADD_NOT_ASSOCIATIVE, "x + (y + z) = (x + y) + z", "q p q", 6),
+        # Three elements, so the last variable is a byte vector.
+        (NON_ASSOCIATIVE, "x*(y*z) = (x*y)*z", "a a b", 15),
+        (MUL_NOT_ASSOCIATIVE, "x*y*z = (x*y)*z", None, 8),
+        (ADD_NOT_ASSOCIATIVE, "x + y + z = (x + y) + z", None, 8),
+        (NON_ASSOCIATIVE, "x*y*z = (x*y)*z", None, 27),
+    ],
+    ids=("mul", "add", "mul-vector", "mul-left-fold", "add-left-fold", "mul-vector-left-fold"),
+)
+def test_brute_force_decides_the_terms_as_written(s, text, values, explored):
+    """Brackets group, and an unbracketed product or sum folds left to right."""
+    result = check_identity_bruteforce(s, parse_identity(text))
+    cex = None if values is None else dict(zip("xyz", values.split()))
+    assert (result.counterexample, result.explored) == (cex, explored)
 
 
 class TestFlatChecker:
@@ -827,6 +867,48 @@ def regrouped(draw, node):
     if i < j:
         parts[i:j] = [kind(tuple(parts[i:j]))]
     return kind(tuple(parts))
+
+
+@st.composite
+def written_sides(draw, names, depth=2):
+    """Text of a side with no redundant brackets: a sum of products whose
+    factors are variables or, in a product of two or more, bracketed sums."""
+
+    def factor():
+        if depth and draw(st.booleans()):
+            return f"({draw(written_sides(names, depth - 1))} + {draw(st.sampled_from(names))})"
+        return draw(st.sampled_from(names))
+
+    def product():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(names))
+        return "*".join(factor() for _ in range(draw(st.integers(2, 3))))
+
+    return " + ".join(product() for _ in range(draw(st.integers(1, 3))))
+
+
+# Carriers whose addition and multiplication are both associative, so any
+# bracketing of a sum or a product has one value.
+ASSOCIATIVE_CARRIERS = [
+    "sc_abc", "sc_abcd", "triangle", "s7", "brandt", "boolean", "chain(256)", "chain(257)",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ASSOCIATIVE_CARRIERS), st.data())
+def test_regrouping_does_not_change_brute_force_on_associative_tables(pinned_subjects, carrier, data):
+    """Brackets drawn into an identity's sums and products give the verdict,
+    counterexample and `explored` of the identity as typed without them."""
+    s = pinned_subjects[carrier]
+    most = max(k for k in range(1, 6) if k <= 2 or s.size**k <= 4096)
+    names = [f"x{i}" for i in range(1, data.draw(st.integers(1, most)) + 1)]
+    ident = parse_identity(f"{data.draw(written_sides(names))} = {data.draw(written_sides(names))}")
+    lhs, rhs = data.draw(regrouped(ident.lhs)), data.draw(regrouped(ident.rhs))
+    got, want = (
+        (r.verdict, r.counterexample, r.explored)
+        for r in (check_identity_bruteforce(s, i) for i in (make_identity(lhs, rhs), ident))
+    )
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None)
