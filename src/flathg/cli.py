@@ -6,6 +6,8 @@ Exit codes: 0 when every claim checked out, 1 when some claim failed
 exceeded budget). The library refuses an input by raising ValueError;
 `main` is the one place that turns it, a CliInputError or an OSError into
 `flathg: error: ...` and exit 2, and lets any other exception propagate.
+A closed output pipe (`flathg ... | head`) is no input error: `main` then
+prints nothing and exits 141, the status of a process that SIGPIPE ended.
 Every number on the command line (index, cap, color) is ASCII digits, read
 by `terms.ascii_index`. Output is plain text by default; `--format
 structured` switches to line-delimited JSON records with stable field order.
@@ -14,7 +16,9 @@ structured` switches to line-delimited JSON records with stable field order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .coloring import enumerate_strong_colorings, extends, is_2_robust
@@ -517,6 +521,14 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.export, "w", encoding="utf-8") as fh:
                 fh.write("".join(out.printed) if out.artifact is None else out.artifact)
         return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: no message, and the status of a
+        # process that SIGPIPE ended (128 + 13). What stdout still buffers
+        # goes to os.devnull, so the interpreter's final flush cannot fail.
+        # A stdout with no file descriptor (main called in process) is kept.
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (CliInputError, OSError, ValueError) as exc:
         print(f"flathg: error: {exc}", file=sys.stderr)
         return 2

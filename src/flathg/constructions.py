@@ -265,14 +265,16 @@ def generated_subsemiring(
 
 def _zero_coordinate_quotient(
     base: FiniteSemiring, generators, cap: int
-) -> tuple[int, int, FiniteSemiring | str]:
+) -> tuple[int, int, FiniteSemiring | str] | None:
     """The size of the closure C that generated_subsemiring builds, the size
     of the ideal J of its elements with a zero coordinate, and the quotient
     C/J that quotient_by_ideal builds, or its refusal; without C's tables.
 
     The base must be a flat semiring (z absorbs · and is the top of +,
     x + x = x, and products cancel: a·b = a·c != z forces b = c, on either
-    side, which in a flat base is both distributive laws) with z its zero.
+    side, which in a flat base is both distributive laws) whose designated
+    zero, if any, is z. This is checked first: on any other base the result
+    is None, before anything is closed.
 
     Let P be the closure of the generators under · alone. Every element of
     C is the sum of a non-empty set of members of P: those sums contain the
@@ -305,6 +307,8 @@ def _zero_coordinate_quotient(
     the zero tuple in C, quotient_by_ideal refuses; so does this.
     """
     z = base._laws.mul.zero
+    if not is_flat_semiring(base) or base.zero not in (None, z):
+        return None
     _, products, (mul,), rebuild = _worklist(base, generators, cap, ("mul",))
     tuples = rebuild(products)
     m = len(products)
@@ -633,16 +637,17 @@ def _run_quotient_plan(kind: str, plan: _QuotientPlan, closure_cap: int) -> Witn
     Over a base that is_flat_semiring, with its multiplicative zero as the
     zero, the ideal of tuples with a zero coordinate is a congruence (Rees,
     "On semi-groups", 1940) and is collapsed without the closure's tables
-    (_zero_coordinate_quotient). Any other ideal or base is closed
-    (generated_subsemiring) and scanned (quotient_by_ideal). The label
-    generators are read once, as index tuples that either route and the
-    report share.
+    (_zero_coordinate_quotient, which checks that precondition itself).
+    Any other ideal or base is closed (generated_subsemiring) and scanned
+    (quotient_by_ideal). The label generators are read once, as index
+    tuples that either route and the report share.
     """
     base = plan.base
     gens = [_power_element(base, g) for g in plan.generators]
     zero = _zero_of(base)
-    if plan.in_ideal is None and is_flat_semiring(base) and zero == multiplicative_zero(base):
-        closure_size, ideal_size, quotient = _zero_coordinate_quotient(base, gens, closure_cap)
+    rees = _zero_coordinate_quotient(base, gens, closure_cap) if plan.in_ideal is None else None
+    if rees is not None:
+        closure_size, ideal_size, quotient = rees
     else:
         closure = generated_subsemiring(base, gens, cap=closure_cap)
         in_ideal = plan.in_ideal or (lambda x: zero in x)

@@ -14,23 +14,24 @@ every triple of elements, and a failure is reported with its first
 counterexample in lexicographic order (a, b, c).
 
 The semirings of this library are flat: the zero absorbs under · and is the
-top for +, so almost every product is the zero. The three-variable scans use
-that, after first checking it. Each looks for an absorbing element z of the
-tables it reads, an element whose row and column are all z (for the add table
-of a flat semiring, that is its top). Where one z absorbs every table a law
-reads, the law holds exactly when its two sides have the same non-zero
-triples, compared per a, in order, as dicts b -> c -> value; the first
-counterexample is the least (b, c) where they differ at the first a that
-does. (ab)c is the rows ab of the non-zero b of row a, read in place; a(bc)
-is row a read through the preimages of its columns (x -> the pairs (b, c)
-with bc = x), a(b+c) through those of the add table, and ab + ac is sum row
-ab read through row a. So, beside the preimages (a pair per non-zero
-product), a check holds one a's sides at a time. It takes this route where
-the non-zero (ab)c, or the pairs of non-zero ab and ac, number at most n²,
-as many lookups as whole rows make pairs; otherwise each pair (a, b)
-compares two whole rows, gathered in C.
-The cancellation check keeps, per row and per column, the first index of
-each non-zero value, so it reads each entry once.
+top for +, so almost every product is the zero. Associativity uses that,
+after first checking it. Where its table has an absorbing element z (for the
+add table of a flat semiring, that is its top), the law holds exactly when
+(ab)c and a(bc) have the same non-zero triples, compared per a, in order, as
+dicts b -> c -> value; the first counterexample is the least (b, c) where
+they differ at the first a that does. (ab)c is the rows ab of the non-zero b
+of row a, read in place; a(bc) is row a read through the preimages of its
+columns (x -> the pairs (b, c) with bc = x). So, beside the preimages (a
+pair per non-zero product), a check holds one a's sides at a time. It takes
+this route where the non-zero (ab)c number at most n², as many lookups as
+whole rows make pairs; otherwise each pair (a, b) compares two whole rows,
+gathered in C. Associativity alone has two scans, since it is read on every
+flat table (by flat_completion and is_flat_semiring), sparse or dense. Every
+other law has one: the distributive laws, scanned only on tables that are
+not flat (see below), compare whole rows; commutativity compares the
+non-zero entries of row a and column a (where no element absorbs, every
+entry is non-zero); and the cancellation check keeps, per row and per
+column, the first index of each non-zero value, so it reads each entry once.
 
 A semiring keeps one law view of its tables, built on first use: each
 table's absorbing element and non-zero entries, whether the semiring is
@@ -246,9 +247,9 @@ class _Table:
 
 
 class _Columns(_Table):
-    """The columns of a table as the rows of a table. Its absorbing element
-    is the table's, and its non-zero entries are the table's, regrouped in
-    O(nnz); the dense transpose is built only for a law that reads it."""
+    """The columns of a table as the rows of a table. Its non-zero entries
+    are the table's, regrouped in O(nnz); the dense transpose is built only
+    for a law that reads it."""
 
     def __init__(self, table: _Table):
         self.table = table
@@ -256,10 +257,6 @@ class _Columns(_Table):
     @cached_property
     def rows(self):
         return tuple(zip(*self.table.rows))
-
-    @cached_property
-    def zero(self) -> int | None:
-        return self.table.zero
 
     @cached_property
     def nonzero(self) -> list[dict[int, int]]:
@@ -312,16 +309,6 @@ def _over_preimages(row: dict[int, int], preimages) -> dict[int, dict[int, int]]
     return side
 
 
-def _sum_side(row: dict[int, int], sums) -> dict[int, dict[int, int]]:
-    """b -> c -> ab + ac over the non-zero ab and ac of row a, from sum row ab."""
-    side = {}
-    for b, ab in row.items():
-        s = sums[ab]
-        if through := {c: s[ac] for c, ac in row.items() if ac in s}:
-            side[b] = through
-    return side
-
-
 def _assoc_failure(elements, t: _Table) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with (ab)c != a(bc), as labels, or None, per
     a or by whole rows: row ab holds (ab)c, and row a through row b a(bc)."""
@@ -336,13 +323,8 @@ def _assoc_failure(elements, t: _Table) -> tuple[str, str, str] | None:
 
 def _distributive_failure(elements, add: _Table, m: _Table) -> tuple[str, str, str] | None:
     """The first triple (a, b, c) with a(b+c) != ab + ac, as labels, or None,
-    as for associativity; by whole rows, row a through sum row b against sum
-    row ab through row a. m is the mul rows, or the columns for (b+c)a = ba + ca."""
-    if m.zero is not None and add.zero == m.zero:
-        lines, sums = m.nonzero, add.nonzero
-        if sum(len(row) ** 2 for row in lines) <= len(elements) ** 2:
-            left = (_over_preimages(r, add.preimages) for r in lines)
-            return _triple_failure(elements, zip(left, (_sum_side(r, sums) for r in lines)))
+    by whole rows: row a through sum row b against sum row ab through row a.
+    m is the mul rows, or the columns for (b+c)a = ba + ca."""
     return _row_failure(
         elements, m.rows, lambda a, b, ab: (add.gathers[b](m.rows[a]), m.gathers[a](add.rows[ab]))
     )
@@ -350,14 +332,11 @@ def _distributive_failure(elements, add: _Table, m: _Table) -> tuple[str, str, s
 
 def _commutativity_failure(elements, t: _Table, cols: _Columns) -> tuple[str, str] | None:
     """The first pair (a, b) with ab != ba, as labels, or None: the first row
-    a that differs from column a, compared whole, or by their non-zero
-    entries where z absorbs."""
-    if t.zero is None:
-        pairs, first = zip(t.rows, cols.rows), _first_difference
-    else:
-        pairs, first = zip(t.nonzero, cols.nonzero), _first_key_difference
+    a whose non-zero entries differ from those of column a (without an
+    absorbing element, every entry is non-zero)."""
+    pairs = enumerate(zip(t.nonzero, cols.nonzero))
     return next(
-        ((elements[a], elements[first(row, col)]) for a, (row, col) in enumerate(pairs) if row != col),
+        ((elements[a], elements[_first_key_difference(row, col)]) for a, (row, col) in pairs if row != col),
         None,
     )
 

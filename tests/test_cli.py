@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +64,29 @@ class TestExitCodes:
         code, _, err = run(capsys, ["validate", "/no/such/file.json"])
         assert code == 2
         assert "cannot read file: /no/such/file.json" in err
+
+    def test_an_unwritable_export_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["check", "builtin:sc_abc", "eq3.1", "--export", str(tmp_path)])
+        assert (code, out) == (2, "holds\n")
+        assert err.startswith("flathg: error: [Errno 21] Is a directory")
+
+    @pytest.mark.parametrize("argv", [["family", "beam", "3000"], ["check", "builtin:sc_abc", "eq3.1"]])
+    def test_a_closed_output_pipe_exits_141_in_silence(self, argv):
+        """As for `flathg ... | head -1`, whether the output fills the pipe's
+        buffer or is one line: stdout is a pipe whose read end is closed
+        before the process starts, so every write to it fails."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "flathg.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_unknown_builtin_for_hypergraph_command(self, capsys):
         code, _, err = run(capsys, ["semiring", "builtin:s7"])

@@ -854,7 +854,7 @@ def test_a_flat_base_whose_products_do_not_cancel_is_closed_in_full(monkeypatch)
     )
     gens = [("a", "a"), ("b", "a")]
     want = _reference_closure(base, _indexed(base, gens))
-    assert constructions._zero_coordinate_quotient(base, gens, 100)[0] < len(want)
+    assert constructions._zero_coordinate_quotient(base, gens, 100) is None
     closures = _spy_on_the_closures(monkeypatch)
     plan = constructions._QuotientPlan(claim="non-cancellative", base=base, generators=gens, target=base)
     report = constructions._run_quotient_plan("test", plan, 100)

@@ -358,6 +358,8 @@ def random_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(random_tables())
 @example(FiniteSemiring(("e0", "e1"), ((0, 1), (1, 1)), ((0, 1), (0, 1))))
+# No absorbing element, so every entry is non-zero; both tables fail at (e2, e3).
+@example(FiniteSemiring(("e0", "e1", "e2", "e3"), *[((1, 1, 2, 3), (1, 0, 3, 2), (2, 3, 3, 0), (3, 2, 3, 1))] * 2))
 def test_is_commutative_matches_the_pairwise_definition(s):
     """The add verdict is also verify_axioms' add-commutative one."""
     for op in ("add", "mul"):
@@ -450,6 +452,19 @@ def _off_row_ab():
 OFF_ROW_AB = _off_row_ab()
 
 
+def _sum_off_the_flat_row():
+    """Flat addition over e0 except e2 + e4 = e2; e2·e5 = e5 and e4·e2 = e2
+    are the only non-zero products. e0 absorbs both tables, but the addition
+    is not flat, so the distributive laws are scanned: the left one first
+    fails at (e4, e2, e4), the right one at (e5, e2, e4)."""
+    n = 6
+    add = [[a if a == b else 0 for b in range(n)] for a in range(n)]
+    add[2][4] = 2
+    mul = [[0] * n for _ in range(n)]
+    mul[2][5], mul[4][2] = 5, 2
+    return FiniteSemiring(tuple(f"e{i}" for i in range(n)), tuple(map(tuple, add)), tuple(map(tuple, mul)), 0)
+
+
 def relabel(s, new_index, zero):
     """s with element x moved to index new_index[x], and zero designated."""
     n = s.size
@@ -470,10 +485,11 @@ def relabel(s, new_index, zero):
 @settings(max_examples=80, deadline=None)
 @given(absorbing_mutants())
 @example(OFF_ROW_AB)
+@example(_sum_off_the_flat_row())
 def test_sparse_scans_match_dense_scans_when_the_zero_still_absorbs(s):
-    """The zero absorbs in both tables, so every law compares its non-zero
-    triples, and a wrong product off the zero's row and column fails late,
-    if at all."""
+    """The zero absorbs in both tables, so associativity compares its
+    non-zero triples, and a wrong product off the zero's row and column
+    fails late, if at all."""
     assert_sparse_scans_agree(s)
 
 
