@@ -520,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.export:
             with open(args.export, "w", encoding="utf-8") as fh:
                 fh.write("".join(out.printed) if out.artifact is None else out.artifact)
+        # Block-buffered stdout (a pipe or a file) may hold all of a short
+        # output until now: a closed pipe must fail here, not at exit.
+        sys.stdout.flush()
         return code
     except BrokenPipeError:
         # The reader of stdout has gone: no message, and the status of a

@@ -70,15 +70,22 @@ class TestExitCodes:
         assert (code, out) == (2, "holds\n")
         assert err.startswith("flathg: error: [Errno 21] Is a directory")
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("argv", [["family", "beam", "3000"], ["check", "builtin:sc_abc", "eq3.1"]])
-    def test_a_closed_output_pipe_exits_141_in_silence(self, argv):
+    def test_a_closed_output_pipe_exits_141_in_silence(self, argv, unbuffered):
         """As for `flathg ... | head -1`, whether the output fills the pipe's
         buffer or is one line: stdout is a pipe whose read end is closed
-        before the process starts, so every write to it fails."""
+        before the process starts, so every write to it fails. An empty
+        PYTHONUNBUFFERED leaves stdout block-buffered, as a pipe is by
+        default, so a one-line output is first written when `main` flushes."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         src = str(pathlib.Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "PYTHONUNBUFFERED": unbuffered,
+        }
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "flathg.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
