@@ -6,8 +6,11 @@ Exit codes: 0 when every claim checked out, 1 when some claim failed
 exceeded budget). The library refuses an input by raising ValueError;
 `main` is the one place that turns it, a CliInputError or an OSError into
 `flathg: error: ...` and exit 2, and lets any other exception propagate.
-A closed output pipe (`flathg ... | head`) is no input error: `main` then
-prints nothing and exits 141, the status of a process that SIGPIPE ended.
+The handlers collect their records; `main` writes `--export` first and
+then all of stdout, so an unwritable export exits 2 before anything is
+printed. A closed output pipe (`flathg ... | head`) is no input error:
+`main` then prints no message and exits 141, the status of a process
+that SIGPIPE ended, with the export already written.
 Every number on the command line (index, cap, color) is ASCII digits, read
 by `terms.ascii_index`. Output is plain text by default; `--format
 structured` switches to line-delimited JSON records with stable field order.
@@ -68,16 +71,14 @@ class CliInputError(Exception):
 class Reporter:
     def __init__(self, fmt: str):
         self.structured = fmt == "structured"
-        self.printed: list[str] = []
+        self.lines: list[str] = []
         # What --export writes when it is not the printed output.
         self.artifact: str | None = None
 
     def record(self, fields: dict, text: str) -> None:
-        """Print one record: the fields as JSON, or the text, which may end
-        in a newline of its own."""
-        line = json.dumps(fields) if self.structured else text.removesuffix("\n")
-        print(line)
-        self.printed.append(line + "\n")
+        """Collect one record for `main` to print: the fields as JSON, or the
+        text, which may end in a newline of its own."""
+        self.lines.append(json.dumps(fields) if self.structured else text.removesuffix("\n"))
 
 
 def _positive(text: str) -> int:
@@ -517,9 +518,15 @@ def main(argv: list[str] | None = None) -> int:
     out = Reporter(args.format)
     try:
         code = _HANDLERS[args.command](args, out)
+        # The export comes first, so a reader that stops early cannot cut it.
         if args.export:
             with open(args.export, "w", encoding="utf-8") as fh:
-                fh.write("".join(out.printed) if out.artifact is None else out.artifact)
+                fh.write("\n".join(out.lines) + "\n" if out.artifact is None else out.artifact)
+        # print writes each line and each newline apart, the final newline
+        # last. Unbuffered stdout (python -u) drops what a partial write to a
+        # pipe leaves when the reader goes, so that small last write is the
+        # one that meets the closed pipe.
+        print(*out.lines, sep="\n")
         # Block-buffered stdout (a pipe or a file) may hold all of a short
         # output until now: a closed pipe must fail here, not at exit.
         sys.stdout.flush()

@@ -1,4 +1,4 @@
-"""Finite 3-hypergraphs: validation, girth, pair classes, cores, families, homomorphisms.
+"""Finite 3-hypergraphs: validation, girth, pair classes, leaf edges, families, homomorphisms.
 
 Vertices are opaque strings. An admissible hypergraph is finite and linear,
 has no loops or isolated vertices, and keeps every 2-vertex edge disjoint
@@ -214,14 +214,6 @@ def sub_hypergraph(h: Hypergraph, edges) -> Hypergraph:
     return Hypergraph(tuple(v for v in h.vertices if v in covered), edges)
 
 
-def uniform_core(h: Hypergraph) -> Hypergraph:
-    """Induced subhypergraph on the vertices covered by 3-vertex edges."""
-    triple_cover = set().union(*(e for e in h.edges if len(e) == 3), frozenset())
-    if not triple_cover:
-        raise ValueError("no 3-uniform core: hypergraph has only 2-vertex edges")
-    return sub_hypergraph(h, (e for e in h.edges if e <= triple_cover))
-
-
 def leaf_edges(edges: frozenset[Edge]) -> list[tuple[Edge, frozenset[str]]]:
     """Each leaf edge with the vertices it shares with the other edges.
 
@@ -232,27 +224,6 @@ def leaf_edges(edges: frozenset[Edge]) -> list[tuple[Edge, frozenset[str]]]:
     degree = collections.Counter(itertools.chain.from_iterable(edges))
     shares = ((e, frozenset(v for v in e if degree[v] > 1)) for e in sorted(edges, key=_key))
     return [(e, shared) for e, shared in shares if len(shared) <= 1]
-
-
-def leaf_core(h: Hypergraph) -> Hypergraph:
-    """Iteratively delete leaf edges until none remain.
-
-    A leaf is an edge meeting the union of all other edges in at most one
-    vertex. The result is the partial subhypergraph on the surviving edges.
-    Requires a 3-uniform hypergraph that contains a cycle; a hyperforest
-    loses every edge eventually, so it has no core.
-    """
-    if any(len(e) != 3 for e in h.edges):
-        raise ValueError("leaf core requires a 3-uniform hypergraph")
-    if girth(h) == INFINITE:
-        raise ValueError("leaf core undefined: hypergraph is a hyperforest")
-    edges = h.edges
-    while True:
-        dropped = {e for e, _ in leaf_edges(edges)}
-        if not dropped:
-            break
-        edges = edges - dropped
-    return sub_hypergraph(h, edges)
 
 
 def _beam_edges(index: int) -> list[tuple[str, ...]]:
@@ -349,17 +320,17 @@ def _images_of(members):
     return operator.itemgetter(*members)
 
 
-def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injective: bool = False):
+def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates):
     """Yield each map of h's vertices to target's under which every edge of h
     lands on an edge of target of the same size (Hell and Nešetřil, Graphs
     and Homomorphisms, 2004), as a dict in h's vertex order.
 
     Maps come in lexicographic order over order (all of h's vertices) times
     each vertex's candidates (its list in candidates, else target's vertices);
-    one with a single candidate is mapped first. With injective, no two share
-    an image. The search keeps one iterator of choices per mapped vertex on
-    an explicit stack; a vertex's choices are its candidates in the fits of
-    all its edges, one table lookup per edge.
+    one with a single candidate is mapped first. The search keeps one
+    iterator of choices per mapped vertex on an explicit stack; a vertex's
+    choices are its candidates in the fits of all its edges, one table
+    lookup per edge.
     """
     if frozenset() in h.edges and frozenset() not in target.edges:
         return
@@ -367,10 +338,6 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
     fits = _EdgeFits(target)
     everything = frozenset(target.vertices)
     image = dict.fromkeys(h.vertices)
-    # With injective, the images of the vertices mapped so far. A vertex's
-    # choices are drawn while every deeper vertex is unmapped, so its filter
-    # reads the set as it was when the choices were made.
-    taken: set[str] = set()
 
     def choices(v):
         """v's candidates, in order, that keep each of v's edges on a target
@@ -380,8 +347,7 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
             fit = fit & fits[images_of(image)]
             if not fit:
                 break
-        options = filter(fit.__contains__, candidates.get(v, target.vertices))
-        return itertools.filterfalse(taken.__contains__, options) if injective else options
+        return filter(fit.__contains__, candidates.get(v, target.vertices))
 
     # Vertices with a single candidate go first (sorted is stable), so that
     # every check sees them.
@@ -392,36 +358,14 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates, injectiv
     stack = [choices(order[0])]
     while stack:
         v = order[len(stack) - 1]
-        if injective:
-            taken.discard(image[v])
         image[v] = next(stack[-1], None)
         if image[v] is None:
             stack.pop()
             continue
-        if injective:
-            taken.add(image[v])
         if len(stack) == len(order):
             yield dict(image)
         else:
             stack.append(choices(order[len(stack)]))
-
-
-def find_hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> dict[str, str] | None:
-    """Search for a vertex bijection carrying edges of h1 exactly onto edges of h2.
-
-    With as many edges on both sides, that is an injective homomorphism: the
-    first one, trying vertices in degree_order, each against h2's vertices
-    with the same incident edge sizes in label order. None if there is none.
-    """
-    sig1 = {v: tuple(map(len, edges)) for v, edges in _incident(h1).items()}
-    sig2 = {w: tuple(map(len, edges)) for w, edges in _incident(h2).items()}
-    if len(h1.edges) != len(h2.edges) or sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-    alike: dict[tuple, list[str]] = {}
-    for w in sorted(h2.vertices):
-        alike.setdefault(sig2[w], []).append(w)
-    candidates = {v: alike[sig1[v]] for v in h1.vertices}
-    return next(homomorphisms(h1, h2, degree_order(h1), candidates, injective=True), None)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -67,19 +67,18 @@ class TestExitCodes:
 
     def test_an_unwritable_export_is_an_input_error(self, capsys, tmp_path):
         code, out, err = run(capsys, ["check", "builtin:sc_abc", "eq3.1", "--export", str(tmp_path)])
-        assert (code, out) == (2, "holds\n")
+        assert (code, out) == (2, "")
         assert err.startswith("flathg: error: [Errno 21] Is a directory")
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"])
-    @pytest.mark.parametrize("argv", [["family", "beam", "3000"], ["check", "builtin:sc_abc", "eq3.1"]])
-    def test_a_closed_output_pipe_exits_141_in_silence(self, argv, unbuffered):
-        """As for `flathg ... | head -1`, whether the output fills the pipe's
-        buffer or is one line: stdout is a pipe whose read end is closed
-        before the process starts, so every write to it fails. An empty
-        PYTHONUNBUFFERED leaves stdout block-buffered, as a pipe is by
-        default, so a one-line output is first written when `main` flushes."""
+    @staticmethod
+    def _run_into_a_closed_pipe(argv, unbuffered="", read_first=0):
+        """Run `python -m flathg.cli argv` with stdout a pipe whose reader
+        reads read_first bytes and closes its end (before the process
+        starts, for none), so every later write to it fails. Returns the
+        exit status and stderr."""
         read_end, write_end = os.pipe()
-        os.close(read_end)
+        if not read_first:
+            os.close(read_end)
         src = str(pathlib.Path(cli.__file__).parents[1])
         env = {
             **os.environ,
@@ -87,13 +86,43 @@ class TestExitCodes:
             "PYTHONUNBUFFERED": unbuffered,
         }
         try:
-            done = subprocess.run(
+            proc = subprocess.Popen(
                 [sys.executable, "-m", "flathg.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
-                env=env, timeout=60,
+                env=env,
             )
         finally:
             os.close(write_end)
-        assert (done.returncode, done.stderr) == (141, b"")
+        if read_first:
+            os.read(read_end, read_first)
+            os.close(read_end)
+        _, err = proc.communicate(timeout=60)
+        return proc.returncode, err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [["family", "beam", "3000"], ["check", "builtin:sc_abc", "eq3.1"]])
+    def test_a_closed_output_pipe_exits_141_in_silence(self, argv, unbuffered):
+        """As for `flathg ... | head -1`, whether the output fills the pipe's
+        buffer or is one line. An empty PYTHONUNBUFFERED leaves stdout
+        block-buffered, as a pipe is by default, so a one-line output is
+        first written when `main` flushes."""
+        assert self._run_into_a_closed_pipe(argv, unbuffered) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_a_reader_that_leaves_midway_gets_exit_141(self, unbuffered):
+        """As for `flathg family beam 3000 | head -c 1`: the reader goes while
+        a write waits on the full pipe. On unbuffered stdout that write
+        returns short and the text layer drops the rest, so a later write
+        must meet the closed pipe."""
+        done = self._run_into_a_closed_pipe(["family", "beam", "3000"], unbuffered, read_first=1)
+        assert done == (141, b"")
+
+    def test_a_closed_output_pipe_leaves_the_whole_export(self, tmp_path):
+        """As for `flathg ... --export PATH | head`: the export is written
+        before stdout, so the reader leaving cannot cut it short."""
+        target = tmp_path / "beam3000.json"
+        done = self._run_into_a_closed_pipe(["family", "beam", "3000", "--export", str(target)])
+        assert done == (141, b"")
+        assert target.read_text(encoding="utf-8") == format_hypergraph(family("beam", 3000))
 
     def test_unknown_builtin_for_hypergraph_command(self, capsys):
         code, _, err = run(capsys, ["semiring", "builtin:s7"])

