@@ -3,7 +3,7 @@ import json
 import math
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,13 +17,16 @@ from flathg.hypergraph import (
     HypergraphParseError,
     ValidationReport,
     build_hypergraph,
+    degree_order,
     family,
     format_hypergraph,
     girth,
+    homomorphisms,
     is_linear,
     leaf_edges,
     linked_classes,
     parse_hypergraph,
+    sub_hypergraph,
     validate,
 )
 from test_search_differential import reference_isomorphism
@@ -225,6 +228,110 @@ class TestLinkedClasses:
         )
         classes = linked_classes(h)
         assert frozenset({"d", "e"}) not in classes
+
+
+def _strip_leaves(h):
+    """h after removing its leaf edges, and the vertices only they cover,
+    until no leaf edge is left."""
+    while leaves := {e for e, _ in leaf_edges(h.edges)}:
+        h = sub_hypergraph(h, h.edges - leaves)
+    return h
+
+
+class TestLeafEdges:
+    def test_stripping_a_pendant_leaves_the_triangle(self):
+        h = build_hypergraph(
+            [f"u{i}" for i in range(1, 9)],
+            TRIANGLE_EDGES + [("u7", "u8", "u1")],
+        )
+        assert leaf_edges(h.edges) == [(frozenset({"u1", "u7", "u8"}), frozenset({"u1"}))]
+        core = _strip_leaves(h)
+        assert core.edges == triangle().edges
+        assert core.vertices == triangle().vertices
+
+    def test_a_cycle_has_no_leaf_edge(self):
+        assert leaf_edges(family("n_cycle", 5).edges) == []
+
+    def test_a_hyperforest_strips_to_nothing(self):
+        h = build_hypergraph(["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d", "e")])
+        assert [shared for _, shared in leaf_edges(h.edges)] == [frozenset({"c"})] * 2
+        assert _strip_leaves(h) == Hypergraph((), frozenset())
+
+    def test_stripping_a_400_edge_pendant_path(self):
+        # A hyperpath of 400 edges hangs off u1: each round removes its far end.
+        path = [f"p{i}" for i in range(800)]
+        edges = TRIANGLE_EDGES + [(["u1"] + path)[i : i + 3] for i in range(0, 800, 2)]
+        h = build_hypergraph([f"u{i}" for i in range(1, 7)] + path, edges)
+        assert len(h.edges) == 403
+        assert leaf_edges(h.edges) == [(frozenset({"p797", "p798", "p799"}), frozenset({"p797"}))]
+        core = _strip_leaves(h)
+        assert core.edges == triangle().edges
+        assert core.vertices == triangle().vertices
+
+    def test_sub_hypergraph_keeps_its_edges_vertices_in_order(self):
+        h = build_hypergraph(["e", "c", "a", "d", "b"], [("a", "b", "c"), ("d", "e")])
+        sub = sub_hypergraph(h, [frozenset({"a", "b", "c"})])
+        assert sub == Hypergraph(("c", "a", "b"), frozenset({frozenset({"a", "b", "c"})}))
+
+    def test_sub_hypergraph_on_no_edges_is_empty(self):
+        assert sub_hypergraph(triangle(), []) == Hypergraph((), frozenset())
+
+
+def _relabelled(h, width):
+    names = {v: f"w{i:0{width}d}" for i, v in enumerate(sorted(h.vertices))}
+    relabelled = build_hypergraph(sorted(names.values()), [[names[v] for v in e] for e in h.edges])
+    return relabelled, names
+
+
+def _lands(h, target, image):
+    return all(frozenset(image[v] for v in e) in target.edges for e in h.edges)
+
+
+class TestHomomorphisms:
+    def test_relabelled_beam_found(self):
+        h = family("beam", 2)
+        relabelled, names = _relabelled(h, 1)
+        first = next(homomorphisms(h, relabelled, degree_order(h), {}))
+        assert list(first) == list(h.vertices)
+        assert _lands(h, relabelled, first)
+        pins = {v: (w,) for v, w in names.items()}
+        assert list(homomorphisms(h, relabelled, h.vertices, pins)) == [names]
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        h = family("beam", 330)
+        relabelled, names = _relabelled(h, 4)
+        first = next(homomorphisms(h, relabelled, degree_order(h), {}))
+        assert len(first) == 993 and _lands(h, relabelled, first)
+        pins = {v: (w,) for v, w in names.items()}
+        assert list(homomorphisms(h, relabelled, degree_order(h), pins)) == [names]
+
+    def test_an_edge_with_no_target_edge_of_its_size_has_no_map(self):
+        two = build_hypergraph(["a", "b"], [("a", "b")])
+        nonuniform = build_hypergraph(["a", "b", "c", "d", "e"], [("a", "b", "c"), ("d", "e")])
+        with_empty = build_hypergraph(["a", "b", "c"], ["", "abc"])
+        assert list(homomorphisms(nonuniform, triangle(), nonuniform.vertices, {})) == []
+        assert list(homomorphisms(triangle(), two, triangle().vertices, {})) == []
+        assert list(homomorphisms(with_empty, triangle(), with_empty.vertices, {})) == []
+        assert len(list(homomorphisms(two, nonuniform, two.vertices, {}))) == 2
+
+    def test_maps_come_in_lexicographic_order(self):
+        # u2 has one candidate, so it is mapped first; the order of the maps
+        # is still that of order over each vertex's candidates.
+        h = triangle()
+        order = list(reversed(h.vertices))
+        candidates = {"u2": ("u4",), "u6": ("u6", "u5", "u4", "u3", "u2", "u1")}
+        want = []
+        for images in product(*(candidates.get(v, h.vertices) for v in order)):
+            image = dict(zip(order, images))
+            if _lands(h, h, image):
+                want.append({v: image[v] for v in h.vertices})
+        got = list(homomorphisms(h, h, order, candidates))
+        assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
+        assert len(got) > 1
+
+    def test_no_vertices_have_the_empty_map(self):
+        empty = Hypergraph((), frozenset())
+        assert list(homomorphisms(empty, triangle(), [], {})) == [{}]
 
 
 class TestSerialization:

@@ -6,6 +6,8 @@ of the recursive alternating-cycle search girth used before its
 breadth-first one. Every public answer must match them exactly: the
 coloring list in order (keys in order too), the first failing pair of
 is_2_robust, extends on every valid pinned pair, and the girth.
+reference_homomorphisms checks the vertex-map search on targets other than
+the coloring simplex: relabelled copies and hypergraphs of the same size.
 reference_isomorphism is a brute-force hypergraph isomorphism search, which
 the library does not have; the family tests in test_hypergraph use it.
 
@@ -34,6 +36,7 @@ from flathg.hypergraph import (
     degree_order,
     family,
     girth,
+    homomorphisms,
     pair_incidence,
 )
 from flathg.suite import (
@@ -153,6 +156,37 @@ def reference_isomorphism(h1, h2):
     return {v: mapping[v] for v in h1.vertices} if assign(0) else None
 
 
+def reference_homomorphisms(h, target, order, candidates):
+    """Each map under which every edge of h lands on an edge of target of
+    the same size, in lexicographic order over order times candidates: a
+    recursive search that refuses a partial map once a partly mapped edge
+    repeats an image or lies in no target edge of its size."""
+    order = list(order)
+    mapping = {}
+
+    def fits(e):
+        image = [mapping[v] for v in e if v in mapping]
+        if len(set(image)) != len(image):
+            return False
+        if len(image) == len(e):
+            return frozenset(image) in target.edges
+        return any(len(f) == len(e) and f.issuperset(image) for f in target.edges)
+
+    def assign(i):
+        if i == len(order):
+            yield {v: mapping[v] for v in h.vertices}
+            return
+        v = order[i]
+        for w in candidates.get(v, target.vertices):
+            mapping[v] = w
+            if all(fits(e) for e in h.edges if v in e):
+                yield from assign(i + 1)
+            del mapping[v]
+
+    if all(fits(e) for e in h.edges if not e):
+        yield from assign(0)
+
+
 def reference_girth(h):
     incident = {v: [] for v in h.vertices}
     for e in h.edges:
@@ -253,6 +287,60 @@ def test_extends_matches_on_every_valid_pinned_pair(name):
                 partials.append({u: cu, v: cv})
     for partial in partials:
         assert extends(h, partial) == reference_extends(h, partial), partial
+
+
+def _relabelled(h, rng):
+    """A copy of h with shuffled names, vertex order and edge order, and the
+    renaming."""
+    names = [f"w{i}" for i in range(len(h.vertices))]
+    rng.shuffle(names)
+    rename = dict(zip(h.vertices, names))
+    edges = [[rename[v] for v in e] for e in h.edges]
+    rng.shuffle(edges)
+    return build_hypergraph(sorted(names, key=lambda _: rng.random()), edges), rename
+
+
+def _first_maps(search, h, target, order, candidates, count=40):
+    return [list(m.items()) for m in itertools.islice(search(h, target, order, candidates), count)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_homomorphisms_match_on_a_relabelled_copy(name):
+    h = CASES[name]
+    twin, rename = _relabelled(h, random.Random(name))
+    for source, target in [(h, twin), (twin, h), (h, h)]:
+        order = degree_order(source)
+        got = _first_maps(homomorphisms, source, target, order, {})
+        assert got == _first_maps(reference_homomorphisms, source, target, order, {})
+        assert got
+    # Pinning every vertex to its new name leaves the renaming alone; pinning
+    # half of them (the rest keep every target vertex) keeps it among the maps.
+    pins = {v: (w,) for v, w in rename.items()}
+    assert [list(m.items()) for m in homomorphisms(h, twin, h.vertices, pins)] == [
+        list(rename.items())
+    ]
+    half = dict(list(pins.items())[::2])
+    got = _first_maps(homomorphisms, h, twin, degree_order(h), half, count=None)
+    assert got == _first_maps(reference_homomorphisms, h, twin, degree_order(h), half, count=None)
+    assert list(rename.items()) in got
+
+
+def _same_size_groups():
+    groups = {}
+    for name, h in sorted(CASES.items()):
+        groups.setdefault((len(h.vertices), len(h.edges)), []).append(h)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def test_homomorphisms_match_on_same_size_pairs():
+    pairs = [(a, b) for group in _same_size_groups() for a, b in itertools.permutations(group, 2)]
+    assert len(pairs) > 200
+    found = 0
+    for a, b in pairs:
+        want = _first_maps(reference_homomorphisms, a, b, degree_order(a), {}, count=5)
+        assert _first_maps(homomorphisms, a, b, degree_order(a), {}, count=5) == want
+        found += bool(want)
+    assert 0 < found < len(pairs)
 
 
 def test_girth_matches():
