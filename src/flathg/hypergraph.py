@@ -331,6 +331,14 @@ def homomorphisms(h: Hypergraph, target: Hypergraph, order, candidates):
     iterator of choices per mapped vertex on an explicit stack; a vertex's
     choices are its candidates in the fits of all its edges, one table
     lookup per edge.
+
+    The cost depends on order. A vertex none of whose edges has a mapped
+    member yet takes every target vertex, so an order that reaches such
+    vertices early finds its dead ends late: the first 40 maps of a
+    relabelled fan(3) into fan(3) took 6.6 s in a shuffled vertex order and
+    1 ms in degree_order (2-core machine, Python 3.11). Callers should pass
+    degree_order(h), as the library does wherever the maps need not come in
+    h's own vertex order.
     """
     if frozenset() in h.edges and frozenset() not in target.edges:
         return

@@ -122,6 +122,15 @@ class FiniteSemiring:
         return tuple(out)
 
     @cached_property
+    def pair_tables(self) -> tuple[bytes, bytes]:
+        """add, then mul, flattened to a 256-byte `bytes.translate` table of
+        pair codes: byte u·n + v is u∘v. For carriers of at most 16
+        elements, whose pair codes fit a byte; built on first use, once per
+        semiring."""
+        pad = bytes(256 - self.size**2)
+        return tuple(bytes(itertools.chain.from_iterable(t)) + pad for t in (self.add, self.mul))
+
+    @cached_property
     def _laws(self) -> _Laws:
         """The law view of the tables; built on first use, once per semiring."""
         return _Laws(self.elements, self.add, self.mul)

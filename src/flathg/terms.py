@@ -4,7 +4,10 @@ An identity is a pair of terms over named variables, each a tree of sums
 and products kept as written: brackets group, so x*(y*z) and (x*y)*z are
 two terms, and the operands of an unbracketed sum or product fold left to
 right. The brute-force checker enumerates every assignment up to a budget,
-so its verdict is about the terms as written, on any table. The flat
+so its verdict is about the terms as written, on any table. On carriers of
+at most 16 elements it interprets the identity over byte vectors that each
+hold a block of assignments, one C-level gather per lookup and block; on
+larger ones it compiles the identity to a loop nest. The flat
 checker exploits the collapsing addition of flat semirings: a sum is
 non-zero only when all its summands agree on one non-zero value, so it
 suffices to search for assignments pinning one side to such a value and
@@ -13,6 +16,7 @@ compare the other side there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -322,11 +326,19 @@ def eval_term(t: Term, assignment: dict[str, str], s: FiniteSemiring) -> str:
 # outermost ones share one loop over their product.
 _MAX_LOOPS = 16
 
-# Carrier sizes whose brute-force nest binds the last variable to a byte
-# vector instead of a loop. A byte holds at most 256 element indices; on a
-# 2-element carrier a gather can cost more than the two loop steps it
-# replaces (up to 1.2x slower; measurements in CHANGES.md).
-_VECTOR_SIZES = range(3, 257)
+# Carriers of at most this many elements are searched by blocks with no
+# generated code (`_block_search`): the pair code u·n + v of two element
+# indices fits a byte, so every lookup is one C-level gather.
+_PAIR_MOST = 16
+
+# A block of `_block_search` holds at most this many assignments.
+_BLOCK = 4096
+
+# Carrier sizes, past `_PAIR_MOST`, whose brute-force nest binds the last
+# variable to a byte vector instead of a loop; a byte holds at most 256
+# element indices. Interpreted, such a nest ran 2 to 2.7x slower on checks
+# of thousands of blocks (measurements in CHANGES.md), so it is compiled.
+_VECTOR_SIZES = range(_PAIR_MOST + 1, 257)
 
 
 class _TwoVectors(Exception):
@@ -432,6 +444,127 @@ def _compile_nest(source: str):
     return namespace["side"]
 
 
+@functools.lru_cache(maxsize=64)
+def _block_vectors(n: int, k: int) -> tuple[bytes, ...]:
+    """The values of the last k variables at the n^k assignments of a block,
+    in lexicographic order, one byte vector per variable; built in C, once
+    per (n, k)."""
+    return tuple(
+        b"".join([bytes((v,)) * n ** (k - 1 - i) for v in range(n)]) * n**i for i in range(k)
+    )
+
+
+def _block_search(s: FiniteSemiring, ident: Identity) -> int:
+    """The number of assignments, in lexicographic order, before the first
+    at which the sides differ: all n^variables when none does. For carriers
+    of 1 to `_PAIR_MOST` elements; no code is generated.
+
+    The last k variables, k the largest with n^k <= `_BLOCK`, are the byte
+    vectors of one block of n^k assignments (`_block_vectors`). The other
+    variables are looped: the innermost one by a loop, the rest by an
+    odometer. Each side is folded left to right as written, one lookup per
+    step, and textually identical lookups share a temporary. A lookup of
+    two scalars reads the table; any other is one C-level gather through
+    the semiring's tables: a scalar row x gathers `y.translate(rows[x])`, a
+    scalar column y gathers `x.translate(columns[y])`, and two vectors
+    gather their pair codes u·n + v, made by integer arithmetic on their
+    bytes, through the flattened table (`pair_tables`). A lookup is
+    recomputed only when the last looped variable it reads, or an earlier
+    one, changes; one that reads none is computed once. Each block compares
+    the two sides whole, a scalar side as the constant vector of its value.
+    """
+    n, names = s.size, ident.variables
+    k = 1
+    while k < len(names) and n ** (k + 1) <= _BLOCK:
+        k += 1
+    looped, size = len(names) - k, n**k
+    env: list = [0] * looped
+    env += _block_vectors(n, k)
+    # Each operand's slot in env, the level it is known at (1 + the index of
+    # the last looped variable it reads, 0 if none) and whether it is a vector.
+    operands = {v: (i, i + 1 if i < looped else 0, i >= looped) for i, v in enumerate(names)}
+    levels: list[list[tuple]] = [[] for _ in range(looped + 1)]
+    temps: dict[tuple[str, int, int], tuple[int, int, bool]] = {}
+    add_rows, add_columns, mul_rows, mul_columns, _ = s.byte_tables
+    gathers = {}
+    for op, table, rows, columns, pairs in (
+        ("+", s.add, add_rows, add_columns, s.pair_tables[0]),
+        ("*", s.mul, mul_rows, mul_columns, s.pair_tables[1]),
+    ):
+        gathers[op, False, False] = lambda x, y, table=table: table[x][y]
+        gathers[op, False, True] = lambda x, y, rows=rows: y.translate(rows[x])
+        gathers[op, True, False] = lambda x, y, columns=columns: x.translate(columns[y])
+        gathers[op, True, True] = lambda x, y, pairs=pairs: (
+            (int.from_bytes(x, "big") * n + int.from_bytes(y, "big")).to_bytes(size, "big")
+        ).translate(pairs)
+
+    def fold(node: Term) -> tuple[int, int, bool]:
+        """The slot holding a term's value, its level and whether it is a vector."""
+        if isinstance(node, Variable):
+            return operands[node.name]
+        op, parts = ("*", node.factors) if isinstance(node, Product) else ("+", node.terms)
+        acc = fold(parts[0])
+        for part in parts[1:]:
+            operand = fold(part)
+            key = (op, acc[0], operand[0])
+            if key not in temps:
+                temps[key] = len(env), max(acc[1], operand[1]), acc[2] or operand[2]
+                levels[temps[key][1]].append(
+                    (len(env), gathers[op, acc[2], operand[2]], acc[0], operand[0])
+                )
+                env.append(None)
+            acc = temps[key]
+        return acc
+
+    (lhs, _, _), (rhs, _, _) = fold(ident.lhs), fold(ident.rhs)
+    # With no looped variable, a spare slot takes the one pass of the loop.
+    inner, slot, values = (levels[looped], looped - 1, range(n)) if looped else ([], len(env), (0,))
+    env.append(None)
+    for level in levels[: max(looped, 1)]:
+        for out, gather, x, y in level:
+            env[out] = gather(env[x], env[y])
+    block, top = 0, n - 1
+    while True:
+        for v in values:
+            env[slot] = v
+            for out, gather, x, y in inner:
+                env[out] = gather(env[x], env[y])
+            if env[lhs] != env[rhs]:
+                at = _block_difference(env[lhs], env[rhs], size)
+                if at is not None:
+                    return (block + v) * size + at
+        block += n
+        # The odometer: the last outer looped variable below its top value
+        # steps, and the ones after it go back to 0.
+        j = looped - 2
+        while j >= 0 and env[j] == top:
+            env[j] = 0
+            j -= 1
+        if j < 0:
+            return n ** len(names)
+        env[j] += 1
+        for level in levels[j + 1 : looped]:
+            for out, gather, x, y in level:
+                env[out] = gather(env[x], env[y])
+
+
+# Per element index, the one-byte string of it.
+_BYTE = [bytes((c,)) for c in range(256)]
+
+
+def _block_difference(left, right, size: int) -> int | None:
+    """The first position at which two sides' values over a block differ,
+    a scalar being the constant vector of its value; None if none does."""
+    if isinstance(left, int):
+        left = _BYTE[left] * size
+    if isinstance(right, int):
+        right = _BYTE[right] * size
+    if left == right:
+        return None
+    differ = int.from_bytes(left, "big") ^ int.from_bytes(right, "big")
+    return size - 1 - (differ.bit_length() - 1) // 8
+
+
 def _failure(
     ident: Identity, values: dict[str, int], s: FiniteSemiring, explored: int
 ) -> CheckResult:
@@ -449,38 +582,44 @@ def check_identity_bruteforce(
 
     Refuses outright when |S|^variables exceeds the budget, naming the flat
     checker as the alternative. Each side is evaluated as its tree is
-    written, so on any table the verdict is about the terms typed. The
-    identity is compiled to one loop nest per call (`_nest_source`); on
-    carriers of `_VECTOR_SIZES` its last variable is a byte vector unless a
-    lookup reads that variable through both operands. Compiling takes 0.1 to
-    0.4 ms (2-core machine, Python 3.11), most of a check of a few hundred
-    assignments or of an early counterexample; only past about 10^4
-    assignments is it amortized (17% of s7's 19,683 on eq4.2, 2.5% of
-    sc_abc's 262,144 on eq3.1). `explored` is the counterexample's position
-    in that order, or |S|^variables when the identity holds.
+    written, so on any table the verdict is about the terms typed. On
+    carriers of at most `_PAIR_MOST` elements the identity is interpreted
+    over byte vectors that each hold a block of assignments
+    (`_block_search`), with no code generated. On larger ones it is
+    compiled to one loop nest per call (`_nest_source`), whose last
+    variable, on carriers of `_VECTOR_SIZES`, is a byte vector unless a
+    lookup reads it through both operands. Compiling takes 0.1 to 0.4 ms
+    (2-core machine, Python 3.11), most of a check of a few hundred
+    assignments or of an early counterexample. `explored` is the
+    counterexample's position in that order, or |S|^variables when the
+    identity holds.
     """
     ident = make_identity(ident.lhs, ident.rhs)
-    nvars = len(ident.variables)
-    total = s.size**nvars
+    n, nvars = s.size, len(ident.variables)
+    total = n**nvars
     if total > budget:
         raise ValueError(
-            f"budget exceeded: {s.size}^{nvars} = {total} evaluations > {budget}; "
+            f"budget exceeded: {n}^{nvars} = {total} evaluations > {budget}; "
             "use the flat checker"
         )
-    args = (range(s.size), s.add, s.mul, itertools.product)
-    source = s.size in _VECTOR_SIZES and _nest_source(ident, vector=True)
-    if source:
-        *tables, constants = s.byte_tables
-        args += (bytes(range(s.size)), constants, *tables, _first_difference)
+    if 0 < n <= _PAIR_MOST:
+        before = _block_search(s, ident)
     else:
-        source = _nest_source(ident)
-    hit = _compile_nest(source)(*args)
-    if hit is None:
+        args = (range(n), s.add, s.mul, itertools.product)
+        source = n in _VECTOR_SIZES and _nest_source(ident, vector=True)
+        if source:
+            *tables, constants = s.byte_tables
+            args += (bytes(range(n)), constants, *tables, _first_difference)
+        else:
+            source = _nest_source(ident)
+        hit = _compile_nest(source)(*args)
+        before = total if hit is None else functools.reduce(lambda i, v: i * n + v, hit)
+    if before == total:
         return CheckResult("holds", None, total)
-    index = 0
-    for value in hit:
-        index = index * s.size + value
-    return _failure(ident, dict(zip(ident.variables, hit)), s, index + 1)
+    rest, values = before, {}
+    for v in reversed(ident.variables):
+        rest, values[v] = divmod(rest, n)
+    return _failure(ident, values, s, before + 1)
 
 
 def _monomial_count(node: Term) -> int:

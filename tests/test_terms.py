@@ -73,12 +73,18 @@ def _chain(n):
     )
 
 
-# Carriers on both sides of each bound of terms._VECTOR_SIZES: the Boolean
-# semiring below it, the 3-element tables at it, the 256-element chain at its
-# top and the 257-element one past it, where a byte cannot hold an element.
+# Carriers on both sides of each bound of brute force's byte vectors: the
+# 2- and 3-element tables and the 16-element chain, searched by blocks of
+# vectors (the 16-element chain is the largest whose lookups of two vectors
+# are a one-byte pair-code gather); past that the terms._VECTOR_SIZES loop
+# nests, from the 17-element chain to the 256-element one at the top of the
+# byte range, and the 257-element one past it, where a byte cannot hold an
+# element.
 CARRIERS = {
     "boolean": BOOLEAN,
     "non-associative": NON_ASSOCIATIVE,
+    "chain(16)": _chain(16),
+    "chain(17)": _chain(17),
     "chain(256)": _chain(256),
     "chain(257)": _chain(257),
 }
@@ -487,7 +493,32 @@ VECTOR_PINS = [
 ]
 
 
-@pytest.mark.parametrize("subject, key, verdict, values, explored", BRUTE_PINS + VECTOR_PINS)
+# Block boundaries, where operand order or grouping matters. On 3 elements a
+# block holds 3^7 assignments of the last 7 variables, and on 5 elements 5^5
+# of the last 5; the first variable steps from block to block. The sum s of
+# x2 .. x8 (or x6) is an element c when every summand is c, and 0 otherwise.
+# On the non-associative table s*s is b only where s is b, so x1 = s*s first
+# fails at the last position of the first block, and (x1*x1)*s = x1*(x1*s)
+# at the last of the second. Brandt's x1*s = s*x1 first fails in the second
+# block, at x1 = e11 and s = e12. No identity first fails at the last
+# position of a Brandt block with x1 = 0: the swap of indices 1 and 2 is an
+# automorphism that maps the block's first all-e11 position to it. On the
+# Boolean semiring a block holds 2^12 assignments, so of 14 variables x1 is
+# stepped by the odometer and x2 by the loop inside it; the product p of x2
+# .. x13 hides x1 + p = x1*x14 + p until x1 reaches its top value.
+_SUM = "(" + " + ".join(f"x{i}" for i in range(2, 9)) + ")"
+_PRODUCT = "*".join(f"x{i}" for i in range(2, 14))
+BLOCK_PINS = [
+    ("boolean", f"x1 + {_PRODUCT} = x1*x14 + {_PRODUCT}", "fails", "x" + " 0" * 13, 2**13 + 1),
+    ("non-associative", f"x1 = {_SUM}*{_SUM}", "fails", "0" + " b" * 7, 3**7),
+    ("non-associative", f"(x1*x1)*{_SUM} = x1*(x1*{_SUM})", "fails", "a" + " b" * 7, 2 * 3**7),
+    ("brandt", "x1*(x2+x3+x4+x5+x6) = (x2+x3+x4+x5+x6)*x1", "fails", "e11" + " e12" * 5, 4688),
+]
+
+
+@pytest.mark.parametrize(
+    "subject, key, verdict, values, explored", BRUTE_PINS + VECTOR_PINS + BLOCK_PINS
+)
 def test_bruteforce_output_is_pinned(pinned_subjects, subject, key, verdict, values, explored):
     ident = parse_identity(key) if "=" in key else builtin_identity(key)
     result = check_identity_bruteforce(pinned_subjects[subject], ident, budget=2**31)
@@ -596,6 +627,18 @@ def _nest_values(side, names, values, s, vector):
     return [y for y in range(s.size) if nest(_OneEach(loops(y)), *args) is None]
 
 
+def _assert_interpreted_like_the_tree_walker(s, side, names):
+    """Brute force of `side = y` agrees with the tree walker, with the fresh
+    y first and last in the variable order, so that a block reads the side
+    at more than one position."""
+    fresh = Variable("".join(names) + "y")
+    for ident in (make_identity(fresh, side), make_identity(side, fresh)):
+        result = check_identity_bruteforce(s, ident)
+        assert (result.verdict, result.counterexample, result.explored) == _reference_bruteforce(
+            s, ident
+        )
+
+
 @pytest.mark.parametrize("kind", [Sum, Product])
 def test_300_operand_side_compiles_and_agrees(s7, kind):
     big = make_identity(kind(tuple(Variable(f"x{k % 4 + 1}") for k in range(300))), Variable("x1"))
@@ -604,8 +647,10 @@ def test_300_operand_side_compiles_and_agrees(s7, kind):
         assert _nest_values(big.lhs, big.variables, values, s7, False) == [
             terms._value(big.lhs, env, s7)
         ]
-    # x4 is read 75 times, so the fold looks up two vectors: no vector nest.
+    # x4 is read 75 times, so the fold looks up two vectors: no vector nest,
+    # while on s7 the block search gathers their pair codes.
     assert _nest_values(big.lhs, big.variables, values, s7, True) is None
+    _assert_interpreted_like_the_tree_walker(s7, big.lhs, big.variables)
     # With x4 read once, last, the other 299 operands fold into one scalar.
     parts = [Variable(f"x{k % 3 + 1}") for k in range(299)] + [Variable("x4")]
     once = make_identity(kind(tuple(parts)), Variable("x1"))
@@ -614,6 +659,7 @@ def test_300_operand_side_compiles_and_agrees(s7, kind):
         assert _nest_values(once.lhs, once.variables, values, s7, True) == [
             terms._value(once.lhs, env, s7)
         ]
+    _assert_interpreted_like_the_tree_walker(s7, once.lhs, once.variables)
     assert check_identity_bruteforce(s7, make_identity(big.lhs, big.lhs)).holds
 
 
@@ -634,6 +680,26 @@ def test_byte_tables_are_the_rows_and_columns():
             assert rows[x][y] == columns[y][x] == table[x][y]
         assert {len(t) for t in rows + columns} == {256}
     assert constants == [bytes([c] * s.size) for c in range(s.size)]
+    for pairs, table in zip(s.pair_tables, (s.add, s.mul)):
+        assert len(pairs) == 256
+        for x, y in itertools.product(range(s.size), repeat=2):
+            assert pairs[x * s.size + y] == table[x][y]
+
+
+def test_at_most_16_elements_no_code_is_generated(monkeypatch, pinned_subjects):
+    compiled, compile_nest = [], terms._compile_nest
+    monkeypatch.setattr(
+        terms, "_compile_nest", lambda source: compiled.append(source) or compile_nest(source)
+    )
+    one = FiniteSemiring(("0",), ((0,),), ((0,),), zero=0)
+    ident = parse_identity("x*(y+x*y) + z*z = (x+y)*(y+x) + z")
+    carriers = ("boolean", "brandt", "s7", "chain(16)", "chain(17)")
+    for s in (one, *map(pinned_subjects.__getitem__, carriers)):
+        result = check_identity_bruteforce(s, ident)
+        assert (result.verdict, result.counterexample, result.explored) == _reference_bruteforce(
+            s, ident
+        )
+        assert len(compiled) == (s.size > 16)
 
 
 def test_1000_variables_fuse_into_the_loop_limit():
@@ -643,6 +709,9 @@ def test_1000_variables_fuse_into_the_loop_limit():
     for vector in (False, True):
         loops = re.findall(r"^ *for ", terms._nest_source(ident, vector), re.MULTILINE)
         assert len(loops) == terms._MAX_LOOPS
+    nest = terms._compile_nest(terms._nest_source(ident))
+    assert nest(range(1), one.add, one.mul, itertools.product) is None
+    # Brute force takes the 1,000 variables as vectors of one position.
     result = check_identity_bruteforce(one, ident)
     assert (result.verdict, result.counterexample, result.explored) == ("holds", None, 1)
 
@@ -693,6 +762,7 @@ def test_generated_source_names_only_slots_tables_and_temporaries(term):
     want = [terms._value(term, dict(zip(names, values)), s)]
     assert _nest_values(term, names, values, s, False) == want
     assert _nest_values(term, names, values, s, True) in (want, None)
+    _assert_interpreted_like_the_tree_walker(s, term, names)
 
 
 @st.composite
